@@ -47,7 +47,6 @@ from .errors import (
 from .fitting import CosineSumModel, estimate_spectrum, fit_trace, refine_fit
 from .series import (
     DeltaTable,
-    TaylorCoefficients,
     delta_coefficients,
     eta_coefficients,
     invert_couplings,
@@ -90,7 +89,6 @@ __all__ = [
     "ShapeMismatch",
     "SignalTrace",
     "SpecError",
-    "TaylorCoefficients",
     "TomographyConfig",
     "TomographyResult",
     "TomographyWarning",

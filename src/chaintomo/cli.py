@@ -171,13 +171,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = ChainSpec.from_json(spec_path)
         config = _build_config(settings, mode="simulate")
         source = spec
-        traces = simulate_traces(spec, config)
         inputs = [str(spec_path)]
     else:
         pairs = [read_trace(p) for p in trace_paths]
         source = TraceBundle.from_metadata(pairs)
         config = _build_config(settings, mode="ingest")
-        traces = list(source.traces)
         inputs = [str(p) for p in trace_paths]
 
     result = run_tomography(source, config)
@@ -198,12 +196,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         result.to_json(result_path)
     manifest.outputs.append(str(result_path))
 
-    by_observable = {Observable(t.probe.observable).value: t for t in traces}
     for observable, fit in result.fits.items():
         fit_path = out_dir / f"fit_{observable}.json"
         fit_path.write_text(json.dumps(fit.to_dict(), indent=2) + "\n")
         manifest.outputs.append(str(fit_path))
-        trace = by_observable[observable]
+        trace = result.traces[observable]
         fitted = trace.probe.sign * fit.evaluate(trace.times)
         plot_path = out_dir / f"plot_{observable}.csv"
         with open(plot_path, "w") as fh:

@@ -2,12 +2,11 @@
 
 The probed signal is a finite sum of cosines (plus a constant when the
 flux chain has an odd node count).  estimate_spectrum seeds frequencies
-from a zero-padded periodogram and amplitudes from linear least squares;
+by the matrix pencil, a grid-free subspace estimate that separates lines
+closer than one periodogram bin, and amplitudes by linear least squares;
 refine_fit polishes everything with damped least squares.  fit_trace
-wires the two together and, when the seeded fit's residual betrays merged
-periodogram peaks, reseeds by residual peeling and, failing that, by a
-matrix-pencil subspace estimate; each reseed goes through the same
-refinement and the best residual wins.
+runs the two once and rejects fits that stay above the residual floor
+or put a line beyond the Nyquist frequency.
 """
 
 from __future__ import annotations
@@ -130,64 +129,45 @@ def _lstsq_amplitudes(
     return coef, None, rms
 
 
-def _log_parabolic(power: np.ndarray, i: int, grid: np.ndarray) -> float:
-    """Refine a peak position by a parabola through three log-power bins."""
-    if not 0 < i < power.size - 1:
-        return float(grid[i])
-    y0, y1, y2 = np.log(power[i - 1 : i + 2] + 1e-300)
-    denom = 2.0 * (y0 - 2.0 * y1 + y2)
-    shift = (y0 - y2) / denom if denom != 0.0 else 0.0
-    return float(grid[i] + shift * (grid[i + 1] - grid[i]))
-
-
-def _periodogram(values: np.ndarray, dt: float, pad_factor: int):
-    win = np.hanning(values.size)
-    n_fft = pad_factor * values.size
-    spectrum = np.fft.rfft(values * win, n=n_fft)
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n_fft, d=dt)
-    return np.abs(spectrum) ** 2, omega
-
-
 def estimate_spectrum(
-    trace,
-    n_terms: int,
-    *,
-    include_dc: bool = False,
-    pad_factor: int = 32,
-    guard_bins: float = 1.0,
+    trace, n_terms: int, *, include_dc: bool = False
 ) -> CosineSumModel:
-    """Seed a cosine-sum model from the trace's periodogram.
+    """Seed a cosine-sum model by the matrix pencil (Hua & Sarkar 1990).
 
-    Takes the n_terms largest separated local maxima of a zero-padded,
-    Hann-windowed periodogram, refines each position by log-parabolic
-    interpolation, then fills amplitudes (and dc when requested) by
-    linear least squares at the fixed frequencies.  Peaks closer than
-    ``guard_bins`` Rayleigh bins count as one: fewer than n_terms
-    separated peaks raises ResolutionError.
+    A sum of p complex exponentials makes the Hankel matrix of
+    the samples rank p; its dominant right-singular subspace is shift
+    invariant, and the eigenvalues of the one-step map are the poles
+    exp(i omega dt).  Each cosine contributes a conjugate pair, the dc
+    term a pole at 1.  The estimate is grid-free, so it separates lines
+    closer than one Rayleigh bin.  The n_terms lowest positive
+    frequencies above a quarter bin are kept and the amplitudes (and dc
+    when requested) filled by linear least squares.  Fewer such lines
+    than n_terms raises ResolutionError.
     """
     times, values = _times_values(trace)
-    if times.size < 4 * n_terms:
-        raise SpecError(
-            f"need at least {4 * n_terms} samples to seed {n_terms} terms"
-        )
+    poles = 2 * n_terms + (1 if include_dc else 0)
+    # the Hankel matrix needs at least `poles` rows under the smallest window
+    need = 2 * poles + 2
+    if times.size < need:
+        raise SpecError(f"need at least {need} samples to seed {n_terms} terms")
     dt = _check_uniform(times)
     d_omega = _rayleigh(times)
-    work = values - values.mean() if include_dc else values
-    power, omega = _periodogram(work, dt, pad_factor)
-    interior = np.where((power[1:-1] > power[:-2]) & (power[1:-1] >= power[2:]))[0] + 1
-    interior = interior[omega[interior] > 0.5 * d_omega]
-    picked: list[int] = []
-    for idx in interior[np.argsort(power[interior])[::-1]]:
-        if all(abs(omega[idx] - omega[j]) > guard_bins * d_omega for j in picked):
-            picked.append(idx)
-        if len(picked) == n_terms:
-            break
-    if len(picked) < n_terms:
+    n = values.size
+    # 6 * poles lags resolve 7- and 11-link chains as well as n // 3 does
+    # (4 * poles does not) and keep the SVD linear, not cubic, in n
+    window = max(poles + 2, min(n // 3, 6 * poles))
+    hankel = np.lib.stride_tricks.sliding_window_view(values, window + 1)
+    _, _, vt = np.linalg.svd(hankel, full_matrices=False)
+    signal_space = vt[:poles].T
+    z = np.linalg.eigvals(np.linalg.pinv(signal_space[:-1]) @ signal_space[1:])
+    omega = np.angle(z) / dt
+    omega = np.sort(omega[omega > 0.25 * d_omega])
+    if omega.size < n_terms:
         raise ResolutionError(
-            f"only {len(picked)} separated spectral peaks in a window resolving "
+            f"only {omega.size} separated spectral peaks in a window resolving "
             f"{d_omega:.3g} rad; {n_terms} terms requested"
         )
-    freqs = np.sort([_log_parabolic(power, i, omega) for i in picked])
+    freqs = omega[:n_terms]
     amps, dc, rms = _lstsq_amplitudes(times, values, freqs, include_dc)
     return CosineSumModel(amps, freqs, dc=dc, residual_rms=rms, iterations=0)
 
@@ -288,82 +268,6 @@ def refine_fit(
     return result
 
 
-def _dominant_frequency(
-    times: np.ndarray, resid: np.ndarray, pad_factor: int = 32
-) -> float:
-    power, omega = _periodogram(resid, times[1] - times[0], pad_factor)
-    mask = omega > 0.25 * _rayleigh(times)
-    idx = int(np.argmax(np.where(mask, power, -1.0)))
-    return _log_parabolic(power, idx, omega)
-
-
-def _peel_seed(
-    times: np.ndarray,
-    values: np.ndarray,
-    n_terms: int,
-    include_dc: bool,
-    inner_iters: int = 3,
-) -> CosineSumModel:
-    """Seed by sequentially extracting one line at a time from residuals.
-
-    After each new line, every frequency is re-estimated against the
-    least-squares model of all the others; this keeps strong lines from
-    masking weak near neighbors that a single periodogram pass merges.
-    """
-    freqs: list[float] = []
-    for _ in range(n_terms):
-        if freqs:
-            amps, dc, _ = _lstsq_amplitudes(times, values, np.array(freqs), include_dc)
-            resid = values - CosineSumModel(amps, np.array(freqs), dc=dc).evaluate(times)
-        else:
-            resid = values - values.mean() if include_dc else values
-        freqs.append(_dominant_frequency(times, resid))
-        for _ in range(inner_iters):
-            for k in range(len(freqs)):
-                others = np.array([f for i, f in enumerate(freqs) if i != k])
-                if others.size:
-                    amps, dc, _ = _lstsq_amplitudes(times, values, others, include_dc)
-                    resid = values - CosineSumModel(amps, others, dc=dc).evaluate(times)
-                else:
-                    resid = values - values.mean() if include_dc else values
-                freqs[k] = _dominant_frequency(times, resid)
-    out = np.sort(np.array(freqs))
-    amps, dc, rms = _lstsq_amplitudes(times, values, out, include_dc)
-    return CosineSumModel(amps, out, dc=dc, residual_rms=rms, iterations=0)
-
-
-def _pencil_seed(
-    times: np.ndarray, values: np.ndarray, n_terms: int, include_dc: bool
-) -> CosineSumModel | None:
-    """Matrix-pencil (subspace shift-invariance) frequency estimates.
-
-    A sum of p complex exponentials makes the Hankel matrix of the
-    samples rank p; the dominant right-singular subspace is shift
-    invariant and the eigenvalues of its one-step map are the poles.
-    Grid-free, so it separates lines the windowed periodogram merges.
-    Returns None when the estimate does not yield enough usable lines.
-    """
-    y = np.asarray(values, dtype=float)
-    dt = times[1] - times[0]
-    n = y.size
-    poles = 2 * n_terms + (1 if include_dc else 0)
-    L = max(poles + 2, n // 3)
-    if n - L < poles:
-        return None
-    hank = np.lib.stride_tricks.sliding_window_view(y, L + 1)[: n - L]
-    _, _, vt = np.linalg.svd(hank, full_matrices=False)
-    signal_space = vt.conj().T[:, :poles]
-    v0, v1 = signal_space[:-1, :], signal_space[1:, :]
-    z = np.linalg.eigvals(np.linalg.pinv(v0) @ v1)
-    omega = np.angle(z) / dt
-    omega = np.sort(omega[omega > 0.25 * _rayleigh(times)])
-    if omega.size < n_terms:
-        return None
-    omega = omega[:n_terms]
-    amps, dc, rms = _lstsq_amplitudes(times, y, omega, include_dc)
-    return CosineSumModel(amps, omega, dc=dc, residual_rms=rms, iterations=0)
-
-
 def fit_trace(
     trace,
     n_terms: int,
@@ -373,50 +277,32 @@ def fit_trace(
     max_iter: int = 500,
     ftol: float = 1e-12,
 ) -> CosineSumModel:
-    """Full fit: periodogram seed, damped refinement, reseeding rescue.
+    """Full fit: matrix-pencil seed, then damped refinement.
 
-    The acceptable residual floor is max(1e-8, 2 * noise_sigma).  When
-    the periodogram-seeded fit stays above it (merged peaks leave the
-    refiner in a wrong basin) the trace is reseeded by residual peeling
-    and then by a matrix-pencil estimate, each refined the same way; the
-    smallest residual wins.  A best fit still above the floor raises
+    The acceptable residual floor is max(1e-8, 2 * noise_sigma).  A
+    refined fit above it, or with a line at or above the Nyquist
+    frequency pi/dt (which cannot be told apart from its alias), raises
     ResolutionError: wrong values must not flow silently downstream.
+    A refinement that runs out of steps contributes its best model.
     """
     times, values = _times_values(trace)
+    seed = estimate_spectrum((times, values), n_terms, include_dc=include_dc)
+    try:
+        best = refine_fit((times, values), seed, max_iter=max_iter, ftol=ftol)
+    except ConvergenceError as exc:
+        best = exc.best
     floor = max(1e-8, 2.0 * noise_sigma)
-    candidates: list[CosineSumModel] = []
-    first_error: Exception | None = None
-
-    def attempt(seed_fn):
-        try:
-            seed = seed_fn()
-            if seed is None:
-                return
-            candidates.append(refine_fit((times, values), seed,
-                                         max_iter=max_iter, ftol=ftol))
-        except ConvergenceError as exc:
-            if exc.best is not None:
-                candidates.append(exc.best)
-        except ResolutionError as exc:
-            nonlocal first_error
-            first_error = first_error or exc
-
-    attempt(lambda: estimate_spectrum((times, values), n_terms, include_dc=include_dc))
-    if not candidates or min(c.residual_rms for c in candidates) > floor:
-        attempt(lambda: _peel_seed(times, values, n_terms, include_dc))
-    if not candidates or min(c.residual_rms for c in candidates) > floor:
-        attempt(lambda: _pencil_seed(times, values, n_terms, include_dc))
-
-    if not candidates:
-        raise first_error or ResolutionError(
-            f"no usable seed for {n_terms} cosine terms"
-        )
-    best = min(candidates, key=lambda c: c.residual_rms)
     if best.residual_rms > floor:
         raise ResolutionError(
             f"best fit residual rms {best.residual_rms:.3e} exceeds the "
             f"acceptable floor {floor:.3e}; the window cannot separate "
             f"{n_terms} lines in this trace"
+        )
+    nyquist = np.pi / (times[1] - times[0])
+    if best.frequencies[-1] >= nyquist:
+        raise ResolutionError(
+            f"fitted line at {best.frequencies[-1]:.3e} rad is at or above the "
+            f"Nyquist frequency {nyquist:.3e} rad and cannot be told from its alias"
         )
     t0_value = best.amplitude_sum
     tol = max(1e-6, 5.0 * max(best.residual_rms, noise_sigma))

@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -155,9 +155,10 @@ class TomographyResult:
     """Recovered parameters with fit diagnostics.
 
     parameters follow chain-traversal order; fits are keyed by the probed
-    observable.  residual_rms is the worst fit residual across chains.
-    Serialization is deterministic: identical config and seed give
-    byte-identical JSON.
+    observable, and so are traces, the signals the fits were made to
+    (not serialized).  residual_rms is the worst fit residual across
+    chains.  Serialization is deterministic: identical config and seed
+    give byte-identical JSON.
     """
 
     model: Model
@@ -166,6 +167,7 @@ class TomographyResult:
     fits: dict[str, CosineSumModel]
     config: TomographyConfig
     warnings: tuple[str, ...] = ()
+    traces: dict[str, SignalTrace] = field(default_factory=dict)
 
     @property
     def residual_rms(self) -> float:
@@ -339,6 +341,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
     parameters: list[ParameterEstimate] = []
     fits: dict[str, CosineSumModel] = {}
+    traces: dict[str, SignalTrace] = {}
 
     for index, fc in enumerate(chains):
         observable = Observable(fc.probe.observable).value
@@ -360,6 +363,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 trace = matching[0].check_physical(
                     allowance=max(0.1, 6.0 * noise_sigma)
                 )
+        traces[observable] = trace
 
         m = fc.m
         n_cos = config.n_terms if config.n_terms is not None else (m + 1) // 2
@@ -426,6 +430,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         fits=fits,
         config=config,
         warnings=tuple(collected),
+        traces=traces,
     )
 
 

@@ -15,6 +15,7 @@ from chaintomo import (
     sample_times,
     write_trace,
 )
+from chaintomo import tomography
 from chaintomo.cli import main
 
 from _bench import BENCH_J, xx_spec, xy_spec
@@ -118,6 +119,21 @@ class TestRunFromSpec:
         assert (out / "plot_y1.csv").is_file()
         result = _read_json(out / "result.json")
         assert len(result["parameters"]) == 6
+
+    def test_each_probe_is_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = tomography.spectral_signal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tomography, "spectral_signal", counting)
+        spec_path = tmp_path / "xy.json"
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert len(calls) == 2  # one trace per probe: x1 and y1
 
     def test_noisy_runs_are_reproducible(self, tmp_path, bench_spec_path):
         outs = []

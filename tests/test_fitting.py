@@ -1,11 +1,10 @@
-"""Cosine-sum seeding, refinement, and the rescue ladder."""
+"""Cosine-sum seeding by the matrix pencil, refinement, and the full fit."""
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from chaintomo import (
-    ConvergenceError,
     CosineSumModel,
     NoiseSpec,
     ResolutionError,
@@ -21,8 +20,9 @@ from chaintomo import (
 from _bench import BENCH_J
 
 # a chain whose lowest two lines fall inside one periodogram bin of the
-# default window; the plain seeded fit stalls and only the reseeding
-# ladder recovers it (found by scanning random chains, then frozen)
+# default window, so a periodogram seed merges them; the grid-free pencil
+# seed must still separate them (found by scanning random chains, then
+# frozen)
 MERGED_PEAK_J = np.array(
     [1.297069, 0.967935, 0.803032, 0.778426, 0.75487, 0.945076, 1.004548]
 )
@@ -83,14 +83,14 @@ class TestEstimateSpectrum:
         np.testing.assert_allclose(seed.amplitudes, [0.4, 0.6], atol=5e-3)
 
     def test_sub_rayleigh_pair_defeats_the_periodogram_seed(self):
-        # 0.1 rad/J apart inside a window resolving only 0.25 rad/J: the
-        # merged lobe plus a sidelobe make a wrong seed, and refinement
-        # stalls far above the noiseless floor
+        # 0.1 rad/J apart inside a window resolving only 0.25 rad/J: one
+        # merged periodogram lobe, but two poles to the pencil seed
         t = _grid()
         values = 0.5 * np.cos(2.0 * t) + 0.5 * np.cos(2.1 * t)
         seed = estimate_spectrum((t, values), 2)
-        stalled = refine_fit((t, values), seed)
-        assert stalled.residual_rms > 1e-3
+        fit = refine_fit((t, values), seed)
+        np.testing.assert_allclose(fit.frequencies, [2.0, 2.1], atol=1e-8)
+        np.testing.assert_allclose(fit.amplitudes, [0.5, 0.5], atol=1e-8)
 
     def test_featureless_trace_raises(self):
         t = _grid()
@@ -191,18 +191,6 @@ class TestFitTrace:
 
     def test_rescue_ladder_recovers_merged_peaks(self):
         trace = spectral_signal(MERGED_PEAK_J, _grid())
-        # the plain periodogram seed cannot resolve this chain's closest
-        # pair: seeding either fails outright or refines to a residual
-        # far above the noiseless floor
-        resolved_naively = True
-        try:
-            seed = estimate_spectrum((trace.times, trace.values), 4)
-            naive = refine_fit((trace.times, trace.values), seed)
-            resolved_naively = naive.residual_rms <= 1e-8
-        except (ResolutionError, ConvergenceError):
-            resolved_naively = False
-        assert not resolved_naively
-        # the full ladder still lands on the true lines
         fit = fit_trace((trace.times, trace.values), 4)
         assert fit.residual_rms <= 1e-8
         lam, _ = eigh_tridiagonal(np.zeros(8), MERGED_PEAK_J)

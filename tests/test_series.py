@@ -8,14 +8,12 @@ from chaintomo import (
     DegenerateError,
     InsufficientChain,
     InversionError,
-    TaylorCoefficients,
     TomographyWarning,
     delta_coefficients,
     eta_coefficients,
     invert_couplings,
     mu_coefficients,
 )
-from chaintomo.series import DeltaTable
 
 from _bench import BENCH_J, mu_closed
 
@@ -50,25 +48,6 @@ class TestDeltaTable:
             for l in range(12):
                 if (l - (j - 1)) % 2 == 1:
                     assert tab.delta(j, l) == 0.0
-
-    def test_verify_detects_tampering(self):
-        tab = delta_coefficients(np.array([1.0, 0.8]), 6)
-        assert tab.verify()
-        tampered = tab.entries.copy()
-        tampered[0, 2] += 1e-9
-        bad = DeltaTable(links=tab.links, entries=tampered, max_order=6)
-        assert not bad.verify()
-
-    def test_csv_dump_round_trips_values(self, tmp_path):
-        tab = delta_coefficients(np.array([1.4, 1.48]), 4)
-        path = tmp_path / "table.csv"
-        tab.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,l,value"
-        assert len(lines) == 1 + 3 * 5  # (m+1) nodes x (max_order+1) orders
-        j, l, value = lines[1 + 0 * 5 + 2].split(",")
-        assert (int(j), int(l)) == (1, 2)
-        assert float(value) == tab.delta(1, 2)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -144,10 +123,6 @@ class TestEtaCoefficients:
 
         with pytest.raises(ValueError):
             eta_coefficients(Fake(), 1)
-
-    def test_mismatch_helper(self):
-        pair = TaylorCoefficients(mu=np.array([1.0, 2.0]), eta=np.array([1.0, 2.5]))
-        assert pair.max_mismatch() == 0.5
 
 
 class TestInversion:

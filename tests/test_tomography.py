@@ -143,6 +143,35 @@ class TestSimulateMode:
         worst = max(p.abs_error for p in result.parameters)
         assert worst < 2e-2
 
+    def test_noisy_xy_chain_fits_without_a_spec_error(self):
+        # log-parabolic interpolation of this trace's periodogram peaks
+        # lands below zero frequency; a valid input must not end in a
+        # SpecError (an input error) from the fit stage
+        spec = xy_spec(
+            [0.514769, 0.766198, 0.549743, 0.721555, 0.841599],
+            [0.832036, 1.324854, 1.347068, 1.085336, 0.867069],
+        )
+        config = TomographyConfig(
+            sample_step=math.pi / 25, window=8 * math.pi,
+            noise=NoiseSpec(1e-3, 668481305),
+        )
+        result = run_tomography(spec, config)
+        assert max(p.abs_error for p in result.parameters) < 1e-2
+
+    def test_line_beyond_nyquist_is_a_resolution_error(self):
+        # refinement chases a noise line to ~3e14 rad; an aliased line must
+        # stop the run at the fit, not overflow the series stage
+        spec = ising_spec(
+            [0.561343, 1.075627, 0.72744, 0.514358, 0.978386],
+            [0.875422, 1.225016, 1.203946, 0.858685, 0.99895, 0.863943],
+        )
+        config = TomographyConfig(
+            window=12 * math.pi, noise=NoiseSpec(0.01, 813391443)
+        )
+        with pytest.raises(ResolutionError, match="Nyquist") as exc_info:
+            run_tomography(spec, config)
+        assert exc_info.value.stage == "fit"
+
 
 class TestResultObject:
     def test_json_serialization_round_trips_fits(self):
