@@ -18,7 +18,6 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .chain_model import (
     ChainSpec,
@@ -117,15 +116,19 @@ def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     The (m+1)-dimensional symmetric tridiagonal matrix T with zero
     diagonal and off-diagonal entries c_j has eigenpairs (lambda_k, v_k);
     the signal is sum_k (v_k[1])^2 cos(2 lambda_k t), exact up to
-    eigensolver precision.  ``chain`` may be a FluxChain or a bare link
-    array; the probe defaults to the chain's own.
+    eigensolver precision.  T is at most a few dozen rows, so it is
+    built dense and handed to the symmetric solver ``numpy.linalg.eigh``.
+    Non-finite links raise EigenError.  ``chain`` may be a FluxChain or a
+    bare link array; the probe defaults to the chain's own.
     """
     links = np.asarray(getattr(chain, "links", chain), dtype=float)
     probe = probe or _default_probe(chain)
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(links)):
+        raise EigenError("tridiagonal eigensolve failed: links must be finite")
     try:
-        lam, vec = eigh_tridiagonal(np.zeros(links.size + 1), links)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        lam, vec = np.linalg.eigh(np.diag(links, 1) + np.diag(links, -1))
+    except np.linalg.LinAlgError as exc:
         raise EigenError(f"tridiagonal eigensolve failed: {exc}") from exc
     weight = vec[0, :] ** 2
     values = (weight[None, :] * np.cos(2.0 * np.outer(t, lam))).sum(axis=1)
@@ -321,8 +324,14 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
     sidecar = _sidecar_path(csv_path)
     if not sidecar.is_file():
         raise SpecError(f"metadata sidecar not found: {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    if "probe" not in meta:
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"metadata sidecar {sidecar} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or "probe" not in meta:
         raise SpecError(f"{sidecar}: metadata must identify the probe")
-    probe = Probe.from_dict(meta["probe"])
+    try:
+        probe = Probe.from_dict(meta["probe"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"{sidecar}: malformed probe: {exc}") from exc
     return SignalTrace(np.array(times), np.array(values), probe), meta

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, config files, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaintomo
 from chaintomo import (
     Model,
     Observable,
@@ -250,8 +255,32 @@ class TestErrors:
         code = main(["run", "--spec", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_malformed_sidecar_exits_2(self, tmp_path, bench_spec_path, capsys):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        capsys.readouterr()
+        (sim_out / "trace_x1.meta.json").write_text('{"probe": {"observable": "q"}}')
+        code = main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
         assert exc_info.value.code == 0
         assert capsys.readouterr().out.strip()
+
+
+def test_cold_import_leaves_scipy_unloaded():
+    # scipy.linalg alone used to be most of the package's import time
+    code = (
+        "import sys, chaintomo, chaintomo.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = Path(chaintomo.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Signal generation routes: spectral, truncated series, state vector."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from chaintomo import (
     BulkState,
     CapExceeded,
+    EigenError,
     NoiseSpec,
     Probe,
     Observable,
@@ -84,6 +86,27 @@ class TestSpectralSignal:
         # which the fit must model as a constant term
         lam, _ = eigh_tridiagonal(np.zeros(3), np.array([1.0, 0.8]))
         assert np.min(np.abs(lam)) < 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 32))
+    def test_matches_the_banded_tridiagonal_solver(self, m):
+        # an independent reference: the signal rebuilt from LAPACK's
+        # tridiagonal eigensolver, not the dense one production uses
+        links = np.random.default_rng(m).uniform(0.5, 1.5, m)
+        t = np.linspace(0.0, 40.0, 1000)
+        lam, vec = eigh_tridiagonal(np.zeros(m + 1), links)
+        expected = (vec[0, :] ** 2 * np.cos(2.0 * np.outer(t, lam))).sum(axis=1)
+        trace = spectral_signal(links, t)
+        np.testing.assert_allclose(trace.values, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_links_are_an_eigen_error(self, bad):
+        with pytest.raises(EigenError):
+            spectral_signal(np.array([1.0, bad, 0.8]), [0.0, 1.0])
+
+    def test_no_links_is_the_constant_signal(self):
+        t = np.linspace(0.0, 5.0, 11)
+        trace = spectral_signal(np.array([]), t)
+        np.testing.assert_array_equal(trace.values, np.ones(11))
 
 
 class TestTaylorSignal:
@@ -228,5 +251,28 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         (tmp_path / "trace.meta.json").write_text("{}")
+        with pytest.raises(SpecError, match="probe"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "3"])
+    def test_unreadable_sidecar_is_a_spec_error(self, tmp_path, sidecar):
+        trace = spectral_signal(BENCH_J, [0.0, 1.0])
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        (tmp_path / "trace.meta.json").write_text(sidecar)
+        with pytest.raises(SpecError, match="trace.meta.json"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("probe", [
+        {"observable": "q", "preparation": "plus_x", "sign": 1},
+        {"observable": "x1", "preparation": "plus_x"},
+        {"observable": "x1", "preparation": "plus_x", "sign": [1]},
+        "x1",
+    ])
+    def test_malformed_probe_is_a_spec_error(self, tmp_path, probe):
+        trace = spectral_signal(BENCH_J, [0.0, 1.0])
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
         with pytest.raises(SpecError, match="probe"):
             read_trace(path)

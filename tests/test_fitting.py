@@ -106,6 +106,9 @@ class TestEstimateSpectrum:
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8])
         with pytest.raises(SpecError, match="uniform"):
             estimate_spectrum((t, np.cos(t)), 1)
+        t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
+        with pytest.raises(SpecError, match="uniform"):
+            estimate_spectrum((t_nan, np.cos(t_nan)), 1)
 
     def test_dc_is_estimated_when_requested(self):
         t = _grid()
