@@ -51,6 +51,7 @@ from .series import (
     eta_coefficients,
     invert_couplings,
     mu_coefficients,
+    spectral_couplings,
 )
 from .tomography import (
     ErrorReport,
@@ -109,6 +110,7 @@ __all__ = [
     "run_tomography",
     "sample_times",
     "simulate_traces",
+    "spectral_couplings",
     "spectral_signal",
     "statevector_signal",
     "taylor_signal",

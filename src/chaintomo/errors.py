@@ -61,21 +61,27 @@ class InsufficientChain(ChainTomoError):
 
 
 class InversionError(ChainTomoError):
-    """A coupling square came out negative beyond tolerance.
+    """A quantity that must be nonnegative came out negative beyond tolerance.
 
     Attributes:
-        link: 1-based index of the offending link.
-        radicand: the (eta_j - p0)/(p1 - p0) value that went negative.
+        link: 1-based index of the offending link, or None when no single
+            link is at fault (a negative spectral weight).
+        radicand: the negative value: a squared coupling
+            (eta_j - p0)/(p1 - p0) or a spectral weight.
     """
 
-    def __init__(self, message: str, *, link: int, radicand: float):
+    def __init__(self, message: str, *, link: int | None, radicand: float):
         super().__init__(message)
         self.link = link
         self.radicand = radicand
 
 
 class DegenerateError(ChainTomoError):
-    """An earlier link estimated at zero makes later links unidentifiable."""
+    """A link cannot be identified from the data.
+
+    An earlier link estimated at zero, or a fitted spectrum with fewer
+    distinct lines than the chain needs, leaves this link undetermined.
+    """
 
     def __init__(self, message: str, *, link: int):
         super().__init__(message)

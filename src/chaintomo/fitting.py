@@ -159,7 +159,9 @@ def estimate_spectrum(
     # (4 * poles does not) and keep the SVD linear, not cubic, in n
     window = max(poles + 2, min(n // 3, 6 * poles))
     hankel = np.lib.stride_tricks.sliding_window_view(values, window + 1)
-    _, _, vt = np.linalg.svd(hankel, full_matrices=False)
+    # the SVD of the square triangular factor has the same right singular
+    # vectors as the tall Hankel matrix and costs less
+    _, _, vt = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
     signal_space = vt[:poles].T
     z = np.linalg.eigvals(np.linalg.pinv(signal_space[:-1]) @ signal_space[1:])
     omega = np.angle(z) / dt
@@ -197,27 +199,28 @@ def refine_fit(
         [init.amplitudes, init.frequencies, [init.dc] if has_dc else []]
     )
 
-    def model(th):
-        out = np.cos(np.outer(times, th[n : 2 * n])) @ th[:n]
-        return out + th[-1] if has_dc else out
+    def residual(th):
+        """Model minus data, and the cosine matrix the Jacobian reuses."""
+        cos = np.cos(np.outer(times, th[n : 2 * n]))
+        out = cos @ th[:n]
+        return (out + th[-1] if has_dc else out) - values, cos
 
-    def jacobian(th):
+    def jacobian(th, cos):
         A, om = th[:n], th[n : 2 * n]
-        arg = np.outer(times, om)
         J = np.empty((times.size, th.size))
-        J[:, :n] = np.cos(arg)
-        J[:, n : 2 * n] = -A[None, :] * times[:, None] * np.sin(arg)
+        J[:, :n] = cos
+        J[:, n : 2 * n] = -A[None, :] * times[:, None] * np.sin(np.outer(times, om))
         if has_dc:
             J[:, -1] = 1.0
         return J
 
-    resid = model(theta) - values
+    resid, cos = residual(theta)
     sse = float(resid @ resid)
     damping = 1e-3
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        J = jacobian(theta)
+        J = jacobian(theta, cos)
         grad = J.T @ resid
         hess = J.T @ J
         accepted = False
@@ -228,7 +231,7 @@ def refine_fit(
                 damping *= 10.0
                 continue
             candidate = theta + step
-            resid_new = model(candidate) - values
+            resid_new, cos_new = residual(candidate)
             sse_new = float(resid_new @ resid_new)
             if sse_new <= sse:
                 accepted = True
@@ -238,7 +241,7 @@ def refine_fit(
             converged = True  # no decrease possible: at the numerical floor
             break
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
-        theta, resid, sse = candidate, resid_new, sse_new
+        theta, resid, sse, cos = candidate, resid_new, sse_new, cos_new
         damping = max(damping * 0.3, 1e-12)
         if rel_drop < ftol:
             converged = True

@@ -1,4 +1,4 @@
-"""Information-flux recurrence, Taylor coefficients, and the inversion.
+"""Information-flux recurrence, Taylor coefficients, and the inversions.
 
 The probed signal has the exact expansion
 
@@ -13,11 +13,21 @@ delta_j^(0) = 1 for j = 1, else 0.  Odd orders of delta_1 vanish, so
 
     alpha_1(t) = 1 + sum_j mu_j t^{2j},    mu_j = 2^{2j} delta_1^(2j) / (2j)!
 
-Two structural facts drive the inversion: the light cone (order l reaches
-at most node l+1, so mu_j depends only on links c_1..c_j) and affinity
-(mu_j is affine in c_j^2 once c_1..c_{j-1} are fixed, because exactly one
-order-2j round trip reaches link j).  Matching mu_j against the fitted
-coefficients eta_j therefore solves for one new link per order.
+Two structural facts drive the paper's inversion: the light cone (order
+l reaches at most node l+1, so mu_j depends only on links c_1..c_j) and
+affinity (mu_j is affine in c_j^2 once c_1..c_{j-1} are fixed, because
+exactly one order-2j round trip reaches link j).  Matching mu_j against
+the fitted coefficients eta_j therefore solves for one new link per
+order (invert_couplings).  That is a Hankel moment inversion whose
+conditioning grows like (2j)!/4^j, so it stays the reference route that
+certifies the conventions.
+
+The pipeline inverts the fitted spectrum directly (spectral_couplings).
+The fitted cosine sum is the spectral measure of the flux chain's
+zero-diagonal Jacobi matrix seen from node 1: nodes +-omega_k/2 with
+weight A_k/2 each, plus node 0 with the dc weight.  Lanczos on that
+measure rebuilds the Jacobi matrix, whose off-diagonals are the links
+(de Boor & Golub 1978; Gragg & Harrod 1984).
 """
 
 from __future__ import annotations
@@ -34,6 +44,13 @@ from .errors import (
     InversionError,
     TomographyWarning,
 )
+
+# tolerances of spectral_couplings, relative to the total weight and to
+# the spectral radius: a negative weight within WEIGHT_TOL is rounding in
+# the fit; an off-diagonal within BREAKDOWN_TOL means the measure has run
+# out of nodes (no link exceeds the radius, and a real one is not 1e-8 of it)
+WEIGHT_TOL = 1e-8
+BREAKDOWN_TOL = 1e-8
 
 
 def _links_of(chain) -> np.ndarray:
@@ -148,8 +165,11 @@ def invert_couplings(
 
     Small negative radicands (within ``radicand_tol``) are clamped to
     zero with a warning; larger ones raise InversionError flagging a fit
-    inconsistency.  A vanishing slope |p1 - p0| means an earlier link was
-    estimated at zero, making this one unidentifiable: DegenerateError.
+    inconsistency.  A slope |p1 - p0| at most ``degeneracy_tol`` times
+    |p1| makes this link unidentifiable: DegenerateError.  The slope is
+    exactly zero when an earlier link was estimated at zero; otherwise
+    the single round trip that reaches link j is lost to rounding among
+    all the others of order 2j, as happens for long chains.
     """
     eta = np.asarray(eta, dtype=float)
     m = eta.size
@@ -162,11 +182,15 @@ def invert_couplings(
         p0 = _mu_unchecked(probe, j)[-1]
         probe[j - 1] = 1.0
         p1 = _mu_unchecked(probe, j)[-1]
-        if abs(p1 - p0) < degeneracy_tol:
-            raise DegenerateError(
-                f"link {j} is unidentifiable: an earlier link was estimated at zero",
-                link=j,
-            )
+        if abs(p1 - p0) <= degeneracy_tol * abs(p1):
+            if np.any(c[: j - 1] == 0.0):
+                cause = "an earlier link was estimated at zero"
+            else:
+                cause = (
+                    f"its slope {abs(p1 - p0):.3e} in the order-{2 * j} coefficient "
+                    f"{p1:.3e} is lost to rounding"
+                )
+            raise DegenerateError(f"link {j} is unidentifiable: {cause}", link=j)
         ratio = (eta[j - 1] - p0) / (p1 - p0)
         if ratio < -radicand_tol:
             raise InversionError(
@@ -184,3 +208,62 @@ def invert_couplings(
             ratio = 0.0
         c[j - 1] = math.sqrt(ratio)
     return c
+
+
+def spectral_couplings(fit, n_links: int) -> np.ndarray:
+    """Link magnitudes c_1..c_m of the Jacobi matrix with the fit's spectrum.
+
+    The measure has nodes +-omega_k/2 with weight A_k/2 each, plus node 0
+    with weight dc when the fit models a constant (an odd node count).
+    Lanczos with full reorthogonalisation on diag(nodes), started from
+    the normalised square-root weights, returns the links as its
+    off-diagonals; the diagonal vanishes because the measure is
+    symmetric.  Each of the m steps is a few vector operations, where
+    the Taylor route re-runs the recurrence twice per link.  ``fit`` is
+    a CosineSumModel or any object with ``amplitudes``, ``frequencies``
+    and ``dc``.
+
+    A weight below -WEIGHT_TOL times the total weight raises
+    InversionError: no real chain has that spectrum.  Smaller negative
+    weights count as zero.  A Lanczos step whose new off-diagonal is at
+    most BREAKDOWN_TOL times the spectral radius means the fit has fewer
+    distinct nodes of nonzero weight than the chain needs:
+    DegenerateError naming that link.
+    """
+    A = np.asarray(fit.amplitudes, dtype=float)
+    half = 0.5 * np.asarray(fit.frequencies, dtype=float)
+    dc = getattr(fit, "dc", None)
+    nodes = np.concatenate([-half, half, [] if dc is None else [0.0]])
+    weights = np.concatenate([0.5 * A, 0.5 * A, [] if dc is None else [dc]])
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise ValueError("fit parameters must be finite")
+    worst = int(np.argmin(weights))
+    if weights[worst] < -WEIGHT_TOL * float(np.sum(np.abs(weights))):
+        raise InversionError(
+            f"spectral weight {weights[worst]:.3e} at node {nodes[worst]:.6g} is "
+            "negative; the fit is not the spectrum of any real chain",
+            link=None,
+            radicand=float(weights[worst]),
+        )
+    q = np.sqrt(np.maximum(weights, 0.0))
+    basis = np.zeros((nodes.size, n_links + 1))
+    basis[:, 0] = q / np.linalg.norm(q)
+    threshold = BREAKDOWN_TOL * float(np.max(np.abs(nodes)))
+    links = np.zeros(n_links)
+    for j in range(n_links):
+        done = basis[:, : j + 1]
+        v = nodes * basis[:, j]
+        # subtracting the projection twice keeps the basis orthonormal to
+        # rounding ("twice is enough"), which plain three-term Lanczos loses
+        v -= done @ (done.T @ v)
+        v -= done @ (done.T @ v)
+        beta = float(np.linalg.norm(v))
+        if not beta > threshold:
+            raise DegenerateError(
+                f"link {j + 1} is unidentifiable: the fitted spectral measure has "
+                f"only {j + 1} distinct nodes of nonzero weight, {n_links + 1} needed",
+                link=j + 1,
+            )
+        links[j] = beta
+        basis[:, j + 1] = v / beta
+    return links

@@ -4,9 +4,9 @@ named coupling estimates.
 Simulation mode generates one trace per required probe from the spectral
 oracle (optionally with seeded Gaussian noise); ingest mode takes traces
 measured elsewhere, matched to the required probes by observable.  Either
-way each trace is fitted to a cosine sum, the fit's Taylor coefficients
-eta_j are matched against the chain coefficients mu_j, and the links are
-solved sequentially, then mapped back to Hamiltonian parameter names.
+way each trace is fitted to a cosine sum, the fit is inverted as the
+spectral measure of the flux chain for its links, and the links are
+mapped back to Hamiltonian parameter names.
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from .chain_model import ChainSpec, FluxChain, Model, Observable, flux_chains
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
 from .errors import ChainTomoError, ShapeMismatch, SpecError, TomographyWarning
 from .fitting import CosineSumModel, fit_trace
-from .series import _mu_unchecked, eta_coefficients, invert_couplings
+# invert_couplings, the paper's Taylor-matching route, is not called here;
+# it stays importable from this module beside eta_coefficients for tools
+# that look the inversion up on it by name
+from .series import (  # noqa: F401
+    _mu_unchecked,
+    eta_coefficients,
+    invert_couplings,
+    spectral_couplings,
+)
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,29 @@ class TraceBundle:
 
     @classmethod
     def from_metadata(cls, pairs, truth: ChainSpec | None = None) -> "TraceBundle":
-        """Assemble from (SignalTrace, metadata) pairs as read from disk."""
+        """Assemble from (SignalTrace, metadata) pairs as read from disk.
+
+        Metadata that disagree between traces, or fields of the wrong type
+        or value, raise SpecError.
+        """
         if not pairs:
             raise SpecError("no traces supplied")
+        try:
+            return cls._from_metadata(pairs, truth)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SpecError(f"malformed trace metadata: {exc}") from exc
+
+    @classmethod
+    def _from_metadata(cls, pairs, truth: ChainSpec | None) -> "TraceBundle":
         models = {meta.get("model") for _, meta in pairs}
         counts = {meta.get("n_spins") for _, meta in pairs}
         if len(models) != 1 or None in models:
             raise SpecError("trace metadata must agree on one model")
         if len(counts) != 1 or None in counts:
             raise SpecError("trace metadata must agree on n_spins")
+        # convert before the truth block, so a bad field is named as metadata
+        model = Model(next(iter(models)))
+        n_spins = int(next(iter(counts)))
         sigma = 0.0
         for _, meta in pairs:
             noise = meta.get("noise")
@@ -125,8 +147,8 @@ class TraceBundle:
                     )
                     break
         return cls(
-            model=Model(next(iter(models))),
-            n_spins=int(next(iter(counts))),
+            model=model,
+            n_spins=n_spins,
             traces=tuple(trace for trace, _ in pairs),
             truth=truth,
             allow_signed=bool(truth.allow_signed) if truth else False,
@@ -296,9 +318,9 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
     Per flux chain: obtain the trace (simulate or look up by probe), fit
-    the cosine sum, form eta_j, invert eta_j = mu_j sequentially, and
-    label the recovered links.  Deterministic for a fixed config and
-    noise seed.  Errors raised inside a stage carry that stage's name.
+    the cosine sum, recover the links from its spectrum by Lanczos, and
+    label them.  Deterministic for a fixed config and noise seed.  Errors
+    raised inside a stage carry that stage's name.
     """
     config = config or TomographyConfig()
     collected: list[str] = []
@@ -380,13 +402,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             )
             fits[observable] = fit
 
-        with _stage("series"):
-            eta = eta_coefficients(fit, m)
-
-        with _stage("invert"), warnings.catch_warnings(record=True) as caught_inv:
-            warnings.simplefilter("always", TomographyWarning)
-            links = invert_couplings(eta)
-        caught.extend(caught_inv)
+        with _stage("invert"):
+            links = spectral_couplings(fit, m)
 
         with _stage("assemble"):
             order = config.taylor_order or m

@@ -266,6 +266,27 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("model", "q"),
+        ("n_spins", "three"),
+        ("noise", {"sigma": "x"}),
+        ("noise", 0.1),
+    ])
+    def test_malformed_sidecar_field_exits_2(self, tmp_path, bench_spec_path,
+                                             capsys, field, value):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        capsys.readouterr()
+        sidecar = sim_out / "trace_x1.meta.json"
+        meta = _read_json(sidecar)
+        meta.pop("truth_couplings", None)
+        sidecar.write_text(json.dumps({**meta, field: value}))
+        code = main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

@@ -1,4 +1,4 @@
-"""Flux recurrence, Taylor coefficients, and the sequential inversion."""
+"""Flux recurrence, Taylor coefficients, and both inversions."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from chaintomo import (
     TomographyWarning,
     delta_coefficients,
     eta_coefficients,
+    flux_chains,
     invert_couplings,
     mu_coefficients,
+    spectral_couplings,
 )
 
-from _bench import BENCH_J, mu_closed
+from _bench import BENCH_J, ising_spec, mu_closed, xx_spec, xy_spec
 
 
 class TestDeltaTable:
@@ -163,3 +165,100 @@ class TestInversion:
         with pytest.raises(DegenerateError) as exc_info:
             invert_couplings(np.array([0.0, 0.3]))
         assert exc_info.value.link == 2
+
+    def test_exact_eleven_link_round_trip_is_never_degenerate(self):
+        # the order-22 slope is about 1e-7 of mu_11: small, but far from
+        # the zero an earlier vanishing link would give
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            links = rng.uniform(0.5, 1.5, 11)
+            try:
+                recovered = invert_couplings(mu_coefficients(links, 11))
+            except InversionError:
+                continue
+            np.testing.assert_allclose(recovered, links, atol=1e-6)
+
+    def test_slope_lost_to_rounding_is_named(self):
+        rng = np.random.default_rng(2)
+        links = rng.uniform(0.5, 1.5, 31)
+        with pytest.raises((DegenerateError, InversionError)) as exc_info:
+            invert_couplings(mu_coefficients(links, 31))
+        assert "estimated at zero" not in str(exc_info.value)
+
+
+def _exact_fit(links) -> CosineSumModel:
+    """The cosine sum a chain's boundary signal is, from its eigenpairs."""
+    from scipy.linalg import eigh_tridiagonal
+
+    m = len(links)
+    lam, vec = eigh_tridiagonal(np.zeros(m + 1), np.asarray(links, dtype=float))
+    weight = vec[0] ** 2
+    k = (m + 1) // 2  # positive eigenvalues, each paired with its negative
+    dc = float(weight[m // 2]) if m % 2 == 0 else None
+    return CosineSumModel(2.0 * weight[-k:], 2.0 * lam[-k:], dc=dc)
+
+
+def _model_chains(m: int, rng):
+    """The flux chains of m links each model has (ising: odd m >= 3 only)."""
+    specs = [
+        xx_spec(rng.uniform(0.5, 1.5, m)),
+        xy_spec(rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, m)),
+    ]
+    if m % 2 == 1 and m >= 3:
+        n = (m + 1) // 2
+        specs.append(ising_spec(rng.uniform(0.5, 1.5, n - 1), rng.uniform(0.5, 1.5, n)))
+    return [fc for spec in specs for fc in flux_chains(spec)]
+
+
+class TestSpectralInversion:
+    @pytest.mark.parametrize("m", range(1, 32))
+    def test_exact_spectrum_round_trips(self, m):
+        rng = np.random.default_rng(100 + m)
+        for fc in _model_chains(m, rng):
+            assert fc.m == m
+            recovered = spectral_couplings(_exact_fit(fc.links), m)
+            np.testing.assert_allclose(recovered, np.abs(fc.links), rtol=0, atol=1e-8)
+
+    def test_agrees_with_the_taylor_route(self):
+        # a perturbed chain spectrum with unit mass is still the spectrum of
+        # one zero-diagonal chain, so both routes must find the same links
+        rng = np.random.default_rng(8)
+        for m in range(1, 8):
+            for _ in range(5):
+                exact = _exact_fit(rng.uniform(0.5, 1.5, m))
+                A = exact.amplitudes * rng.uniform(0.9, 1.1, exact.n_terms)
+                dc = None if exact.dc is None else exact.dc * rng.uniform(0.9, 1.1)
+                mass = A.sum() + (dc or 0.0)
+                fit = CosineSumModel(
+                    A / mass,
+                    exact.frequencies * rng.uniform(0.99, 1.01, exact.n_terms),
+                    dc=None if dc is None else dc / mass,
+                )
+                np.testing.assert_allclose(
+                    spectral_couplings(fit, m),
+                    invert_couplings(eta_coefficients(fit, m)),
+                    rtol=0,
+                    atol=1e-10,
+                )
+
+    @pytest.mark.parametrize("fit, weight", [
+        (CosineSumModel(np.array([0.7, -0.1]), np.array([1.0, 3.0]), dc=0.4), -0.05),
+        (CosineSumModel(np.array([0.6, 0.5]), np.array([1.0, 3.0]), dc=-0.1), -0.1),
+    ], ids=["amplitude", "dc"])
+    def test_negative_weight_is_an_inversion_error(self, fit, weight):
+        with pytest.raises(InversionError) as exc_info:
+            spectral_couplings(fit, 4)
+        assert exc_info.value.link is None
+        assert exc_info.value.radicand == pytest.approx(weight)
+
+    @pytest.mark.parametrize("amplitudes, frequencies, n_links, link", [
+        # five links need three lines; two give four nodes
+        ([0.5, 0.3], [1.0, 3.0], 5, 4),
+        ([0.6, 0.0, 0.4], [1.0, 2.0, 3.0], 5, 4),
+        ([0.5, 0.5], [2.0, 2.0], 3, 2),
+    ], ids=["missing-line", "zero-weight", "coincident-lines"])
+    def test_too_few_nodes_is_degenerate(self, amplitudes, frequencies, n_links, link):
+        fit = CosineSumModel(np.array(amplitudes), np.array(frequencies))
+        with pytest.raises(DegenerateError) as exc_info:
+            spectral_couplings(fit, n_links)
+        assert exc_info.value.link == link

@@ -9,6 +9,7 @@ import pytest
 from chaintomo import (
     ChainSpec,
     CosineSumModel,
+    DegenerateError,
     Model,
     NoiseSpec,
     ResolutionError,
@@ -160,7 +161,7 @@ class TestSimulateMode:
 
     def test_line_beyond_nyquist_is_a_resolution_error(self):
         # refinement chases a noise line to ~3e14 rad; an aliased line must
-        # stop the run at the fit, not overflow the series stage
+        # stop the run at the fit, not reach the inversion
         spec = ising_spec(
             [0.561343, 1.075627, 0.72744, 0.514358, 0.978386],
             [0.875422, 1.225016, 1.203946, 0.858685, 0.99895, 0.863943],
@@ -171,6 +172,30 @@ class TestSimulateMode:
         with pytest.raises(ResolutionError, match="Nyquist") as exc_info:
             run_tomography(spec, config)
         assert exc_info.value.stage == "fit"
+
+    @pytest.mark.parametrize("model", ["xx", "ising_transverse"])
+    def test_noiseless_eleven_link_chains_are_recovered(self, model):
+        # the Taylor route ended every such input in a false DegenerateError
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            if model == "xx":
+                spec = xx_spec(rng.uniform(0.5, 1.5, 11))
+            else:
+                spec = ising_spec(rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, 6))
+            result = run_tomography(spec, TomographyConfig(window=12 * math.pi))
+            assert max(p.abs_error for p in result.parameters) < 1e-6
+
+    def test_trace_of_a_shorter_chain_is_degenerate_at_invert(self):
+        # three links give four nodes; a five-spin bundle needs five
+        times = sample_times(TomographyConfig())
+        from chaintomo import spectral_signal
+
+        trace = spectral_signal([1.0, 0.8, 0.9], times)
+        bundle = TraceBundle(model=Model.XX, n_spins=5, traces=(trace,))
+        with pytest.raises(DegenerateError) as exc_info:
+            run_tomography(bundle, TomographyConfig(mode="ingest"))
+        assert exc_info.value.stage == "invert"
+        assert exc_info.value.link == 4
 
 
 class TestResultObject:
@@ -287,6 +312,19 @@ class TestIngestMode:
         pairs_b = _write_bundle(ising_spec([1.0], [0.9, 1.1]), tmp_path / "b")
         with pytest.raises(SpecError, match="model"):
             TraceBundle.from_metadata(pairs_a + pairs_b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", "q"),
+        ("n_spins", "three"),
+        ("noise", {"sigma": "x"}),
+        ("noise", 0.1),
+        ("truth_couplings", [1.0]),
+    ])
+    def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value):
+        pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
+        pairs = [(trace, {**meta, field: value}) for trace, meta in pairs]
+        with pytest.raises(SpecError, match="malformed trace metadata"):
+            TraceBundle.from_metadata(pairs)
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(SpecError, match="no traces"):
