@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input or spec error, 3 pipeline error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -88,18 +89,29 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _number(settings: dict, key: str, kind: type):
+    """settings[key] as a float or int; a value that is neither is a SpecError."""
+    value = settings.get(key)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise SpecError(f"{key} must be {noun}, got {value!r}") from exc
+
+
 def _build_config(settings: dict, mode: str) -> TomographyConfig:
-    sigma = float(settings.get("noise_sigma", 0.0))
-    noise = NoiseSpec(sigma=sigma, seed=int(settings.get("seed", 0))) if sigma > 0 else None
+    sigma = _number(settings, "noise_sigma", float)
+    seed = _number(settings, "seed", int)
+    noise = NoiseSpec(sigma=sigma, seed=seed) if sigma > 0 else None
     kwargs = {"noise": noise, "mode": mode}
-    if settings.get("step") is not None:
-        kwargs["sample_step"] = float(settings["step"])
-    if settings.get("window") is not None:
-        kwargs["window"] = float(settings["window"])
-    if settings.get("taylor_order") is not None:
-        kwargs["taylor_order"] = int(settings["taylor_order"])
-    if settings.get("n_terms") is not None:
-        kwargs["n_terms"] = int(settings["n_terms"])
+    for key, field_name, kind in (
+        ("step", "sample_step", float),
+        ("window", "window", float),
+        ("taylor_order", "taylor_order", int),
+        ("n_terms", "n_terms", int),
+    ):
+        if settings.get(key) is not None:
+            kwargs[field_name] = _number(settings, key, kind)
     return TomographyConfig(**kwargs)
 
 
@@ -163,6 +175,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_paths = settings.get("trace") or []
     if bool(spec_path) == bool(trace_paths):
         raise SpecError("run requires exactly one of --spec or --trace")
+    if settings["format"] not in ("json", "csv"):
+        raise SpecError(f"format must be json or csv, got {settings['format']!r}")
     started = _now()
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,10 +217,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = result.traces[observable]
         fitted = trace.probe.sign * fit.evaluate(trace.times)
         plot_path = out_dir / f"plot_{observable}.csv"
-        with open(plot_path, "w") as fh:
-            fh.write("t,measured,fitted\n")
-            for t, meas, mod in zip(trace.times, trace.values, fitted):
-                fh.write(f"{float(t)!r},{float(meas)!r},{float(mod)!r}\n")
+        rows = zip(trace.times.tolist(), trace.values.tolist(), fitted.tolist())
+        with open(plot_path, "w", newline="") as fh:
+            fh.write("t,measured,fitted\n" + "".join(
+                f"{t!r},{meas!r},{mod!r}\n" for t, meas, mod in rows
+            ))
         manifest.outputs.append(str(plot_path))
 
     manifest.finished = _now()
@@ -252,9 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state between calls, and
+    # argparse copies the --trace default list before appending to it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

@@ -291,10 +291,9 @@ def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None 
     seed information.  Floats are written with full round-trip precision.
     """
     csv_path = Path(csv_path)
+    rows = zip(trace.times.tolist(), trace.values.tolist())
     with open(csv_path, "w", newline="") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(trace.times, trace.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
     meta = {"probe": trace.probe.to_dict()}
     meta.update(metadata or {})
     _sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")

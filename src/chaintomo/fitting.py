@@ -4,9 +4,11 @@ The probed signal is a finite sum of cosines (plus a constant when the
 flux chain has an odd node count).  estimate_spectrum seeds frequencies
 by the matrix pencil, a grid-free subspace estimate that separates lines
 closer than one periodogram bin, and amplitudes by linear least squares;
-refine_fit polishes everything with damped least squares.  fit_trace
-runs the two once and rejects fits that stay above the residual floor
-or put a line beyond the Nyquist frequency.
+refine_fit polishes everything with damped least squares.  It stops when
+the sum of squares stops falling, when a step is rounding noise
+(STEP_FLOOR), when a line leaves the band below pi/dt, or after max_iter
+steps.  fit_trace runs the two once and rejects fits that stay above the
+residual floor or put a line beyond the Nyquist frequency.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, ResolutionError, SpecError, TomographyWarning
+
+# refine_fit ends as converged once a damped step is at most this fraction
+# of |theta|: about 4.5 ulp, so the step only moves rounding noise
+STEP_FLOOR = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,12 +193,22 @@ def refine_fit(
 
     Levenberg-style: the normal equations are damped by a multiple of
     their diagonal, the multiplier grows until a step decreases the sum
-    of squares and shrinks after each accepted step.  Converged when the
-    relative decrease drops below ftol; ConvergenceError (carrying the
-    best model) if max_iter steps were not enough.
+    of squares and shrinks after each accepted step.  The loop ends in
+    one of four ways:
+
+    - converged when an accepted step lowers the sum of squares by a
+      relative amount below ftol;
+    - converged when a damped step is at most STEP_FLOOR times |theta|
+      (rounding noise; MINPACK's relative step test, More 1978), or no
+      damping finds a decrease: the fit is at the numerical floor;
+    - ConvergenceError (carrying the best model) when an accepted step
+      puts a line at or above the band edge pi/dt, where it cannot be
+      told from its alias;
+    - ConvergenceError (carrying the best model) when max_iter steps
+      were not enough.
     """
     times, values = _times_values(trace)
-    _check_uniform(times)
+    band_edge = np.pi / _check_uniform(times)
     n = init.n_terms
     has_dc = init.dc is not None
     theta = np.concatenate(
@@ -218,7 +234,7 @@ def refine_fit(
     sse = float(resid @ resid)
     damping = 1e-3
     iterations = 0
-    converged = False
+    converged = out_of_band = False
     for iterations in range(1, max_iter + 1):
         J = jacobian(theta, cos)
         grad = J.T @ resid
@@ -230,6 +246,8 @@ def refine_fit(
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            if np.linalg.norm(step) <= STEP_FLOOR * np.linalg.norm(theta):
+                break  # the step is rounding noise: nothing left to gain
             candidate = theta + step
             resid_new, cos_new = residual(candidate)
             sse_new = float(resid_new @ resid_new)
@@ -238,11 +256,14 @@ def refine_fit(
                 break
             damping *= 10.0
         if not accepted:
-            converged = True  # no decrease possible: at the numerical floor
+            converged = True  # no decrease, or only a rounding-noise step: at the floor
             break
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
         theta, resid, sse, cos = candidate, resid_new, sse_new, cos_new
         damping = max(damping * 0.3, 1e-12)
+        if np.max(np.abs(theta[n : 2 * n])) >= band_edge:
+            out_of_band = True
+            break
         if rel_drop < ftol:
             converged = True
             break
@@ -257,6 +278,13 @@ def refine_fit(
         residual_rms=float(np.sqrt(sse / times.size)),
         iterations=iterations,
     )
+    if out_of_band:
+        raise ConvergenceError(
+            f"refinement moved a line to {result.frequencies[-1]:.3e} rad, at or "
+            f"above the band edge pi/dt = {band_edge:.3e} rad",
+            best=result,
+            residual_rms=result.residual_rms,
+        )
     if not converged:
         raise ConvergenceError(
             f"no convergence in {max_iter} refinement steps "

@@ -8,7 +8,7 @@ by ascending frequency, the package's canonical order).
 
 import numpy as np
 
-from chaintomo import ChainSpec, Model
+from chaintomo import ChainSpec, Model, NoiseSpec, TomographyConfig
 
 BENCH_J = np.array([1.40, 1.48, 1.06, 0.80, 1.36, 0.97, 0.66])
 
@@ -80,3 +80,17 @@ def mu_closed(c) -> np.ndarray:
             ),
         ]
     )
+
+
+def out_of_band_input() -> tuple[ChainSpec, TomographyConfig]:
+    """A noisy 6-spin transverse-Ising input whose weakest line is below
+    the noise; its first refinement step sends a line past pi/dt (found
+    in the long-chain benchmark inputs, then frozen)."""
+    spec = ising_spec(
+        [0.698638, 0.790091, 1.324667, 0.982692, 1.188408],
+        [0.517979, 0.678892, 1.35302, 1.446434, 0.897122, 0.65681],
+    )
+    config = TomographyConfig(
+        sample_step=np.pi / 25, window=12 * np.pi, noise=NoiseSpec(0.01, 627355221)
+    )
+    return spec, config

@@ -173,6 +173,17 @@ class TestRunFromTraces:
             assert a["parameter"] == b["parameter"]
             assert a["estimate"] == pytest.approx(b["estimate"], abs=1e-12)
 
+    def test_repeated_calls_do_not_share_trace_lists(self, tmp_path, bench_spec_path):
+        # the parser is built once per process; --trace appends must not leak
+        # from one call into the next
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        trace = str(sim_out / "trace_x1.csv")
+        for name in ("a", "b"):
+            assert main(["run", "--trace", trace, "--out", str(tmp_path / name)]) == 0
+            assert _read_json(tmp_path / name / "manifest.json")["inputs"] == [trace]
+
     def test_spec_and_trace_are_mutually_exclusive(
         self, tmp_path, bench_spec_path, capsys
     ):
@@ -286,6 +297,23 @@ class TestErrors:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("settings", [
+        {"taylor_order": "x"},
+        {"noise_sigma": "abc"},
+        {"window": "big"},
+        {"seed": [1]},
+        {"format": "xml"},
+    ], ids=["taylor_order", "noise_sigma", "window", "seed", "format"])
+    def test_malformed_config_value_exits_2(self, tmp_path, bench_spec_path,
+                                            capsys, settings):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(settings))
+        code = main(["run", "--spec", str(bench_spec_path),
+                     "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "result.json").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from chaintomo import (
+    ConvergenceError,
     CosineSumModel,
     NoiseSpec,
     ResolutionError,
@@ -14,10 +15,11 @@ from chaintomo import (
     estimate_spectrum,
     fit_trace,
     refine_fit,
+    simulate_traces,
     spectral_signal,
 )
 
-from _bench import BENCH_J
+from _bench import BENCH_J, out_of_band_input
 
 # a chain whose lowest two lines fall inside one periodogram bin of the
 # default window, so a periodogram seed merges them; the grid-free pencil
@@ -138,6 +140,17 @@ class TestRefineFit:
         )
         np.testing.assert_allclose(second.amplitudes, first.amplitudes, atol=1e-10)
 
+    def test_stops_once_a_line_leaves_the_band(self):
+        # without the band stop this input ran all 500 steps (about 200 ms)
+        spec, config = out_of_band_input()
+        (trace,) = simulate_traces(spec, config)
+        seed = estimate_spectrum(trace, 6)
+        with pytest.raises(ConvergenceError, match="band edge") as exc_info:
+            refine_fit(trace, seed)
+        best = exc_info.value.best
+        assert best.iterations <= 2
+        assert best.frequencies[-1] >= np.pi / (trace.times[1] - trace.times[0])
+
 
 class TestFitTrace:
     def test_benchmark_lines_match_the_tridiagonal_spectrum(self):
@@ -156,6 +169,13 @@ class TestFitTrace:
         np.testing.assert_allclose(fit.frequencies, omega_expected, atol=1e-8)
         np.testing.assert_allclose(fit.amplitudes, paired, atol=1e-8)
         assert fit.residual_rms < 1e-12
+
+    def test_noiseless_refinement_stops_at_the_rounding_floor(self):
+        # the last steps move theta by a few ulps; the step floor ends the
+        # fit there instead of after a run of rejected, ever more damped steps
+        fit = fit_trace(spectral_signal(BENCH_J, _grid()), 4)
+        assert fit.iterations <= 2
+        assert fit.residual_rms <= 1e-14
 
     def test_amplitudes_sum_to_one_for_physical_traces(self):
         trace = spectral_signal(BENCH_J, _grid())

@@ -28,7 +28,15 @@ from chaintomo import (
 )
 from chaintomo.chain_model import Observable, Preparation, Probe
 
-from _bench import BENCH_J, ISING_B, ISING_JZ, ising_spec, xx_spec, xy_spec
+from _bench import (
+    BENCH_J,
+    ISING_B,
+    ISING_JZ,
+    ising_spec,
+    out_of_band_input,
+    xx_spec,
+    xy_spec,
+)
 
 
 class TestConfig:
@@ -173,17 +181,37 @@ class TestSimulateMode:
             run_tomography(spec, config)
         assert exc_info.value.stage == "fit"
 
-    @pytest.mark.parametrize("model", ["xx", "ising_transverse"])
-    def test_noiseless_eleven_link_chains_are_recovered(self, model):
-        # the Taylor route ended every such input in a false DegenerateError
+    def test_line_leaving_the_band_is_declined_at_the_fit(self):
+        # refinement stops at the band edge; the fit's Nyquist guard names it
+        spec, config = out_of_band_input()
+        with pytest.raises(ResolutionError, match="Nyquist") as exc_info:
+            run_tomography(spec, config)
+        assert exc_info.value.stage == "fit"
+
+    @pytest.mark.parametrize("model, n_spins, tol", [
+        pytest.param("xx", 12, 1e-6, id="xx"),
+        pytest.param("ising_transverse", 6, 1e-6, id="ising_transverse"),
+        # longer chains guard the refinement's step floor against ending a
+        # noiseless fit short of full precision; at m = 23 the inversion of
+        # a fit at rms 1.6e-15 is off by 2.7e-6 on the first chain
+        pytest.param("xx", 16, 1e-8, id="xx-m15"),
+        pytest.param("xx", 24, 1e-5, id="xx-m23"),
+        pytest.param("ising_transverse", 8, 1e-8, id="ising_transverse-m15"),
+    ])
+    def test_noiseless_eleven_link_chains_are_recovered(self, model, n_spins, tol):
+        # the Taylor route ended every 11-link input in a false DegenerateError
         rng = np.random.default_rng(12)
         for _ in range(3):
             if model == "xx":
-                spec = xx_spec(rng.uniform(0.5, 1.5, 11))
+                spec = xx_spec(rng.uniform(0.5, 1.5, n_spins - 1))
             else:
-                spec = ising_spec(rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, 6))
-            result = run_tomography(spec, TomographyConfig(window=12 * math.pi))
-            assert max(p.abs_error for p in result.parameters) < 1e-6
+                spec = ising_spec(
+                    rng.uniform(0.5, 1.5, n_spins - 1), rng.uniform(0.5, 1.5, n_spins)
+                )
+            m = sum(spec.couplings[k].size for k in spec.couplings)
+            result = run_tomography(spec, TomographyConfig(window=(m + 1) * math.pi))
+            assert max(p.abs_error for p in result.parameters) < tol
+            assert all(fit.residual_rms < 1e-13 for fit in result.fits.values())
 
     def test_trace_of_a_shorter_chain_is_degenerate_at_invert(self):
         # three links give four nodes; a five-spin bundle needs five
