@@ -90,20 +90,29 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _number(settings: dict, key: str, kind: type):
-    """settings[key] as a float or int; a value that is neither is a SpecError."""
+    """settings[key] as a float or int; a value that is neither is a SpecError.
+
+    int() would truncate 4.7 and read true as 1, so booleans and
+    non-integral floats are refused; integral floats such as 4.0 pass.
+    """
     value = settings.get(key)
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise SpecError(f"{key} must be {noun}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise SpecError(f"{key} must be {noun}, got {value!r}") from exc
 
 
 def _build_config(settings: dict, mode: str) -> TomographyConfig:
     sigma = _number(settings, "noise_sigma", float)
     seed = _number(settings, "seed", int)
-    noise = NoiseSpec(sigma=sigma, seed=seed) if sigma > 0 else None
-    kwargs = {"noise": noise, "mode": mode}
+    # built for every sigma, so NaN and negative values are refused too
+    noise = NoiseSpec(sigma=sigma, seed=seed)
+    kwargs = {"noise": noise if sigma > 0 else None, "mode": mode}
     for key, field_name, kind in (
         ("step", "sample_step", float),
         ("window", "window", float),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -75,8 +76,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SpecError("noise sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise SpecError("noise sigma must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         return {"sigma": self.sigma, "seed": self.seed}

@@ -3,16 +3,19 @@
 The probed signal is a finite sum of cosines (plus a constant when the
 flux chain has an odd node count).  estimate_spectrum seeds frequencies
 by the matrix pencil, a grid-free subspace estimate that separates lines
-closer than one periodogram bin, and amplitudes by linear least squares;
-refine_fit polishes everything with damped least squares.  It stops when
-the sum of squares stops falling, when a step is rounding noise
-(STEP_FLOOR), when a line leaves the band below pi/dt, or after max_iter
-steps.  fit_trace runs the two once and rejects fits that stay above the
-residual floor or put a line beyond the Nyquist frequency.
+closer than one periodogram bin, and amplitudes by linear least squares.
+The pencil's shift matrix follows from the orthonormal signal basis in
+closed form, so a seed costs one SVD.  refine_fit polishes everything
+with damped least squares.  It stops when the sum of squares stops
+falling, when a step is rounding noise (STEP_FLOOR), when a line leaves
+the band below pi/dt, or after max_iter steps.  fit_trace runs the two
+once and rejects fits that stay above the residual floor or put a line
+beyond the Nyquist frequency.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,6 +26,9 @@ from .errors import ConvergenceError, ResolutionError, SpecError, TomographyWarn
 # refine_fit ends as converged once a damped step is at most this fraction
 # of |theta|: about 4.5 ulp, so the step only moves rounding noise
 STEP_FLOOR = 1e-15
+# estimate_spectrum declines a pencil whose 1 - |v|^2 (v the last row of
+# the signal basis) is at most this: rounding level, no shift to solve for
+SHIFT_GAP_FLOOR = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +143,25 @@ def _lstsq_amplitudes(
     return coef, None, rms
 
 
+def _shift_matrix(basis: np.ndarray) -> np.ndarray:
+    """The least-squares map pinv(basis[:-1]) @ basis[1:] of an
+    orthonormal basis, without a second SVD.
+
+    The Gram matrix of all rows but the last is I - v v^T, with v the
+    last row, so Sherman-Morrison inverts it in closed form.  A last row
+    of unit norm leaves the shift undetermined: ResolutionError.
+    """
+    v = basis[-1]
+    gap = 1.0 - v @ v
+    if not gap > SHIFT_GAP_FLOOR:
+        raise ResolutionError(
+            f"the signal subspace ends on its last lag (1 - |v|^2 = {gap:.1e}); "
+            "the pencil's shift is undetermined"
+        )
+    C = basis[:-1].T @ basis[1:]
+    return C + np.outer(v, v @ C) * (1.0 / gap)
+
+
 def estimate_spectrum(
     trace, n_terms: int, *, include_dc: bool = False
 ) -> CosineSumModel:
@@ -145,12 +170,15 @@ def estimate_spectrum(
     A sum of p complex exponentials makes the Hankel matrix of
     the samples rank p; its dominant right-singular subspace is shift
     invariant, and the eigenvalues of the one-step map are the poles
-    exp(i omega dt).  Each cosine contributes a conjugate pair, the dc
-    term a pole at 1.  The estimate is grid-free, so it separates lines
-    closer than one Rayleigh bin.  The n_terms lowest positive
-    frequencies above a quarter bin are kept and the amplitudes (and dc
-    when requested) filled by linear least squares.  Fewer such lines
-    than n_terms raises ResolutionError.
+    exp(i omega dt).  That subspace's basis is orthonormal, so the
+    one-step map comes from it in closed form (_shift_matrix) and the
+    seed costs one SVD; a basis whose last row has unit norm leaves the
+    map undetermined and raises ResolutionError.  Each cosine contributes
+    a conjugate pair, the dc term a pole at 1.  The estimate is
+    grid-free, so it separates lines closer than one Rayleigh bin.  The
+    n_terms lowest positive frequencies above a quarter bin are kept and
+    the amplitudes (and dc when requested) filled by linear least
+    squares.  Fewer such lines than n_terms raises ResolutionError.
     """
     times, values = _times_values(trace)
     poles = 2 * n_terms + (1 if include_dc else 0)
@@ -168,8 +196,7 @@ def estimate_spectrum(
     # the SVD of the square triangular factor has the same right singular
     # vectors as the tall Hankel matrix and costs less
     _, _, vt = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
-    signal_space = vt[:poles].T
-    z = np.linalg.eigvals(np.linalg.pinv(signal_space[:-1]) @ signal_space[1:])
+    z = np.linalg.eigvals(_shift_matrix(vt[:poles].T))
     omega = np.angle(z) / dt
     omega = np.sort(omega[omega > 0.25 * d_omega])
     if omega.size < n_terms:
@@ -209,47 +236,52 @@ def refine_fit(
     """
     times, values = _times_values(trace)
     band_edge = np.pi / _check_uniform(times)
+    t_col = times[:, None]
     n = init.n_terms
     has_dc = init.dc is not None
     theta = np.concatenate(
         [init.amplitudes, init.frequencies, [init.dc] if has_dc else []]
     )
+    # the Jacobian is rebuilt in place at each accepted point; its dc
+    # column never changes
+    J = np.empty((times.size, theta.size))
+    if has_dc:
+        J[:, -1] = 1.0
+    diagonal = np.arange(theta.size)
 
     def residual(th):
-        """Model minus data, and the cosine matrix the Jacobian reuses."""
-        cos = np.cos(np.outer(times, th[n : 2 * n]))
+        """Model minus data, and the phase and cosine matrices the
+        Jacobian reuses."""
+        phase = t_col * th[n : 2 * n]
+        cos = np.cos(phase)
         out = cos @ th[:n]
-        return (out + th[-1] if has_dc else out) - values, cos
+        return (out + th[-1] if has_dc else out) - values, phase, cos
 
-    def jacobian(th, cos):
-        A, om = th[:n], th[n : 2 * n]
-        J = np.empty((times.size, th.size))
-        J[:, :n] = cos
-        J[:, n : 2 * n] = -A[None, :] * times[:, None] * np.sin(np.outer(times, om))
-        if has_dc:
-            J[:, -1] = 1.0
-        return J
-
-    resid, cos = residual(theta)
+    resid, phase, cos = residual(theta)
     sse = float(resid @ resid)
     damping = 1e-3
     iterations = 0
     converged = out_of_band = False
     for iterations in range(1, max_iter + 1):
-        J = jacobian(theta, cos)
-        grad = J.T @ resid
+        J[:, :n] = cos
+        J[:, n : 2 * n] = -theta[:n][None, :] * t_col * np.sin(phase)
+        neg_grad = -(J.T @ resid)
         hess = J.T @ J
+        hd = hess[diagonal, diagonal]
+        step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
         accepted = False
         for _ in range(50):
+            damped = hess.copy()
+            damped[diagonal, diagonal] = hd + damping * hd
             try:
-                step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
+                step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            if np.linalg.norm(step) <= STEP_FLOOR * np.linalg.norm(theta):
+            if math.sqrt(step @ step) <= step_floor:
                 break  # the step is rounding noise: nothing left to gain
             candidate = theta + step
-            resid_new, cos_new = residual(candidate)
+            resid_new, phase_new, cos_new = residual(candidate)
             sse_new = float(resid_new @ resid_new)
             if sse_new <= sse:
                 accepted = True
@@ -259,7 +291,8 @@ def refine_fit(
             converged = True  # no decrease, or only a rounding-noise step: at the floor
             break
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
-        theta, resid, sse, cos = candidate, resid_new, sse_new, cos_new
+        theta, resid, sse = candidate, resid_new, sse_new
+        phase, cos = phase_new, cos_new
         damping = max(damping * 0.3, 1e-12)
         if np.max(np.abs(theta[n : 2 * n])) >= band_edge:
             out_of_band = True

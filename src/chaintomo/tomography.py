@@ -56,8 +56,10 @@ class TomographyConfig:
     mode: str = "simulate"
 
     def __post_init__(self):
-        if self.sample_step <= 0:
-            raise SpecError("sample_step must be positive")
+        if not (math.isfinite(self.sample_step) and self.sample_step > 0):
+            raise SpecError("sample_step must be finite and positive")
+        if not math.isfinite(self.window):
+            raise SpecError("window must be finite")
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
         if self.mode not in ("simulate", "ingest"):
@@ -264,9 +266,9 @@ def _stage(name: str):
         raise
 
 
-def _truth_map(spec: ChainSpec) -> dict[str, float]:
+def _truth_map(chains: list[FluxChain]) -> dict[str, float]:
     out: dict[str, float] = {}
-    for fc in flux_chains(spec):
+    for fc in chains:
         for label, value in zip(fc.labels, fc.links):
             out[label] = float(value)
     return out
@@ -300,10 +302,15 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     seeded at noise.seed + chain index, so multi-probe models do not
     share a realization.
     """
-    config = config or TomographyConfig()
+    return _simulate_chains(flux_chains(spec), config or TomographyConfig())
+
+
+def _simulate_chains(
+    chains: list[FluxChain], config: TomographyConfig
+) -> list[SignalTrace]:
     times = sample_times(config)
     traces = []
-    for index, fc in enumerate(flux_chains(spec)):
+    for index, fc in enumerate(chains):
         trace = spectral_signal(fc, times, fc.probe)
         if config.noise is not None and config.noise.sigma > 0:
             per_chain = NoiseSpec(
@@ -331,7 +338,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 raise SpecError("a ChainSpec input requires mode 'simulate'")
             spec: ChainSpec | None = source
             chains = flux_chains(spec)
-            truth = _truth_map(spec)
+            truth = _truth_map(chains)
             allow_signed = spec.allow_signed
             noise_sigma = config.noise.sigma if config.noise else 0.0
             model, n_spins = Model(spec.model), spec.n_spins
@@ -341,7 +348,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             spec = source.truth
             model, n_spins = Model(source.model), source.n_spins
             chains = _structure_chains(model, n_spins)
-            truth = _truth_map(spec) if spec is not None else {}
+            truth = _truth_map(flux_chains(spec)) if spec is not None else {}
             allow_signed = source.allow_signed
             noise_sigma = source.noise_sigma
             if config.noise is not None:
@@ -359,7 +366,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
     if isinstance(source, ChainSpec):
         with _stage("simulate"):
-            simulated = simulate_traces(spec, config)
+            simulated = _simulate_chains(chains, config)
 
     parameters: list[ParameterEstimate] = []
     fits: dict[str, CosineSumModel] = {}
@@ -453,7 +460,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
 def compare_to_truth(result: TomographyResult, spec: ChainSpec) -> ErrorReport:
     """Per-parameter errors of a result against a ground-truth spec."""
-    truth = _truth_map(spec)
+    truth = _truth_map(flux_chains(spec))
     estimates = result.recovered
     if set(truth) != set(estimates):
         raise ShapeMismatch(

@@ -244,6 +244,16 @@ class TestConfigFile:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_integral_float_settings_are_accepted(self, tmp_path, bench_spec_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_terms": 4.0, "taylor_order": 7.0}))
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(bench_spec_path),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        resolved = _read_json(out / "manifest.json")["config"]["resolved"]
+        assert resolved["n_terms"] == 4
+        assert resolved["taylor_order"] == 7
+
     def test_missing_config_file(self, tmp_path, bench_spec_path):
         code = main(["run", "--spec", str(bench_spec_path),
                      "--config", str(tmp_path / "nope.json"),
@@ -304,13 +314,38 @@ class TestErrors:
         {"window": "big"},
         {"seed": [1]},
         {"format": "xml"},
-    ], ids=["taylor_order", "noise_sigma", "window", "seed", "format"])
+        {"n_terms": 4.7},
+        {"taylor_order": True},
+        {"n_terms": True},
+        {"seed": 2.5},
+        {"n_terms": float("inf")},
+        {"noise_sigma": float("nan")},
+    ], ids=["taylor_order", "noise_sigma", "window", "seed", "format",
+            "n_terms_fraction", "taylor_order_bool", "n_terms_bool",
+            "seed_fraction", "n_terms_inf", "noise_sigma_nan"])
     def test_malformed_config_value_exits_2(self, tmp_path, bench_spec_path,
                                             capsys, settings):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(settings))
         code = main(["run", "--spec", str(bench_spec_path),
                      "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "result.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--step", "nan"],
+        ["--window", "nan"],
+        ["--window", "inf"],
+        ["--noise-sigma", "nan"],
+        ["--noise-sigma", "-0.01"],
+    ], ids=["step_nan", "window_nan", "window_inf", "noise_sigma_nan",
+            "noise_sigma_negative"])
+    def test_invalid_sampling_or_noise_flag_exits_2(self, tmp_path, capsys, flags):
+        spec_path = tmp_path / "xx.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
+        code = main(["run", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "out"), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "result.json").exists()

@@ -209,6 +209,11 @@ class TestNoise:
         with pytest.raises(SpecError):
             NoiseSpec(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(SpecError, match="finite"):
+            NoiseSpec(sigma=sigma)
+
 
 class TestTraceFiles:
     def test_round_trip_is_exact(self, tmp_path):

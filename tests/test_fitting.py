@@ -18,6 +18,7 @@ from chaintomo import (
     simulate_traces,
     spectral_signal,
 )
+from chaintomo.fitting import _shift_matrix
 
 from _bench import BENCH_J, out_of_band_input
 
@@ -117,6 +118,36 @@ class TestEstimateSpectrum:
         values = 0.35 + 0.65 * np.cos(2.2 * t)
         seed = estimate_spectrum((t, values), 1, include_dc=True)
         assert seed.dc == pytest.approx(0.35, abs=1e-3)
+
+    @pytest.mark.parametrize("rows, poles, seed", [
+        (9, 3, 0), (25, 8, 1), (67, 11, 2), (139, 23, 3),
+    ])
+    def test_closed_form_shift_matches_the_pseudoinverse(self, rows, poles, seed):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((rows, poles)))
+        np.testing.assert_allclose(
+            _shift_matrix(basis),
+            np.linalg.pinv(basis[:-1]) @ basis[1:],
+            rtol=0, atol=1e-12,
+        )
+
+    def test_unit_last_row_is_a_resolution_error(self):
+        # every other basis vector vanishes on the last lag, so the rows
+        # above it have rank poles - 1 and the shift is undetermined
+        rng = np.random.default_rng(4)
+        rest, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+        basis = np.zeros((21, 5))
+        basis[:-1, 1:] = rest
+        basis[-1, 0] = 1.0
+        with pytest.raises(ResolutionError, match="last lag"):
+            _shift_matrix(basis)
+
+    def test_trace_ending_in_its_only_nonzero_sample_is_declined(self):
+        t = _grid()
+        values = np.zeros(t.size)
+        values[-1] = 1.0
+        with pytest.raises(ResolutionError, match="last lag"):
+            estimate_spectrum((t, values), 2)
 
 
 class TestRefineFit:

@@ -26,6 +26,7 @@ from chaintomo import (
     simulate_traces,
     write_trace,
 )
+from chaintomo import tomography
 from chaintomo.chain_model import Observable, Preparation, Probe
 
 from _bench import (
@@ -58,6 +59,16 @@ class TestConfig:
             TomographyConfig(mode="replay")
         with pytest.raises(SpecError):
             TomographyConfig(n_terms=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_step": math.nan},
+        {"sample_step": math.inf},
+        {"window": math.nan},
+        {"window": math.inf},
+    ], ids=["step_nan", "step_inf", "window_nan", "window_inf"])
+    def test_non_finite_sampling_rejected(self, kwargs):
+        with pytest.raises(SpecError, match="finite"):
+            TomographyConfig(**kwargs)
 
     def test_dict_round_trip(self):
         config = TomographyConfig(
@@ -125,6 +136,19 @@ class TestSimulateMode:
     def test_chain_spec_requires_simulate_mode(self):
         with pytest.raises(SpecError, match="simulate"):
             run_tomography(xx_spec(BENCH_J), TomographyConfig(mode="ingest"))
+
+    def test_chains_are_reduced_once_per_run(self, monkeypatch):
+        calls = []
+        original = tomography.flux_chains
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tomography, "flux_chains", counting)
+        result = run_tomography(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]))
+        assert len(result.parameters) == 6
+        assert len(calls) == 1
 
     def test_unknown_source_type_rejected(self):
         with pytest.raises(SpecError, match="ChainSpec or TraceBundle"):
