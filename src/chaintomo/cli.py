@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Two subcommands: `simulate` writes probe traces for a chain description,
-`run` executes the full reconstruction from a spec (simulation mode) or
-from trace CSVs (ingest mode).  A JSON config file can mirror every flag;
+`run` executes the full reconstruction from a spec (simulated) or from
+trace CSVs (ingested).  A JSON config file can mirror every flag;
 flags override the file.  Every output directory gets a RunManifest.
 
 Exit codes: 0 success, 2 input or spec error, 3 pipeline error.
@@ -58,7 +58,6 @@ _SETTING_KEYS = (
     "trace",
     "step",
     "window",
-    "taylor_order",
     "n_terms",
     "noise_sigma",
     "seed",
@@ -107,16 +106,15 @@ def _number(settings: dict, key: str, kind: type):
         raise SpecError(f"{key} must be {noun}, got {value!r}") from exc
 
 
-def _build_config(settings: dict, mode: str) -> TomographyConfig:
+def _build_config(settings: dict) -> TomographyConfig:
     sigma = _number(settings, "noise_sigma", float)
     seed = _number(settings, "seed", int)
     # built for every sigma, so NaN and negative values are refused too
     noise = NoiseSpec(sigma=sigma, seed=seed)
-    kwargs = {"noise": noise if sigma > 0 else None, "mode": mode}
+    kwargs = {"noise": noise if sigma > 0 else None}
     for key, field_name, kind in (
         ("step", "sample_step", float),
         ("window", "window", float),
-        ("taylor_order", "taylor_order", int),
         ("n_terms", "n_terms", int),
     ):
         if settings.get(key) is not None:
@@ -148,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SpecError("simulate requires --spec")
     started = _now()
     spec = ChainSpec.from_json(settings["spec"])
-    config = _build_config(settings, mode="simulate")
+    config = _build_config(settings)
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -191,15 +189,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if spec_path:
-        spec = ChainSpec.from_json(spec_path)
-        config = _build_config(settings, mode="simulate")
-        source = spec
+        source = ChainSpec.from_json(spec_path)
         inputs = [str(spec_path)]
     else:
-        pairs = [read_trace(p) for p in trace_paths]
-        source = TraceBundle.from_metadata(pairs)
-        config = _build_config(settings, mode="ingest")
+        source = TraceBundle.from_metadata([read_trace(p) for p in trace_paths])
         inputs = [str(p) for p in trace_paths]
+    config = _build_config(settings)
 
     result = run_tomography(source, config)
 
@@ -259,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_fit_flags:
             p.add_argument("--trace", action="append", default=[],
                            help="measured trace CSV (repeatable)")
-            p.add_argument("--taylor-order", dest="taylor_order", type=int,
-                           help="matched Taylor orders (default: link count)")
             p.add_argument("--n-terms", dest="n_terms", type=int,
                            help="cosine terms (default from chain length)")
             p.add_argument("--format", choices=("json", "csv"),

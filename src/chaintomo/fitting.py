@@ -7,10 +7,10 @@ closer than one periodogram bin, and amplitudes by linear least squares.
 The pencil's shift matrix follows from the orthonormal signal basis in
 closed form, so a seed costs one SVD.  refine_fit polishes everything
 with damped least squares.  It stops when the sum of squares stops
-falling, when a step is rounding noise (STEP_FLOOR), when a line leaves
-the band below pi/dt, or after max_iter steps.  fit_trace runs the two
-once and rejects fits that stay above the residual floor or put a line
-beyond the Nyquist frequency.
+falling (a relative drop below FTOL), when a step is rounding noise
+(STEP_FLOOR), when a line leaves the band below pi/dt, or after MAX_ITER
+steps.  fit_trace runs the two once and rejects fits that stay above the
+residual floor or put a line beyond the Nyquist frequency.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .errors import ConvergenceError, ResolutionError, SpecError, TomographyWarn
 # refine_fit ends as converged once a damped step is at most this fraction
 # of |theta|: about 4.5 ulp, so the step only moves rounding noise
 STEP_FLOOR = 1e-15
+# refine_fit ends as converged once an accepted step lowers the sum of
+# squares by less than this relative amount, and gives up (ConvergenceError
+# carrying its best model) after MAX_ITER steps
+FTOL = 1e-12
+MAX_ITER = 500
 # estimate_spectrum declines a pencil whose 1 - |v|^2 (v the last row of
 # the signal basis) is at most this: rounding level, no shift to solve for
 SHIFT_GAP_FLOOR = 1e-13
@@ -209,13 +214,7 @@ def estimate_spectrum(
     return CosineSumModel(amps, freqs, dc=dc, residual_rms=rms, iterations=0)
 
 
-def refine_fit(
-    trace,
-    init: CosineSumModel,
-    *,
-    max_iter: int = 500,
-    ftol: float = 1e-12,
-) -> CosineSumModel:
+def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
     """Damped least squares over all amplitudes, frequencies, and dc.
 
     Levenberg-style: the normal equations are damped by a multiple of
@@ -224,14 +223,14 @@ def refine_fit(
     one of four ways:
 
     - converged when an accepted step lowers the sum of squares by a
-      relative amount below ftol;
+      relative amount below FTOL;
     - converged when a damped step is at most STEP_FLOOR times |theta|
       (rounding noise; MINPACK's relative step test, More 1978), or no
       damping finds a decrease: the fit is at the numerical floor;
     - ConvergenceError (carrying the best model) when an accepted step
       puts a line at or above the band edge pi/dt, where it cannot be
       told from its alias;
-    - ConvergenceError (carrying the best model) when max_iter steps
+    - ConvergenceError (carrying the best model) when MAX_ITER steps
       were not enough.
     """
     times, values = _times_values(trace)
@@ -262,7 +261,7 @@ def refine_fit(
     damping = 1e-3
     iterations = 0
     converged = out_of_band = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         J[:, :n] = cos
         J[:, n : 2 * n] = -theta[:n][None, :] * t_col * np.sin(phase)
         neg_grad = -(J.T @ resid)
@@ -297,7 +296,7 @@ def refine_fit(
         if np.max(np.abs(theta[n : 2 * n])) >= band_edge:
             out_of_band = True
             break
-        if rel_drop < ftol:
+        if rel_drop < FTOL:
             converged = True
             break
 
@@ -320,7 +319,7 @@ def refine_fit(
         )
     if not converged:
         raise ConvergenceError(
-            f"no convergence in {max_iter} refinement steps "
+            f"no convergence in {MAX_ITER} refinement steps "
             f"(residual rms {result.residual_rms:.3e})",
             best=result,
             residual_rms=result.residual_rms,
@@ -340,8 +339,6 @@ def fit_trace(
     *,
     include_dc: bool = False,
     noise_sigma: float = 0.0,
-    max_iter: int = 500,
-    ftol: float = 1e-12,
 ) -> CosineSumModel:
     """Full fit: matrix-pencil seed, then damped refinement.
 
@@ -354,7 +351,7 @@ def fit_trace(
     times, values = _times_values(trace)
     seed = estimate_spectrum((times, values), n_terms, include_dc=include_dc)
     try:
-        best = refine_fit((times, values), seed, max_iter=max_iter, ftol=ftol)
+        best = refine_fit((times, values), seed)
     except ConvergenceError as exc:
         best = exc.best
     floor = max(1e-8, 2.0 * noise_sigma)

@@ -1,18 +1,19 @@
 """End-to-end pipeline from a chain description or measured traces to
 named coupling estimates.
 
-Simulation mode generates one trace per required probe from the spectral
-oracle (optionally with seeded Gaussian noise); ingest mode takes traces
-measured elsewhere, matched to the required probes by observable.  Either
-way each trace is fitted to a cosine sum, the fit is inverted as the
-spectral measure of the flux chain for its links, and the links are
-mapped back to Hamiltonian parameter names.
+A ChainSpec source is simulated: one trace per required probe from the
+spectral oracle (optionally with seeded Gaussian noise).  A TraceBundle
+source is ingested: traces measured elsewhere, matched to the required
+probes by observable.  Either way each trace is fitted to a cosine sum,
+the fit is inverted as the spectral measure of the flux chain for its
+links, and the links are mapped back to Hamiltonian parameter names.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,19 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain_model import ChainSpec, FluxChain, Model, Observable, flux_chains
+from .chain_model import (
+    _FAMILY_LAYOUT, ChainSpec, FluxChain, Model, Observable, _expected_length, flux_chains,
+)
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
 from .errors import ChainTomoError, ShapeMismatch, SpecError, TomographyWarning
 from .fitting import CosineSumModel, fit_trace
-# invert_couplings, the paper's Taylor-matching route, is not called here;
-# it stays importable from this module beside eta_coefficients for tools
-# that look the inversion up on it by name
-from .series import (  # noqa: F401
-    _mu_unchecked,
-    eta_coefficients,
-    invert_couplings,
-    spectral_couplings,
-)
+# eta_coefficients and invert_couplings, the paper's Taylor-matching
+# route, are not called here; they stay importable from this module
+# because the benchmark's span tracer looks them up on it by name
+from .series import eta_coefficients, invert_couplings, spectral_couplings  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,19 +39,17 @@ class TomographyConfig:
 
     sample_step and window are in units of 1/J; the defaults (pi/25 and
     8*pi, i.e. 200 samples) resolve the slowest line of the reference
-    chain with two full periods.  taylor_order defaults to the link
-    count; orders beyond it only feed a consistency diagnostic.  n_terms
-    overrides the number of cosines, which otherwise comes from the node
-    count.  noise applies in simulation mode; in ingest mode its sigma
-    describes the data so the fit knows its expected residual floor.
+    chain with two full periods.  n_terms overrides the number of
+    cosines, which otherwise comes from the node count.  The source type
+    decides what noise means: a ChainSpec is simulated with it; for a
+    TraceBundle its sigma describes the data, so the fit knows its
+    expected residual floor.
     """
 
     sample_step: float = math.pi / 25
     window: float = 8 * math.pi
-    taylor_order: int | None = None
     noise: NoiseSpec | None = None
     n_terms: int | None = None
-    mode: str = "simulate"
 
     def __post_init__(self):
         if not (math.isfinite(self.sample_step) and self.sample_step > 0):
@@ -62,19 +58,19 @@ class TomographyConfig:
             raise SpecError("window must be finite")
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
-        if self.mode not in ("simulate", "ingest"):
-            raise SpecError(f"unknown mode: {self.mode}")
-        if self.n_terms is not None and self.n_terms < 1:
-            raise SpecError("n_terms must be positive")
+        if self.n_terms is not None and (
+            isinstance(self.n_terms, bool)
+            or not isinstance(self.n_terms, numbers.Integral)
+            or self.n_terms < 1
+        ):
+            raise SpecError(f"n_terms must be a positive integer, got {self.n_terms!r}")
 
     def to_dict(self) -> dict:
         return {
             "sample_step": self.sample_step,
             "window": self.window,
-            "taylor_order": self.taylor_order,
             "noise": None if self.noise is None else self.noise.to_dict(),
             "n_terms": self.n_terms,
-            "mode": self.mode,
         }
 
     @classmethod
@@ -83,10 +79,8 @@ class TomographyConfig:
         return cls(
             sample_step=float(d.get("sample_step", math.pi / 25)),
             window=float(d.get("window", 8 * math.pi)),
-            taylor_order=d.get("taylor_order"),
             noise=None if noise is None else NoiseSpec(**noise),
             n_terms=d.get("n_terms"),
-            mode=d.get("mode", "simulate"),
         )
 
 
@@ -276,15 +270,13 @@ def _truth_map(chains: list[FluxChain]) -> dict[str, float]:
 
 def _structure_chains(model: Model, n_spins: int) -> list[FluxChain]:
     """Flux chains of a unit-coupling spec: labels and probes only."""
-    layout = {
-        Model.XX: {"J": n_spins - 1},
-        Model.XY: {"JX": n_spins - 1, "JY": n_spins - 1},
-        Model.ISING_TRANSVERSE: {"JZ": n_spins - 1, "B": n_spins},
-    }[Model(model)]
     unit = ChainSpec(
-        model=Model(model),
+        model=model,
         n_spins=n_spins,
-        couplings={fam: np.ones(size) for fam, size in layout.items()},
+        couplings={
+            fam: np.ones(_expected_length(code, n_spins))
+            for fam, code in _FAMILY_LAYOUT[model].items()
+        },
     )
     return flux_chains(unit)
 
@@ -324,18 +316,18 @@ def _simulate_chains(
 def run_tomography(source, config: TomographyConfig | None = None) -> TomographyResult:
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
-    Per flux chain: obtain the trace (simulate or look up by probe), fit
-    the cosine sum, recover the links from its spectrum by Lanczos, and
-    label them.  Deterministic for a fixed config and noise seed.  Errors
-    raised inside a stage carry that stage's name.
+    The source type picks the route: a ChainSpec is simulated, a
+    TraceBundle ingested.  Per flux chain: obtain the trace (simulate or
+    look up by probe), fit the cosine sum, recover the links from its
+    spectrum by Lanczos, and label them.  Deterministic for a fixed
+    config and noise seed.  Errors raised inside a stage carry that
+    stage's name.
     """
     config = config or TomographyConfig()
     collected: list[str] = []
 
     with _stage("validate"):
         if isinstance(source, ChainSpec):
-            if config.mode != "simulate":
-                raise SpecError("a ChainSpec input requires mode 'simulate'")
             spec: ChainSpec | None = source
             chains = flux_chains(spec)
             truth = _truth_map(chains)
@@ -343,8 +335,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             noise_sigma = config.noise.sigma if config.noise else 0.0
             model, n_spins = Model(spec.model), spec.n_spins
         elif isinstance(source, TraceBundle):
-            if config.mode != "ingest":
-                raise SpecError("a TraceBundle input requires mode 'ingest'")
             spec = source.truth
             model, n_spins = Model(source.model), source.n_spins
             chains = _structure_chains(model, n_spins)
@@ -356,12 +346,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         else:
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
-            )
-        max_links = max(fc.m for fc in chains)
-        if config.taylor_order is not None and config.taylor_order < max_links:
-            raise SpecError(
-                f"taylor_order {config.taylor_order} below the {max_links} links "
-                "that must be recovered"
             )
 
     if isinstance(source, ChainSpec):
@@ -413,16 +397,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             links = spectral_couplings(fit, m)
 
         with _stage("assemble"):
-            order = config.taylor_order or m
-            if order > m:
-                eta_extra = eta_coefficients(fit, order)[m:]
-                mu_extra = _mu_unchecked(links, order)[m:]
-                worst = float(np.max(np.abs(eta_extra - mu_extra)))
-                if worst > 1e-6 * max(1.0, float(np.max(np.abs(mu_extra)))):
-                    collected.append(
-                        f"{observable}: taylor orders beyond {m} disagree with the "
-                        f"recovered chain by up to {worst:.3e}"
-                    )
             for w in caught:
                 if issubclass(w.category, TomographyWarning):
                     collected.append(f"{observable}: {w.message}")

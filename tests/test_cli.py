@@ -246,13 +246,12 @@ class TestConfigFile:
 
     def test_integral_float_settings_are_accepted(self, tmp_path, bench_spec_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"n_terms": 4.0, "taylor_order": 7.0}))
+        config_path.write_text(json.dumps({"n_terms": 4.0}))
         out = tmp_path / "out"
         assert main(["run", "--spec", str(bench_spec_path),
                      "--config", str(config_path), "--out", str(out)]) == 0
         resolved = _read_json(out / "manifest.json")["config"]["resolved"]
         assert resolved["n_terms"] == 4
-        assert resolved["taylor_order"] == 7
 
     def test_missing_config_file(self, tmp_path, bench_spec_path):
         code = main(["run", "--spec", str(bench_spec_path),

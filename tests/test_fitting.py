@@ -18,6 +18,7 @@ from chaintomo import (
     simulate_traces,
     spectral_signal,
 )
+from chaintomo import fitting
 from chaintomo.fitting import _shift_matrix
 
 from _bench import BENCH_J, out_of_band_input
@@ -182,6 +183,18 @@ class TestRefineFit:
         assert best.iterations <= 2
         assert best.frequencies[-1] >= np.pi / (trace.times[1] - trace.times[0])
 
+    def test_running_out_of_steps_raises_with_the_best_model(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        t = _grid()
+        values = 0.3 * np.cos(1.0 * t) + 0.7 * np.cos(3.0 * t)
+        seed = CosineSumModel(np.array([0.28, 0.73]), np.array([1.02, 2.97]))
+        seed_rms = np.sqrt(np.mean((seed.evaluate(t) - values) ** 2))
+        with pytest.raises(ConvergenceError, match="no convergence in 1 ") as exc_info:
+            refine_fit((t, values), seed)
+        best = exc_info.value.best
+        assert best.iterations == 1
+        assert best.residual_rms < seed_rms
+
 
 class TestFitTrace:
     def test_benchmark_lines_match_the_tridiagonal_spectrum(self):
@@ -257,6 +270,18 @@ class TestFitTrace:
         values = rng.uniform(-0.9, 0.9, t.size)
         with pytest.raises(ResolutionError):
             fit_trace((t, values), 4)
+
+    def test_running_out_of_steps_goes_on_with_the_best_model(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        noisy = add_noise(spectral_signal(BENCH_J, _grid()), NoiseSpec(sigma=0.01, seed=3))
+        with pytest.raises(ConvergenceError) as exc_info:
+            refine_fit(noisy, estimate_spectrum(noisy, 4))
+        best = exc_info.value.best
+        fit = fit_trace(noisy, 4, noise_sigma=0.01)
+        assert fit.iterations == 1
+        np.testing.assert_array_equal(fit.frequencies, best.frequencies)
+        np.testing.assert_array_equal(fit.amplitudes, best.amplitudes)
+        assert fit.residual_rms == best.residual_rms
 
     def test_accepts_signal_trace_objects(self):
         trace = spectral_signal(BENCH_J, _grid())

@@ -56,9 +56,11 @@ class TestConfig:
         with pytest.raises(SpecError):
             TomographyConfig(sample_step=1.0, window=5.0)
         with pytest.raises(SpecError):
-            TomographyConfig(mode="replay")
-        with pytest.raises(SpecError):
             TomographyConfig(n_terms=0)
+        with pytest.raises(SpecError, match="integer"):
+            TomographyConfig(n_terms=4.7)
+        with pytest.raises(SpecError, match="integer"):
+            TomographyConfig(n_terms=True)
 
     @pytest.mark.parametrize("kwargs", [
         {"sample_step": math.nan},
@@ -72,11 +74,23 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         config = TomographyConfig(
-            sample_step=0.1, window=20.0, taylor_order=9,
-            noise=NoiseSpec(sigma=0.01, seed=4), n_terms=5, mode="simulate",
+            sample_step=0.1, window=20.0,
+            noise=NoiseSpec(sigma=0.01, seed=4), n_terms=5,
         )
         again = TomographyConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_older_config_blocks_still_load(self):
+        # result.json files written before the source type picked the route
+        # carry taylor_order and mode; they are read and ignored
+        old = {
+            "sample_step": 0.1, "window": 20.0, "taylor_order": None,
+            "noise": {"sigma": 0.01, "seed": 4}, "n_terms": 5, "mode": "ingest",
+        }
+        assert TomographyConfig.from_dict(old) == TomographyConfig(
+            sample_step=0.1, window=20.0,
+            noise=NoiseSpec(sigma=0.01, seed=4), n_terms=5,
+        )
 
 
 class TestSimulateMode:
@@ -123,19 +137,6 @@ class TestSimulateMode:
         spec = xx_spec([1.0, -0.8, 0.9], allow_signed=True)
         result = run_tomography(spec)
         assert result.recovered["J_2"] == pytest.approx(-0.8, abs=1e-6)
-
-    def test_taylor_order_below_link_count_rejected(self):
-        with pytest.raises(SpecError) as exc_info:
-            run_tomography(xx_spec(BENCH_J), TomographyConfig(taylor_order=5))
-        assert exc_info.value.stage == "validate"
-
-    def test_extra_taylor_orders_stay_consistent_on_clean_data(self):
-        result = run_tomography(xx_spec(BENCH_J), TomographyConfig(taylor_order=9))
-        assert result.warnings == ()
-
-    def test_chain_spec_requires_simulate_mode(self):
-        with pytest.raises(SpecError, match="simulate"):
-            run_tomography(xx_spec(BENCH_J), TomographyConfig(mode="ingest"))
 
     def test_chains_are_reduced_once_per_run(self, monkeypatch):
         calls = []
@@ -245,7 +246,7 @@ class TestSimulateMode:
         trace = spectral_signal([1.0, 0.8, 0.9], times)
         bundle = TraceBundle(model=Model.XX, n_spins=5, traces=(trace,))
         with pytest.raises(DegenerateError) as exc_info:
-            run_tomography(bundle, TomographyConfig(mode="ingest"))
+            run_tomography(bundle)
         assert exc_info.value.stage == "invert"
         assert exc_info.value.link == 4
 
@@ -309,22 +310,31 @@ def _write_bundle(spec, tmp_path, config=None):
 
 
 class TestIngestMode:
-    def test_matches_simulation_mode_exactly(self, tmp_path):
-        spec = xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6])
+    @pytest.mark.parametrize("spec, observables", [
+        pytest.param(xx_spec([1.1, 0.7, 1.3]), ("x1",), id="xx"),
+        pytest.param(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]), ("x1", "y1"), id="xy"),
+        pytest.param(ising_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6, 1.4]), ("z1",),
+                     id="ising_transverse"),
+    ])
+    def test_matches_simulation_mode_exactly(self, tmp_path, spec, observables):
         bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path))
-        result = run_tomography(bundle, TomographyConfig(mode="ingest"))
+        result = run_tomography(bundle)
         reference = run_tomography(spec)
-        for obs in ("x1", "y1"):
-            assert obs in result.fits
+        assert result.fits.keys() == set(observables)
+        assert len(result.parameters) == len(reference.parameters)
         for got, want in zip(result.parameters, reference.parameters):
             assert got.name == want.name
             assert got.estimate == pytest.approx(want.estimate, abs=1e-12)
             assert got.truth == want.truth  # carried via the sidecar
 
-    def test_bundle_requires_ingest_mode(self, tmp_path):
-        bundle = TraceBundle.from_metadata(_write_bundle(xx_spec([1.0]), tmp_path))
-        with pytest.raises(SpecError, match="ingest"):
-            run_tomography(bundle)
+    def test_bundle_is_ingested_without_a_config(self, tmp_path):
+        spec = xx_spec([1.0, 0.8, 1.2])
+        bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path))
+        result = run_tomography(bundle)
+        np.testing.assert_allclose(
+            [result.recovered[f"J_{i}"] for i in range(1, 4)], [1.0, 0.8, 1.2],
+            atol=1e-6,
+        )
 
     def test_missing_probe_trace_is_an_ingest_error(self, tmp_path):
         spec = xy_spec([1.1, 0.7], [0.9, 1.2])
@@ -333,7 +343,7 @@ class TestIngestMode:
         bundle = TraceBundle(model=Model.XY, n_spins=3,
                              traces=tuple(t for t, _ in only_x1))
         with pytest.raises(SpecError, match="y1") as exc_info:
-            run_tomography(bundle, TomographyConfig(mode="ingest"))
+            run_tomography(bundle)
         assert exc_info.value.stage == "ingest"
 
     def test_unphysical_values_are_rejected_at_ingest(self):
@@ -344,7 +354,7 @@ class TestIngestMode:
         )
         bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
         with pytest.raises(SpecError, match="bound") as exc_info:
-            run_tomography(bundle, TomographyConfig(mode="ingest"))
+            run_tomography(bundle)
         assert exc_info.value.stage == "ingest"
 
     def test_garbage_trace_fails_in_the_fit_stage(self):
@@ -356,7 +366,7 @@ class TestIngestMode:
         )
         bundle = TraceBundle(model=Model.XX, n_spins=8, traces=(trace,))
         with pytest.raises(ResolutionError) as exc_info:
-            run_tomography(bundle, TomographyConfig(mode="ingest"))
+            run_tomography(bundle)
         assert exc_info.value.stage == "fit"
 
     def test_metadata_must_agree(self, tmp_path):
@@ -393,7 +403,7 @@ class TestIngestMode:
             times, -plus.values, Probe(Observable.X1, Preparation.MINUS_X, -1)
         )
         bundle = TraceBundle(model=Model.XX, n_spins=8, traces=(minus,))
-        result = run_tomography(bundle, TomographyConfig(mode="ingest"))
+        result = run_tomography(bundle)
         np.testing.assert_allclose(
             [result.recovered[f"J_{i}"] for i in range(1, 8)], BENCH_J, atol=1e-6
         )
@@ -406,7 +416,7 @@ class TestIngestMode:
         bundle = TraceBundle(
             model=Model.XX, n_spins=4, traces=(trace,), allow_signed=True
         )
-        result = run_tomography(bundle, TomographyConfig(mode="ingest"))
+        result = run_tomography(bundle)
         assert any("signs unknown" in w for w in result.warnings)
         assert all(p.estimate > 0 for p in result.parameters)
 
@@ -414,7 +424,7 @@ class TestIngestMode:
         spec = xx_spec([1.2, 0.9])
         bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path))
         assert bundle.truth is not None
-        result = run_tomography(bundle, TomographyConfig(mode="ingest"))
+        result = run_tomography(bundle)
         assert result.parameters[0].truth == 1.2
         assert result.parameters[0].abs_error < 1e-6
 
@@ -424,6 +434,6 @@ class TestIngestMode:
             _write_bundle(xx_spec(BENCH_J), tmp_path, config)
         )
         assert bundle.noise_sigma == 0.01
-        result = run_tomography(bundle, TomographyConfig(mode="ingest"))
+        result = run_tomography(bundle)
         worst = max(p.abs_error for p in result.parameters)
         assert worst < 5e-2
