@@ -34,7 +34,6 @@ from .dynamics import (
 from .errors import (
     CapExceeded,
     ChainTomoError,
-    ConvergenceError,
     DegenerateError,
     EigenError,
     InsufficientChain,
@@ -54,12 +53,10 @@ from .series import (
     spectral_couplings,
 )
 from .tomography import (
-    ErrorReport,
     ParameterEstimate,
     TomographyConfig,
     TomographyResult,
     TraceBundle,
-    compare_to_truth,
     run_tomography,
     sample_times,
     simulate_traces,
@@ -71,12 +68,10 @@ __all__ = [
     "CapExceeded",
     "ChainSpec",
     "ChainTomoError",
-    "ConvergenceError",
     "CosineSumModel",
     "DegenerateError",
     "DeltaTable",
     "EigenError",
-    "ErrorReport",
     "FluxChain",
     "InsufficientChain",
     "InversionError",
@@ -96,7 +91,6 @@ __all__ = [
     "TraceBundle",
     "add_noise",
     "build_hamiltonian",
-    "compare_to_truth",
     "delta_coefficients",
     "estimate_spectrum",
     "eta_coefficients",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -78,6 +79,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise SpecError("noise sigma must be finite and nonnegative")
+        # numpy's generator needs a nonnegative int; True would read as 1
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise SpecError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {"sigma": self.sigma, "seed": self.seed}

@@ -43,19 +43,6 @@ class ResolutionError(ChainTomoError):
     """The sampled window cannot separate the requested number of lines."""
 
 
-class ConvergenceError(ChainTomoError):
-    """Iterative refinement stopped before meeting its tolerance.
-
-    Carries the best model found so far (``best``) and its residual RMS
-    (``residual_rms``) so callers can decide whether to accept it.
-    """
-
-    def __init__(self, message: str, *, best=None, residual_rms: float | None = None):
-        super().__init__(message)
-        self.best = best
-        self.residual_rms = residual_rms
-
-
 class InsufficientChain(ChainTomoError):
     """More Taylor orders requested than the chain has links to support."""
 
@@ -89,4 +76,5 @@ class DegenerateError(ChainTomoError):
 
 
 class TomographyWarning(UserWarning):
-    """Non-fatal diagnostics: clamped radicands, conditioning flags."""
+    """Non-fatal diagnostics: fitted amplitudes not summing to 1, and
+    (reference invert_couplings only) a radicand clamped at zero."""

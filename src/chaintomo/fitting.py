@@ -6,11 +6,12 @@ by the matrix pencil, a grid-free subspace estimate that separates lines
 closer than one periodogram bin, and amplitudes by linear least squares.
 The pencil's shift matrix follows from the orthonormal signal basis in
 closed form, so a seed costs one SVD.  refine_fit polishes everything
-with damped least squares.  It stops when the sum of squares stops
-falling (a relative drop below FTOL), when a step is rounding noise
-(STEP_FLOOR), when a line leaves the band below pi/dt, or after MAX_ITER
-steps.  fit_trace runs the two once and rejects fits that stay above the
-residual floor or put a line beyond the Nyquist frequency.
+with damped least squares and returns its best model however it stops:
+when the sum of squares stops falling (a relative drop below FTOL), when
+a step is rounding noise (STEP_FLOOR), when a line leaves the band below
+pi/dt, or after MAX_ITER steps.  fit_trace runs the two once and is the
+one place a fit is accepted: it rejects fits that stay above the
+residual floor or put a line at or beyond the Nyquist frequency.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, ResolutionError, SpecError, TomographyWarning
+from .errors import ResolutionError, SpecError, TomographyWarning
 
-# refine_fit ends as converged once a damped step is at most this fraction
-# of |theta|: about 4.5 ulp, so the step only moves rounding noise
+# refine_fit stops once a damped step is at most this fraction of
+# |theta|: about 4.5 ulp, so the step only moves rounding noise
 STEP_FLOOR = 1e-15
-# refine_fit ends as converged once an accepted step lowers the sum of
-# squares by less than this relative amount, and gives up (ConvergenceError
-# carrying its best model) after MAX_ITER steps
+# refine_fit stops once an accepted step lowers the sum of squares by less
+# than this relative amount, and in any case after MAX_ITER steps
 FTOL = 1e-12
 MAX_ITER = 500
 # estimate_spectrum declines a pencil whose 1 - |v|^2 (v the last row of
@@ -120,6 +120,9 @@ def _times_values(trace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_uniform(times: np.ndarray) -> float:
+    """The sample step of a uniform grid; SpecError for any other grid."""
+    if times.size < 2:
+        raise SpecError("a trace needs at least two samples")
     steps = np.diff(times)
     dt = steps[0]
     # written out rather than np.allclose, which costs several times more;
@@ -219,19 +222,17 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
 
     Levenberg-style: the normal equations are damped by a multiple of
     their diagonal, the multiplier grows until a step decreases the sum
-    of squares and shrinks after each accepted step.  The loop ends in
-    one of four ways:
+    of squares and shrinks after each accepted step.  The loop stops when
+    an accepted step lowers the sum of squares by a relative amount below
+    FTOL; when a damped step is at most STEP_FLOOR times |theta| (rounding
+    noise; MINPACK's relative step test, More 1978) or no damping finds a
+    decrease; when an accepted step puts a line at or above the band edge
+    pi/dt, where it cannot be told from its alias; or after MAX_ITER steps.
 
-    - converged when an accepted step lowers the sum of squares by a
-      relative amount below FTOL;
-    - converged when a damped step is at most STEP_FLOOR times |theta|
-      (rounding noise; MINPACK's relative step test, More 1978), or no
-      damping finds a decrease: the fit is at the numerical floor;
-    - ConvergenceError (carrying the best model) when an accepted step
-      puts a line at or above the band edge pi/dt, where it cannot be
-      told from its alias;
-    - ConvergenceError (carrying the best model) when MAX_ITER steps
-      were not enough.
+    Every stop returns the best model found; fit_trace decides whether it
+    is good enough.  The model shows the stop: iterations == MAX_ITER ran
+    out of steps, frequencies[-1] >= pi/dt left the band, and adjacent
+    frequencies within 1e-9 collapsed onto each other.
     """
     times, values = _times_values(trace)
     band_edge = np.pi / _check_uniform(times)
@@ -260,7 +261,6 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
     sse = float(resid @ resid)
     damping = 1e-3
     iterations = 0
-    converged = out_of_band = False
     for iterations in range(1, MAX_ITER + 1):
         J[:, :n] = cos
         J[:, n : 2 * n] = -theta[:n][None, :] * t_col * np.sin(phase)
@@ -287,50 +287,24 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
                 break
             damping *= 10.0
         if not accepted:
-            converged = True  # no decrease, or only a rounding-noise step: at the floor
-            break
+            break  # no decrease, or only a rounding-noise step: at the floor
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
         theta, resid, sse = candidate, resid_new, sse_new
         phase, cos = phase_new, cos_new
         damping = max(damping * 0.3, 1e-12)
-        if np.max(np.abs(theta[n : 2 * n])) >= band_edge:
-            out_of_band = True
-            break
-        if rel_drop < FTOL:
-            converged = True
+        if np.max(np.abs(theta[n : 2 * n])) >= band_edge or rel_drop < FTOL:
             break
 
     A = theta[:n]
     om = np.abs(theta[n : 2 * n])
     order = np.argsort(om)
-    result = CosineSumModel(
+    return CosineSumModel(
         A[order],
         om[order],
         dc=float(theta[-1]) if has_dc else None,
         residual_rms=float(np.sqrt(sse / times.size)),
         iterations=iterations,
     )
-    if out_of_band:
-        raise ConvergenceError(
-            f"refinement moved a line to {result.frequencies[-1]:.3e} rad, at or "
-            f"above the band edge pi/dt = {band_edge:.3e} rad",
-            best=result,
-            residual_rms=result.residual_rms,
-        )
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence in {MAX_ITER} refinement steps "
-            f"(residual rms {result.residual_rms:.3e})",
-            best=result,
-            residual_rms=result.residual_rms,
-        )
-    if result.n_terms > 1 and np.min(np.diff(result.frequencies)) < 1e-9:
-        raise ConvergenceError(
-            "refinement collapsed two frequencies onto each other",
-            best=result,
-            residual_rms=result.residual_rms,
-        )
-    return result
 
 
 def fit_trace(
@@ -342,18 +316,17 @@ def fit_trace(
 ) -> CosineSumModel:
     """Full fit: matrix-pencil seed, then damped refinement.
 
-    The acceptable residual floor is max(1e-8, 2 * noise_sigma).  A
-    refined fit above it, or with a line at or above the Nyquist
-    frequency pi/dt (which cannot be told apart from its alias), raises
-    ResolutionError: wrong values must not flow silently downstream.
-    A refinement that runs out of steps contributes its best model.
+    This is where a fit is accepted or declined, whichever way the
+    refinement stopped.  The acceptable residual floor is
+    max(1e-8, 2 * noise_sigma).  A refined fit above it, or with a line
+    at or above the Nyquist frequency pi/dt (which cannot be told apart
+    from its alias), raises ResolutionError: wrong values must not flow
+    silently downstream.  A fitted amplitude sum off 1 by more than the
+    residual allows warns with TomographyWarning.
     """
     times, values = _times_values(trace)
     seed = estimate_spectrum((times, values), n_terms, include_dc=include_dc)
-    try:
-        best = refine_fit((times, values), seed)
-    except ConvergenceError as exc:
-        best = exc.best
+    best = refine_fit((times, values), seed)
     floor = max(1e-8, 2.0 * noise_sigma)
     if best.residual_rms > floor:
         raise ResolutionError(

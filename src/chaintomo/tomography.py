@@ -25,8 +25,8 @@ from .chain_model import (
     _FAMILY_LAYOUT, ChainSpec, FluxChain, Model, Observable, _expected_length, flux_chains,
 )
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
-from .errors import ChainTomoError, ShapeMismatch, SpecError, TomographyWarning
-from .fitting import CosineSumModel, fit_trace
+from .errors import ChainTomoError, SpecError, TomographyWarning
+from .fitting import CosineSumModel, _check_uniform, fit_trace
 # eta_coefficients and invert_couplings, the paper's Taylor-matching
 # route, are not called here; they stay importable from this module
 # because the benchmark's span tracer looks them up on it by name
@@ -105,13 +105,13 @@ class TraceBundle:
         """Assemble from (SignalTrace, metadata) pairs as read from disk.
 
         Metadata that disagree between traces, or fields of the wrong type
-        or value, raise SpecError.
+        or value (an attached truth included), raise SpecError.
         """
         if not pairs:
             raise SpecError("no traces supplied")
         try:
             return cls._from_metadata(pairs, truth)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
             raise SpecError(f"malformed trace metadata: {exc}") from exc
 
     @classmethod
@@ -119,17 +119,20 @@ class TraceBundle:
         models = {meta.get("model") for _, meta in pairs}
         counts = {meta.get("n_spins") for _, meta in pairs}
         if len(models) != 1 or None in models:
-            raise SpecError("trace metadata must agree on one model")
+            raise SpecError("traces must agree on one model")
         if len(counts) != 1 or None in counts:
-            raise SpecError("trace metadata must agree on n_spins")
-        # convert before the truth block, so a bad field is named as metadata
+            raise SpecError("traces must agree on n_spins")
+        # convert before the truth block, so a bad field is not named as a
+        # malformed chain description
         model = Model(next(iter(models)))
         n_spins = int(next(iter(counts)))
         sigma = 0.0
         for _, meta in pairs:
             noise = meta.get("noise")
             if noise:
-                sigma = max(sigma, float(noise.get("sigma", 0.0)))
+                # NoiseSpec refuses a negative, NaN or infinite sigma, which
+                # would lift the physical bound and the fit's residual floor
+                sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
         if truth is None:
             for _, meta in pairs:
                 if meta.get("truth_couplings"):
@@ -222,31 +225,6 @@ class TomographyResult:
         if path is not None:
             Path(path).write_text(text)
         return text
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-parameter deviation of a result from a ground-truth spec."""
-
-    rows: tuple[tuple[str, float, float, float, float], ...]  # name, est, truth, abs, rel
-    max_abs_error: float
-    rms_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "parameter": name,
-                    "estimate": est,
-                    "truth": truth,
-                    "abs_error": abs_err,
-                    "rel_error": rel_err,
-                }
-                for name, est, truth, abs_err, rel_err in self.rows
-            ],
-            "max_abs_error": self.max_abs_error,
-            "rms_error": self.rms_error,
-        }
 
 
 @contextmanager
@@ -376,6 +354,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 trace = matching[0].check_physical(
                     allowance=max(0.1, 6.0 * noise_sigma)
                 )
+                _check_uniform(trace.times)
         traces[observable] = trace
 
         m = fc.m
@@ -431,25 +410,3 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         traces=traces,
     )
 
-
-def compare_to_truth(result: TomographyResult, spec: ChainSpec) -> ErrorReport:
-    """Per-parameter errors of a result against a ground-truth spec."""
-    truth = _truth_map(flux_chains(spec))
-    estimates = result.recovered
-    if set(truth) != set(estimates):
-        raise ShapeMismatch(
-            "result parameters do not match the ground truth: "
-            f"{sorted(set(truth) ^ set(estimates))}"
-        )
-    rows = []
-    for p in result.parameters:
-        t = truth[p.name]
-        abs_err = abs(p.estimate - t)
-        rel_err = abs_err / abs(t) if t != 0 else float("inf")
-        rows.append((p.name, p.estimate, t, abs_err, rel_err))
-    abs_errors = np.array([r[3] for r in rows])
-    return ErrorReport(
-        rows=tuple(rows),
-        max_abs_error=float(abs_errors.max()),
-        rms_error=float(np.sqrt(np.mean(abs_errors**2))),
-    )

@@ -338,8 +338,9 @@ class TestErrors:
         ["--window", "inf"],
         ["--noise-sigma", "nan"],
         ["--noise-sigma", "-0.01"],
+        ["--noise-sigma", "0.01", "--seed", "-1"],
     ], ids=["step_nan", "window_nan", "window_inf", "noise_sigma_nan",
-            "noise_sigma_negative"])
+            "noise_sigma_negative", "seed_negative"])
     def test_invalid_sampling_or_noise_flag_exits_2(self, tmp_path, capsys, flags):
         spec_path = tmp_path / "xx.json"
         xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)

@@ -214,6 +214,17 @@ class TestNoise:
         with pytest.raises(SpecError, match="finite"):
             NoiseSpec(sigma=sigma)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "7", None],
+                             ids=["negative", "fraction", "float", "bool", "str", "none"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy refuses a negative seed untyped, a float with TypeError,
+        # and would read True as 1
+        with pytest.raises(SpecError, match="seed"):
+            NoiseSpec(sigma=0.01, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert NoiseSpec(sigma=0.01, seed=np.int64(5)).seed == 5
+
 
 class TestTraceFiles:
     def test_round_trip_is_exact(self, tmp_path):

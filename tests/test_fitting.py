@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from chaintomo import (
-    ConvergenceError,
     CosineSumModel,
     NoiseSpec,
     ResolutionError,
@@ -177,23 +176,24 @@ class TestRefineFit:
         spec, config = out_of_band_input()
         (trace,) = simulate_traces(spec, config)
         seed = estimate_spectrum(trace, 6)
-        with pytest.raises(ConvergenceError, match="band edge") as exc_info:
-            refine_fit(trace, seed)
-        best = exc_info.value.best
+        best = refine_fit(trace, seed)
         assert best.iterations <= 2
         assert best.frequencies[-1] >= np.pi / (trace.times[1] - trace.times[0])
 
-    def test_running_out_of_steps_raises_with_the_best_model(self, monkeypatch):
+    def test_running_out_of_steps_returns_the_best_model(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
         t = _grid()
         values = 0.3 * np.cos(1.0 * t) + 0.7 * np.cos(3.0 * t)
         seed = CosineSumModel(np.array([0.28, 0.73]), np.array([1.02, 2.97]))
         seed_rms = np.sqrt(np.mean((seed.evaluate(t) - values) ** 2))
-        with pytest.raises(ConvergenceError, match="no convergence in 1 ") as exc_info:
-            refine_fit((t, values), seed)
-        best = exc_info.value.best
+        best = refine_fit((t, values), seed)
         assert best.iterations == 1
         assert best.residual_rms < seed_rms
+
+    def test_single_sample_trace_is_a_spec_error(self):
+        seed = CosineSumModel(np.array([1.0]), np.array([1.0]))
+        with pytest.raises(SpecError, match="two samples"):
+            refine_fit((np.array([0.0]), np.array([1.0])), seed)
 
 
 class TestFitTrace:
@@ -274,9 +274,7 @@ class TestFitTrace:
     def test_running_out_of_steps_goes_on_with_the_best_model(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
         noisy = add_noise(spectral_signal(BENCH_J, _grid()), NoiseSpec(sigma=0.01, seed=3))
-        with pytest.raises(ConvergenceError) as exc_info:
-            refine_fit(noisy, estimate_spectrum(noisy, 4))
-        best = exc_info.value.best
+        best = refine_fit(noisy, estimate_spectrum(noisy, 4))
         fit = fit_trace(noisy, 4, noise_sigma=0.01)
         assert fit.iterations == 1
         np.testing.assert_array_equal(fit.frequencies, best.frequencies)

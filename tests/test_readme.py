@@ -1,0 +1,27 @@
+"""The README's code runs as written against the package."""
+
+import json
+import re
+from pathlib import Path
+
+from chaintomo import ChainSpec, cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _blocks(language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.DOTALL)
+
+
+def test_python_blocks_run_in_order(tmp_path, monkeypatch):
+    (spec_block,) = _blocks("json")
+    spec = ChainSpec.from_dict(json.loads(spec_block))
+    monkeypatch.chdir(tmp_path)
+    spec.to_json("spec.json")
+    # the TraceBundle block reads trace_x1.csv from the working directory
+    assert cli.main(["simulate", "--spec", "spec.json", "--out", "."]) == 0
+    blocks = _blocks("python")
+    assert blocks
+    namespace: dict = {}
+    for index, code in enumerate(blocks):
+        exec(compile(code, f"README.md python block {index + 1}", "exec"), namespace)

@@ -13,12 +13,10 @@ from chaintomo import (
     Model,
     NoiseSpec,
     ResolutionError,
-    ShapeMismatch,
     SignalTrace,
     SpecError,
     TomographyConfig,
     TraceBundle,
-    compare_to_truth,
     parameter_names,
     read_trace,
     run_tomography,
@@ -273,21 +271,7 @@ class TestResultObject:
         assert name == "J_1"
         assert float(estimate) == pytest.approx(1.1, abs=1e-6)
         assert float(truth) == 1.1
-
-    def test_compare_to_truth_report(self):
-        spec = xx_spec(BENCH_J)
-        report = compare_to_truth(run_tomography(spec), spec)
-        assert report.max_abs_error < 1e-6
-        assert report.rms_error <= report.max_abs_error
-        assert len(report.rows) == 7
-        name, est, truth, abs_err, rel_err = report.rows[0]
-        assert name == "J_1"
-        assert rel_err == pytest.approx(abs_err / truth, rel=1e-12)
-
-    def test_compare_to_truth_rejects_mismatched_spec(self):
-        result = run_tomography(xx_spec([1.0, 0.8]))
-        with pytest.raises(ShapeMismatch):
-            compare_to_truth(result, xx_spec([1.0, 0.8, 1.2]))
+        assert float(abs_error) == abs(float(estimate) - 1.1)
 
 
 def _write_bundle(spec, tmp_path, config=None):
@@ -357,6 +341,24 @@ class TestIngestMode:
             run_tomography(bundle)
         assert exc_info.value.stage == "ingest"
 
+    def test_nonuniform_trace_is_an_ingest_error(self):
+        times = sample_times(TomographyConfig())
+        times[5:] += 0.01
+        trace = SignalTrace(
+            times, np.cos(times), Probe(Observable.X1, Preparation.PLUS_X, +1)
+        )
+        bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
+        with pytest.raises(SpecError, match="uniform") as exc_info:
+            run_tomography(bundle)
+        assert exc_info.value.stage == "ingest"
+
+    def test_duplicate_probe_traces_are_an_ingest_error(self, tmp_path):
+        (pair,) = _write_bundle(xx_spec([1.1, 0.7]), tmp_path)
+        bundle = TraceBundle.from_metadata([pair, pair])
+        with pytest.raises(SpecError, match="probing x1, got 2") as exc_info:
+            run_tomography(bundle)
+        assert exc_info.value.stage == "ingest"
+
     def test_garbage_trace_fails_in_the_fit_stage(self):
         rng = np.random.default_rng(1)
         times = sample_times(TomographyConfig())
@@ -381,6 +383,11 @@ class TestIngestMode:
         ("noise", {"sigma": "x"}),
         ("noise", 0.1),
         ("truth_couplings", [1.0]),
+        # json reads Infinity and NaN; either would lift the physical bound
+        # and the fit's residual floor
+        pytest.param("noise", {"sigma": math.inf}, id="noise-sigma_inf"),
+        pytest.param("noise", {"sigma": math.nan}, id="noise-sigma_nan"),
+        pytest.param("noise", {"sigma": -0.01}, id="noise-sigma_negative"),
     ])
     def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value):
         pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
