@@ -58,7 +58,6 @@ _SETTING_KEYS = (
     "trace",
     "step",
     "window",
-    "n_terms",
     "noise_sigma",
     "seed",
     "out",
@@ -112,13 +111,9 @@ def _build_config(settings: dict) -> TomographyConfig:
     # built for every sigma, so NaN and negative values are refused too
     noise = NoiseSpec(sigma=sigma, seed=seed)
     kwargs = {"noise": noise if sigma > 0 else None}
-    for key, field_name, kind in (
-        ("step", "sample_step", float),
-        ("window", "window", float),
-        ("n_terms", "n_terms", int),
-    ):
+    for key, field_name in (("step", "sample_step"), ("window", "window")):
         if settings.get(key) is not None:
-            kwargs[field_name] = _number(settings, key, kind)
+            kwargs[field_name] = _number(settings, key, float)
     return TomographyConfig(**kwargs)
 
 
@@ -254,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_fit_flags:
             p.add_argument("--trace", action="append", default=[],
                            help="measured trace CSV (repeatable)")
-            p.add_argument("--n-terms", dest="n_terms", type=int,
-                           help="cosine terms (default from chain length)")
             p.add_argument("--format", choices=("json", "csv"),
                            help="result file format (default json)")
 

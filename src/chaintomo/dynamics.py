@@ -164,6 +164,10 @@ def taylor_signal(chain, times, order: int, probe: Probe | None = None) -> Signa
     return SignalTrace(times=t, values=probe.sign * values, probe=probe)
 
 
+# most sites statevector_signal evolves: its dense eigensolve holds
+# 2^N x 2^N complex matrices, 256 MiB each at 12 sites
+STATEVECTOR_CAP = 12
+
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -241,19 +245,20 @@ def statevector_signal(
     probe: Probe,
     bulk_state: BulkState,
     times,
-    cap: int = 12,
 ) -> SignalTrace:
     """Evolve the full 2^N chain and measure the probed observable.
 
     Exists to test that the signal does not depend on how spins 2..N
     start out.  Spin 1 is prepared in probe.preparation; the bulk per
     ``bulk_state``.  Dense eigendecomposition keeps this exact at desk
-    scale, hence the site cap (default 12).
+    scale, hence the site cap STATEVECTOR_CAP.
     """
     validate_spec(spec)
     n = spec.n_spins
-    if n > cap:
-        raise CapExceeded(f"n_spins={n} exceeds the state-vector cap {cap}")
+    if n > STATEVECTOR_CAP:
+        raise CapExceeded(
+            f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}"
+        )
     t = np.atleast_1d(np.asarray(times, dtype=float))
     H = build_hamiltonian(spec)
     try:

@@ -32,7 +32,7 @@ class ShapeMismatch(SpecError):
 
 
 class CapExceeded(ChainTomoError):
-    """Requested state-vector simulation above the configured site cap."""
+    """Requested state-vector simulation above STATEVECTOR_CAP sites."""
 
 
 class EigenError(ChainTomoError):

@@ -51,6 +51,11 @@ from .errors import (
 # out of nodes (no link exceeds the radius, and a real one is not 1e-8 of it)
 WEIGHT_TOL = 1e-8
 BREAKDOWN_TOL = 1e-8
+# tolerances of invert_couplings: a squared link down to -RADICAND_TOL is
+# rounding and clamps to zero; a slope of the order-2j coefficient in c_j^2
+# within DEGENERACY_TOL of the coefficient is lost to rounding
+RADICAND_TOL = 1e-8
+DEGENERACY_TOL = 1e-14
 
 
 def _links_of(chain) -> np.ndarray:
@@ -148,13 +153,7 @@ def eta_coefficients(fit, n_orders: int) -> np.ndarray:
     )
 
 
-def invert_couplings(
-    eta,
-    n_links: int | None = None,
-    *,
-    radicand_tol: float = 1e-8,
-    degeneracy_tol: float = 1e-14,
-) -> np.ndarray:
+def invert_couplings(eta, n_links: int | None = None) -> np.ndarray:
     """Solve eta_j = mu_j(c) sequentially for the link magnitudes.
 
     At step j the earlier links are already estimated and mu_j is affine
@@ -163,10 +162,10 @@ def invert_couplings(
     Then c_j = sqrt((eta_j - p0)/(p1 - p0)).  Returns positive roots;
     signs are applied downstream by the caller when they are known.
 
-    Small negative radicands (within ``radicand_tol``) are clamped to
-    zero with a warning; larger ones raise InversionError flagging a fit
-    inconsistency.  A slope |p1 - p0| at most ``degeneracy_tol`` times
-    |p1| makes this link unidentifiable: DegenerateError.  The slope is
+    Small negative radicands (within RADICAND_TOL) are clamped to zero
+    with a warning; larger ones raise InversionError flagging a fit
+    inconsistency.  A slope |p1 - p0| at most DEGENERACY_TOL times |p1|
+    makes this link unidentifiable: DegenerateError.  The slope is
     exactly zero when an earlier link was estimated at zero; otherwise
     the single round trip that reaches link j is lost to rounding among
     all the others of order 2j, as happens for long chains.
@@ -182,7 +181,7 @@ def invert_couplings(
         p0 = _mu_unchecked(probe, j)[-1]
         probe[j - 1] = 1.0
         p1 = _mu_unchecked(probe, j)[-1]
-        if abs(p1 - p0) <= degeneracy_tol * abs(p1):
+        if abs(p1 - p0) <= DEGENERACY_TOL * abs(p1):
             if np.any(c[: j - 1] == 0.0):
                 cause = "an earlier link was estimated at zero"
             else:
@@ -192,7 +191,7 @@ def invert_couplings(
                 )
             raise DegenerateError(f"link {j} is unidentifiable: {cause}", link=j)
         ratio = (eta[j - 1] - p0) / (p1 - p0)
-        if ratio < -radicand_tol:
+        if ratio < -RADICAND_TOL:
             raise InversionError(
                 f"link {j}: squared coupling came out {ratio:.3e}; "
                 "the fit is inconsistent with a chain of this length",

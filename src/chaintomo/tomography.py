@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,17 +38,16 @@ class TomographyConfig:
 
     sample_step and window are in units of 1/J; the defaults (pi/25 and
     8*pi, i.e. 200 samples) resolve the slowest line of the reference
-    chain with two full periods.  n_terms overrides the number of
-    cosines, which otherwise comes from the node count.  The source type
-    decides what noise means: a ChainSpec is simulated with it; for a
-    TraceBundle its sigma describes the data, so the fit knows its
-    expected residual floor.
+    chain with two full periods.  The number of cosines is not a knob:
+    an m-link chain has (m+1)//2 lines, plus a dc term when m + 1 is odd.
+    The source type decides what noise means: a ChainSpec is simulated
+    with it; for a TraceBundle its sigma describes the data, so the fit
+    knows its expected residual floor.
     """
 
     sample_step: float = math.pi / 25
     window: float = 8 * math.pi
     noise: NoiseSpec | None = None
-    n_terms: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sample_step) and self.sample_step > 0):
@@ -58,19 +56,12 @@ class TomographyConfig:
             raise SpecError("window must be finite")
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
-        if self.n_terms is not None and (
-            isinstance(self.n_terms, bool)
-            or not isinstance(self.n_terms, numbers.Integral)
-            or self.n_terms < 1
-        ):
-            raise SpecError(f"n_terms must be a positive integer, got {self.n_terms!r}")
 
     def to_dict(self) -> dict:
         return {
             "sample_step": self.sample_step,
             "window": self.window,
             "noise": None if self.noise is None else self.noise.to_dict(),
-            "n_terms": self.n_terms,
         }
 
     @classmethod
@@ -80,7 +71,6 @@ class TomographyConfig:
             sample_step=float(d.get("sample_step", math.pi / 25)),
             window=float(d.get("window", 8 * math.pi)),
             noise=None if noise is None else NoiseSpec(**noise),
-            n_terms=d.get("n_terms"),
         )
 
 
@@ -91,6 +81,7 @@ class TraceBundle:
     The model and site count determine the flux-chain structure (and so
     the expected probes and link labels); couplings stay unknown unless a
     ground-truth spec is attached for comparison or sign application.
+    noise_sigma, the data's noise level, must be finite and nonnegative.
     """
 
     model: Model
@@ -99,6 +90,11 @@ class TraceBundle:
     truth: ChainSpec | None = None
     allow_signed: bool = False
     noise_sigma: float = 0.0
+
+    def __post_init__(self):
+        # an infinite or NaN sigma would lift the physical bound and the
+        # fit's residual floor, so it is refused as NoiseSpec refuses it
+        NoiseSpec(self.noise_sigma)
 
     @classmethod
     def from_metadata(cls, pairs, truth: ChainSpec | None = None) -> "TraceBundle":
@@ -130,8 +126,7 @@ class TraceBundle:
         for _, meta in pairs:
             noise = meta.get("noise")
             if noise:
-                # NoiseSpec refuses a negative, NaN or infinite sigma, which
-                # would lift the physical bound and the fit's residual floor
+                # checked per sidecar: max() would drop a NaN or negative sigma
                 sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
         if truth is None:
             for _, meta in pairs:
@@ -358,16 +353,14 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         traces[observable] = trace
 
         m = fc.m
-        n_cos = config.n_terms if config.n_terms is not None else (m + 1) // 2
-        include_dc = (m + 1) % 2 == 1
-
         with _stage("fit"), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TomographyWarning)
-            # fit against +alpha regardless of the preparation's sign
+            # fit against +alpha regardless of the preparation's sign; the
+            # m + 1 nodes pair up into (m+1)//2 lines, the odd one out at 0
             fit = fit_trace(
                 (trace.times, trace.probe.sign * trace.values),
-                n_cos,
-                include_dc=include_dc,
+                (m + 1) // 2,
+                include_dc=m % 2 == 0,
                 noise_sigma=noise_sigma,
             )
             fits[observable] = fit

@@ -246,12 +246,11 @@ class TestConfigFile:
 
     def test_integral_float_settings_are_accepted(self, tmp_path, bench_spec_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"n_terms": 4.0}))
+        config_path.write_text(json.dumps({"seed": 3.0}))
         out = tmp_path / "out"
         assert main(["run", "--spec", str(bench_spec_path),
                      "--config", str(config_path), "--out", str(out)]) == 0
-        resolved = _read_json(out / "manifest.json")["config"]["resolved"]
-        assert resolved["n_terms"] == 4
+        assert _read_json(out / "manifest.json")["seed"] == 3
 
     def test_missing_config_file(self, tmp_path, bench_spec_path):
         code = main(["run", "--spec", str(bench_spec_path),
@@ -319,9 +318,10 @@ class TestErrors:
         {"seed": 2.5},
         {"n_terms": float("inf")},
         {"noise_sigma": float("nan")},
+        {"n_terms": 4},
     ], ids=["taylor_order", "noise_sigma", "window", "seed", "format",
             "n_terms_fraction", "taylor_order_bool", "n_terms_bool",
-            "seed_fraction", "n_terms_inf", "noise_sigma_nan"])
+            "seed_fraction", "n_terms_inf", "noise_sigma_nan", "n_terms"])
     def test_malformed_config_value_exits_2(self, tmp_path, bench_spec_path,
                                             capsys, settings):
         config_path = tmp_path / "config.json"
@@ -348,6 +348,15 @@ class TestErrors:
                      "--out", str(tmp_path / "out"), *flags])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "result.json").exists()
+
+    def test_n_terms_flag_is_gone(self, tmp_path, bench_spec_path, capsys):
+        # the chain length fixes the cosine count, so there is no flag for it
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--spec", str(bench_spec_path), "--n-terms", "3",
+                  "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
+        assert "--n-terms" in capsys.readouterr().err
         assert not (tmp_path / "out" / "result.json").exists()
 
     def test_version_flag(self, capsys):
