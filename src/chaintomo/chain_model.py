@@ -9,9 +9,10 @@ Three nearest-neighbor models on a 1-D chain of N spins are supported:
 For each model the Heisenberg-picture operator of a suitable boundary
 observable spreads along an effective linear chain of link strengths
 c_1..c_m (a "flux chain"), and the measured single-spin expectation value
-depends on the Hamiltonian only through those links.  This module
-validates parameter sets and produces the flux chain(s) together with the
-observable/preparation pair that probes each of them.
+depends on the Hamiltonian only through those links.  chain_layout
+states, per model, which parameter each link reads and which
+observable/preparation pair probes each chain; parameter validation and
+the reduction to flux chains both read it.
 
 Physics indexing is 1-based in names (J_1 couples sites 1 and 2); array
 storage is 0-based.
@@ -20,6 +21,7 @@ storage is 0-based.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -97,18 +99,6 @@ class Probe:
             preparation=Preparation(d["preparation"]),
             sign=int(d["sign"]),
         )
-
-
-# coupling-family keys each model requires, with (length, description)
-_FAMILY_LAYOUT = {
-    Model.XX: {"J": "n-1"},
-    Model.XY: {"JX": "n-1", "JY": "n-1"},
-    Model.ISING_TRANSVERSE: {"JZ": "n-1", "B": "n"},
-}
-
-
-def _expected_length(code: str, n: int) -> int:
-    return n if code == "n" else n - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +194,57 @@ class FluxChain:
     @property
     def labels(self) -> tuple[str, ...]:
         """Display names, e.g. ("J_1", "J_2", ...)."""
-        return tuple(f"{fam}_{idx}" for fam, idx in self.label_map)
+        return tuple(parameter_label(fam, idx) for fam, idx in self.label_map)
+
+
+def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int], ...]]]:
+    """Each flux chain's probe and, in traversal order, its link labels.
+
+    A label is the (family, 1-based index) of the Hamiltonian parameter
+    the link reads; across a model's chains every parameter appears
+    exactly once, so the labels also fix each family's length.
+
+    XX: the probed X_1 operator spreads through (J_1, ..., J_{N-1});
+    probe (X1, plus_x, +1).
+
+    XY: two chains.  X_1 commutes with X_1 X_2 but not with Y_1 Y_2, so
+    the X1-probed cascade starts on JY and alternates: (JY_1, JX_2,
+    JY_3, ...).  The Y1-probed chain is the mirror image (JX_1, JY_2,
+    ...).  Together they cover all 2(N-1) parameters exactly once.
+
+    Ising with transverse field: the Z_1 cascade alternates field and
+    bond terms, giving (B_1, JZ_1, B_2, JZ_2, ..., B_N) of length 2N-1;
+    probe (Z1, zero, +1).
+    """
+    try:
+        model = Model(model)
+    except ValueError as exc:
+        raise SpecError(f"unknown model {model!r}") from exc
+    n = n_spins
+    if n < 2:
+        raise SpecError(f"n_spins must be at least 2, got {n}")
+
+    if model is Model.XX:
+        return [(Probe(Observable.X1, Preparation.PLUS_X, +1),
+                 tuple(("J", k) for k in range(1, n)))]
+
+    if model is Model.XY:
+        def alternating(odd: str, even: str):
+            return tuple((odd if k % 2 else even, k) for k in range(1, n))
+
+        return [
+            (Probe(Observable.X1, Preparation.PLUS_X, +1), alternating("JY", "JX")),
+            (Probe(Observable.Y1, Preparation.PLUS_Y, +1), alternating("JX", "JY")),
+        ]
+
+    # transverse-field Ising: B_1, JZ_1, B_2, ..., B_N
+    return [(Probe(Observable.Z1, Preparation.ZERO, +1),
+             tuple(("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1)))]
+
+
+def parameter_label(family: str, index: int) -> str:
+    """Display name of a parameter, e.g. ("J", 3) -> "J_3"."""
+    return f"{family}_{index}"
 
 
 def validate_spec(spec: ChainSpec) -> ChainSpec:
@@ -213,21 +253,17 @@ def validate_spec(spec: ChainSpec) -> ChainSpec:
     Raises SpecError (or its subclass ShapeMismatch) naming the violated
     invariant.
     """
-    model = Model(spec.model)
     n = spec.n_spins
-    if n < 2:
-        raise SpecError(f"n_spins must be at least 2, got {n}")
-    layout = _FAMILY_LAYOUT[model]
-    extra = set(spec.couplings) - set(layout)
-    missing = set(layout) - set(spec.couplings)
-    if extra or missing:
+    lengths = Counter(
+        family for _, labels in chain_layout(spec.model, n) for family, _ in labels
+    )
+    if set(spec.couplings) != set(lengths):
         raise ShapeMismatch(
-            f"model {model.value} requires coupling families {sorted(layout)}; "
-            f"got {sorted(spec.couplings)}"
+            f"model {spec.model.value} requires coupling families "
+            f"{sorted(lengths)}; got {sorted(spec.couplings)}"
         )
-    for fam, code in layout.items():
+    for fam, want in lengths.items():
         arr = spec.couplings[fam]
-        want = _expected_length(code, n)
         if arr.ndim != 1 or arr.size != want:
             raise ShapeMismatch(
                 f"{fam} must have length {want} for n_spins={n}, got {arr.size}"
@@ -247,57 +283,14 @@ def validate_spec(spec: ChainSpec) -> ChainSpec:
 def flux_chains(spec: ChainSpec) -> list[FluxChain]:
     """Reduce a validated ChainSpec to its flux chain(s) with probes.
 
-    XX: the probed X_1 operator spreads through (J_1, ..., J_{N-1});
-    probe (X1, plus_x, +1).
-
-    XY: two chains.  X_1 commutes with X_1 X_2 but not with Y_1 Y_2, so
-    the X1-probed cascade starts on JY and alternates: (JY_1, JX_2,
-    JY_3, ...).  The Y1-probed chain is the mirror image (JX_1, JY_2,
-    ...).  Together they cover all 2(N-1) parameters exactly once.
-
-    Ising with transverse field: the Z_1 cascade alternates field and
-    bond terms, giving (B_1, JZ_1, B_2, JZ_2, ..., B_N) of length 2N-1;
-    probe (Z1, zero, +1).
+    Each chain's links are the spec's values at the labels chain_layout
+    gives, in its traversal order.
     """
     validate_spec(spec)
-    model = Model(spec.model)
-    n = spec.n_spins
-
-    if model is Model.XX:
-        J = spec.couplings["J"]
-        labels = tuple(("J", i) for i in range(1, n))
-        return [FluxChain(J, labels, Probe(Observable.X1, Preparation.PLUS_X, +1))]
-
-    if model is Model.XY:
-        JX, JY = spec.couplings["JX"], spec.couplings["JY"]
-
-        def alternating(first: str):
-            fams = [first if k % 2 == 1 else ("JX" if first == "JY" else "JY")
-                    for k in range(1, n)]
-            links = np.array(
-                [JY[k - 1] if fams[k - 1] == "JY" else JX[k - 1] for k in range(1, n)]
-            )
-            label = tuple((fams[k - 1], k) for k in range(1, n))
-            return links, label
-
-        links_x, label_x = alternating("JY")  # X1 cascade enters through JY_1
-        links_y, label_y = alternating("JX")  # Y1 cascade enters through JX_1
-        return [
-            FluxChain(links_x, label_x, Probe(Observable.X1, Preparation.PLUS_X, +1)),
-            FluxChain(links_y, label_y, Probe(Observable.Y1, Preparation.PLUS_Y, +1)),
-        ]
-
-    # transverse-field Ising: interleave B_1, JZ_1, B_2, ..., B_N
-    JZ, B = spec.couplings["JZ"], spec.couplings["B"]
-    links = np.empty(2 * n - 1)
-    links[0::2] = B
-    links[1::2] = JZ
-    label = []
-    for i in range(1, n + 1):
-        label.append(("B", i))
-        if i < n:
-            label.append(("JZ", i))
-    return [FluxChain(links, tuple(label), Probe(Observable.Z1, Preparation.ZERO, +1))]
+    return [
+        FluxChain([spec.coupling(fam, k) for fam, k in labels], labels, probe)
+        for probe, labels in chain_layout(spec.model, spec.n_spins)
+    ]
 
 
 def parameter_names(spec: ChainSpec) -> tuple[str, ...]:

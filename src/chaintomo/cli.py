@@ -177,6 +177,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_paths = settings.get("trace") or []
     if bool(spec_path) == bool(trace_paths):
         raise SpecError("run requires exactly one of --spec or --trace")
+    if trace_paths and (settings.get("step") is not None
+                        or settings.get("window") is not None):
+        # the trace files fix their own sampling; a config that records
+        # other values would misdescribe the run
+        raise SpecError("step and window do not apply to --trace: "
+                        "the traces carry their own sampling")
     if settings["format"] not in ("json", "csv"):
         raise SpecError(f"format must be json or csv, got {settings['format']!r}")
     started = _now()

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .chain_model import (
-    _FAMILY_LAYOUT, ChainSpec, FluxChain, Model, Observable, _expected_length, flux_chains,
+    ChainSpec, FluxChain, Model, Observable, chain_layout, flux_chains, parameter_label,
+    validate_spec,
 )
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
 from .errors import ChainTomoError, SpecError, TomographyWarning
@@ -67,11 +68,14 @@ class TomographyConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyConfig":
         noise = d.get("noise")
-        return cls(
-            sample_step=float(d.get("sample_step", math.pi / 25)),
-            window=float(d.get("window", 8 * math.pi)),
-            noise=None if noise is None else NoiseSpec(**noise),
-        )
+        try:
+            return cls(
+                sample_step=float(d.get("sample_step", math.pi / 25)),
+                window=float(d.get("window", 8 * math.pi)),
+                noise=None if noise is None else NoiseSpec(**noise),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"malformed config: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,55 +84,58 @@ class TraceBundle:
 
     The model and site count determine the flux-chain structure (and so
     the expected probes and link labels); couplings stay unknown unless a
-    ground-truth spec is attached for comparison or sign application.
-    noise_sigma, the data's noise level, must be finite and nonnegative.
+    ground-truth spec of the same chain is attached.  The truth feeds the
+    error columns, and its allow_signed decides whether the recovered
+    magnitudes take its signs.  noise_sigma, the data's noise level, must
+    be finite and nonnegative.
     """
 
     model: Model
     n_spins: int
     traces: tuple[SignalTrace, ...]
     truth: ChainSpec | None = None
-    allow_signed: bool = False
     noise_sigma: float = 0.0
 
     def __post_init__(self):
         # an infinite or NaN sigma would lift the physical bound and the
         # fit's residual floor, so it is refused as NoiseSpec refuses it
         NoiseSpec(self.noise_sigma)
+        truth = self.truth
+        if truth is not None and (
+            truth.model != self.model or truth.n_spins != self.n_spins
+        ):
+            raise SpecError(
+                "truth must describe the bundle's chain; got a "
+                f"{truth.model.value} chain of {truth.n_spins} spins"
+            )
 
     @classmethod
-    def from_metadata(cls, pairs, truth: ChainSpec | None = None) -> "TraceBundle":
+    def from_metadata(cls, pairs) -> "TraceBundle":
         """Assemble from (SignalTrace, metadata) pairs as read from disk.
 
         Metadata that disagree between traces, or fields of the wrong type
-        or value (an attached truth included), raise SpecError.
+        or value (the sidecar truth included), raise SpecError.
         """
         if not pairs:
             raise SpecError("no traces supplied")
         try:
-            return cls._from_metadata(pairs, truth)
-        except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
-            raise SpecError(f"malformed trace metadata: {exc}") from exc
-
-    @classmethod
-    def _from_metadata(cls, pairs, truth: ChainSpec | None) -> "TraceBundle":
-        models = {meta.get("model") for _, meta in pairs}
-        counts = {meta.get("n_spins") for _, meta in pairs}
-        if len(models) != 1 or None in models:
-            raise SpecError("traces must agree on one model")
-        if len(counts) != 1 or None in counts:
-            raise SpecError("traces must agree on n_spins")
-        # convert before the truth block, so a bad field is not named as a
-        # malformed chain description
-        model = Model(next(iter(models)))
-        n_spins = int(next(iter(counts)))
-        sigma = 0.0
-        for _, meta in pairs:
-            noise = meta.get("noise")
-            if noise:
-                # checked per sidecar: max() would drop a NaN or negative sigma
-                sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
-        if truth is None:
+            models = {meta.get("model") for _, meta in pairs}
+            counts = {meta.get("n_spins") for _, meta in pairs}
+            if len(models) != 1 or None in models:
+                raise SpecError("traces must agree on one model")
+            if len(counts) != 1 or None in counts:
+                raise SpecError("traces must agree on n_spins")
+            # convert before the truth block, so a bad field is not named as
+            # a malformed chain description
+            model = Model(next(iter(models)))
+            n_spins = int(next(iter(counts)))
+            sigma = 0.0
+            for _, meta in pairs:
+                noise = meta.get("noise")
+                if noise:
+                    # checked per sidecar: max() would drop a NaN or negative sigma
+                    sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
+            truth = None
             for _, meta in pairs:
                 if meta.get("truth_couplings"):
                     truth = ChainSpec.from_dict(
@@ -140,14 +147,15 @@ class TraceBundle:
                         }
                     )
                     break
-        return cls(
-            model=model,
-            n_spins=n_spins,
-            traces=tuple(trace for trace, _ in pairs),
-            truth=truth,
-            allow_signed=bool(truth.allow_signed) if truth else False,
-            noise_sigma=sigma,
-        )
+            return cls(
+                model=model,
+                n_spins=n_spins,
+                traces=tuple(trace for trace, _ in pairs),
+                truth=truth,
+                noise_sigma=sigma,
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
+            raise SpecError(f"malformed trace metadata: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -233,27 +241,6 @@ def _stage(name: str):
         raise
 
 
-def _truth_map(chains: list[FluxChain]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for fc in chains:
-        for label, value in zip(fc.labels, fc.links):
-            out[label] = float(value)
-    return out
-
-
-def _structure_chains(model: Model, n_spins: int) -> list[FluxChain]:
-    """Flux chains of a unit-coupling spec: labels and probes only."""
-    unit = ChainSpec(
-        model=model,
-        n_spins=n_spins,
-        couplings={
-            fam: np.ones(_expected_length(code, n_spins))
-            for fam, code in _FAMILY_LAYOUT[model].items()
-        },
-    )
-    return flux_chains(unit)
-
-
 def sample_times(config: TomographyConfig) -> np.ndarray:
     """The uniform grid the config describes: step * (0, 1, ..., n-1)."""
     n_samples = int(round(config.window / config.sample_step))
@@ -301,18 +288,15 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
     with _stage("validate"):
         if isinstance(source, ChainSpec):
-            spec: ChainSpec | None = source
-            chains = flux_chains(spec)
-            truth = _truth_map(chains)
-            allow_signed = spec.allow_signed
+            chains = flux_chains(source)
+            layout = [(fc.probe, fc.label_map) for fc in chains]
+            truth = source
             noise_sigma = config.noise.sigma if config.noise else 0.0
-            model, n_spins = Model(spec.model), spec.n_spins
         elif isinstance(source, TraceBundle):
-            spec = source.truth
-            model, n_spins = Model(source.model), source.n_spins
-            chains = _structure_chains(model, n_spins)
-            truth = _truth_map(flux_chains(spec)) if spec is not None else {}
-            allow_signed = source.allow_signed
+            layout = chain_layout(source.model, source.n_spins)
+            truth = source.truth
+            if truth is not None:
+                validate_spec(truth)
             noise_sigma = source.noise_sigma
             if config.noise is not None:
                 noise_sigma = config.noise.sigma
@@ -320,6 +304,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
             )
+        signed = truth is not None and truth.allow_signed
 
     if isinstance(source, ChainSpec):
         with _stage("simulate"):
@@ -329,8 +314,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     fits: dict[str, CosineSumModel] = {}
     traces: dict[str, SignalTrace] = {}
 
-    for index, fc in enumerate(chains):
-        observable = Observable(fc.probe.observable).value
+    for index, (probe, labels) in enumerate(layout):
+        observable = probe.observable.value
 
         if isinstance(source, ChainSpec):
             trace = simulated[index]
@@ -339,7 +324,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 matching = [
                     tr
                     for tr in source.traces
-                    if Observable(tr.probe.observable) is Observable(fc.probe.observable)
+                    if Observable(tr.probe.observable) is probe.observable
                 ]
                 if len(matching) != 1:
                     raise SpecError(
@@ -352,7 +337,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 _check_uniform(trace.times)
         traces[observable] = trace
 
-        m = fc.m
+        m = len(labels)
         with _stage("fit"), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TomographyWarning)
             # fit against +alpha regardless of the preparation's sign; the
@@ -372,19 +357,14 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             for w in caught:
                 if issubclass(w.category, TomographyWarning):
                     collected.append(f"{observable}: {w.message}")
-            for label, magnitude in zip(fc.labels, links):
+            for (family, k), magnitude in zip(labels, links):
                 estimate = float(magnitude)
-                if allow_signed:
-                    if label in truth:
-                        estimate = math.copysign(estimate, truth[label])
-                    else:
-                        note = f"{observable}: signs unknown; magnitudes returned"
-                        if note not in collected:
-                            collected.append(note)
-                truth_val = truth.get(label)
+                truth_val = None if truth is None else truth.coupling(family, k)
+                if signed:
+                    estimate = math.copysign(estimate, truth_val)
                 parameters.append(
                     ParameterEstimate(
-                        name=label,
+                        name=parameter_label(family, k),
                         estimate=estimate,
                         truth=truth_val,
                         abs_error=None
@@ -394,12 +374,11 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 )
 
     return TomographyResult(
-        model=model,
-        n_spins=n_spins,
+        model=Model(source.model),
+        n_spins=source.n_spins,
         parameters=tuple(parameters),
         fits=fits,
         config=config,
         warnings=tuple(collected),
         traces=traces,
     )
-

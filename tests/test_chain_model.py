@@ -17,7 +17,27 @@ from chaintomo import (
     validate_spec,
 )
 
+from chaintomo.chain_model import chain_layout
+
 from _bench import BENCH_J, ISING_B, ISING_JZ, ising_spec, xx_spec, xy_spec
+
+
+def _random_spec(model: str, n: int, rng) -> ChainSpec:
+    """A valid spec with the family lengths the README's model table states."""
+    sizes = {
+        "xx": {"J": n - 1},
+        "xy": {"JX": n - 1, "JY": n - 1},
+        "ising_transverse": {"JZ": n - 1, "B": n},
+    }[model]
+    return ChainSpec(Model(model), n, {
+        fam: rng.uniform(0.5, 1.5, size) for fam, size in sizes.items()
+    })
+
+
+_MODELS_AND_SIZES = [
+    pytest.param(model, n, id=f"{model}-n{n}")
+    for model in ("xx", "xy", "ising_transverse") for n in range(2, 13)
+]
 
 
 class TestProbe:
@@ -144,6 +164,37 @@ class TestFluxChains:
     def test_flux_chain_rejects_label_mismatch(self):
         with pytest.raises(ShapeMismatch):
             FluxChain(np.array([1.0, 2.0]), (("J", 1),))
+
+
+class TestChainLayout:
+    @pytest.mark.parametrize("model, n", _MODELS_AND_SIZES)
+    def test_labels_cover_every_parameter_once(self, model, n):
+        spec = validate_spec(_random_spec(model, n, np.random.default_rng(n)))
+        labels = [label for _, chain in chain_layout(model, n) for label in chain]
+        assert len(labels) == len(set(labels))
+        assert set(labels) == {
+            (fam, k) for fam, arr in spec.couplings.items()
+            for k in range(1, arr.size + 1)
+        }
+
+    @pytest.mark.parametrize("model, n", _MODELS_AND_SIZES)
+    def test_flux_chain_links_follow_labels(self, model, n):
+        spec = _random_spec(model, n, np.random.default_rng(100 + n))
+        chains = flux_chains(spec)
+        layout = chain_layout(model, n)
+        assert [fc.probe for fc in chains] == [probe for probe, _ in layout]
+        for fc, (_, labels) in zip(chains, layout):
+            assert fc.label_map == labels
+            for link, (fam, k) in zip(fc.links, labels):
+                assert link == spec.couplings[fam][k - 1]
+
+    def test_refuses_unknown_model(self):
+        with pytest.raises(SpecError, match="unknown model"):
+            chain_layout("heisenberg", 3)
+
+    def test_refuses_single_spin(self):
+        with pytest.raises(SpecError, match="n_spins"):
+            chain_layout(Model.XX, 1)
 
 
 class TestSerialization:

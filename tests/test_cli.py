@@ -194,6 +194,29 @@ class TestRunFromTraces:
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, config", [
+        pytest.param(["--step", "0.5"], None, id="step_flag"),
+        pytest.param(["--window", "100"], None, id="window_flag"),
+        pytest.param([], {"window": 100}, id="window_in_config"),
+    ])
+    def test_sampling_settings_are_refused_with_traces(
+        self, tmp_path, bench_spec_path, capsys, flags, config
+    ):
+        # the trace files fix the sampling; result.json must not record other values
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            flags = ["--config", str(config_path)]
+        run_out = tmp_path / "run"
+        code = main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(run_out), *flags])
+        assert code == 2
+        assert "do not apply to --trace" in capsys.readouterr().err
+        assert not (run_out / "result.json").exists()
+
     def test_run_requires_an_input(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path)]) == 2
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from chaintomo import ChainSpec, cli
@@ -25,3 +26,18 @@ def test_python_blocks_run_in_order(tmp_path, monkeypatch):
     namespace: dict = {}
     for index, code in enumerate(blocks):
         exec(compile(code, f"README.md python block {index + 1}", "exec"), namespace)
+
+
+def test_cli_lines_run_in_order(tmp_path, monkeypatch):
+    (spec_block,) = _blocks("json")
+    monkeypatch.chdir(tmp_path)
+    ChainSpec.from_dict(json.loads(spec_block)).to_json("spec.json")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in _blocks("bash")
+        for line in block.splitlines()
+        if line.startswith("chaintomo ")
+    ]
+    assert len(commands) == 3
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, " ".join(argv)

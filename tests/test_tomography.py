@@ -72,6 +72,15 @@ class TestConfig:
         again = TomographyConfig.from_dict(config.to_dict())
         assert again == config
 
+    @pytest.mark.parametrize("block", [
+        {"noise": {"sigma": "0.1"}},
+        {"noise": {"sigma": 0.1, "seed": 1, "scale": 2}},
+        {"sample_step": "abc"},
+    ], ids=["sigma_str", "noise_extra_key", "step_str"])
+    def test_malformed_blocks_are_spec_errors(self, block):
+        with pytest.raises(SpecError, match="malformed config"):
+            TomographyConfig.from_dict(block)
+
     def test_older_config_blocks_still_load(self):
         # result.json files written before the inputs fixed the route and the
         # term count carry taylor_order, mode and n_terms; they are ignored
@@ -421,17 +430,42 @@ class TestIngestMode:
             [result.recovered[f"J_{i}"] for i in range(1, 8)], BENCH_J, atol=1e-6
         )
 
-    def test_signed_bundle_without_truth_warns(self):
+    def test_signed_truth_sets_the_signs(self):
         times = sample_times(TomographyConfig())
         from chaintomo import spectral_signal
 
         trace = spectral_signal([1.0, 0.8, 0.9], times)
-        bundle = TraceBundle(
-            model=Model.XX, n_spins=4, traces=(trace,), allow_signed=True
-        )
+        truth = xx_spec([1.0, -0.8, 0.9], allow_signed=True)
+        bundle = TraceBundle(model=Model.XX, n_spins=4, traces=(trace,), truth=truth)
         result = run_tomography(bundle)
-        assert any("signs unknown" in w for w in result.warnings)
-        assert all(p.estimate > 0 for p in result.parameters)
+        assert result.recovered["J_2"] == pytest.approx(-0.8, abs=1e-6)
+        assert all(p.abs_error < 1e-6 for p in result.parameters)
+        assert result.warnings == ()
+
+    @pytest.mark.parametrize("truth", [
+        pytest.param(xx_spec([1.0, 0.8]), id="n_spins"),
+        pytest.param(xy_spec([1.0, 0.8, 0.9], [1.0, 0.8, 0.9]), id="model"),
+    ])
+    def test_truth_of_another_chain_is_refused(self, truth):
+        times = sample_times(TomographyConfig())
+        from chaintomo import spectral_signal
+
+        trace = spectral_signal([1.0, 0.8, 0.9], times)
+        with pytest.raises(SpecError, match="truth must describe"):
+            TraceBundle(model=Model.XX, n_spins=4, traces=(trace,), truth=truth)
+
+    @pytest.mark.parametrize("model, n_spins", [
+        pytest.param("q", 3, id="unknown_model"),
+        pytest.param(Model.XX, 1, id="one_spin"),
+    ])
+    def test_bundle_chain_is_checked_at_validate(self, model, n_spins):
+        times = sample_times(TomographyConfig())
+        trace = SignalTrace(times, np.cos(times),
+                            Probe(Observable.X1, Preparation.PLUS_X, +1))
+        bundle = TraceBundle(model=model, n_spins=n_spins, traces=(trace,))
+        with pytest.raises(SpecError) as exc_info:
+            run_tomography(bundle)
+        assert exc_info.value.stage == "validate"
 
     def test_sidecar_truth_feeds_error_columns(self, tmp_path):
         spec = xx_spec([1.2, 0.9])
