@@ -21,6 +21,7 @@ storage is 0-based.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -220,7 +221,10 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
         model = Model(model)
     except ValueError as exc:
         raise SpecError(f"unknown model {model!r}") from exc
+    # range() would refuse a float untyped, and True would read as 1
     n = n_spins
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise SpecError(f"n_spins must be an integer, got {n!r}")
     if n < 2:
         raise SpecError(f"n_spins must be at least 2, got {n}")
 

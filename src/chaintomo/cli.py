@@ -2,10 +2,12 @@
 
 Two subcommands: `simulate` writes probe traces for a chain description,
 `run` executes the full reconstruction from a spec (simulated) or from
-trace CSVs (ingested).  A JSON config file can mirror every flag;
-flags override the file.  Every output directory gets a RunManifest.
+trace CSVs (ingested).  Settings can also come from a file, one
+`--flag=value` per line, given as `@run.args`.  Every output directory
+gets a RunManifest.
 
-Exit codes: 0 success, 2 input or spec error, 3 pipeline error.
+Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
+setting it refuses), 3 pipeline error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,68 +55,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-_SETTING_KEYS = (
-    "spec",
-    "trace",
-    "step",
-    "window",
-    "noise_sigma",
-    "seed",
-    "out",
-    "format",
-)
-
-
-def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then explicit flags."""
-    settings: dict = {"out": ".", "format": "json", "noise_sigma": 0.0, "seed": 0}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise SpecError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"config file {path} is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(_SETTING_KEYS)
-        if unknown:
-            raise SpecError(f"config file has unknown keys: {sorted(unknown)}")
-        settings.update(loaded)
-    for key in _SETTING_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and value != []:
-            settings[key] = value
-    return settings
-
-
-def _number(settings: dict, key: str, kind: type):
-    """settings[key] as a float or int; a value that is neither is a SpecError.
-
-    int() would truncate 4.7 and read true as 1, so booleans and
-    non-integral floats are refused; integral floats such as 4.0 pass.
-    """
-    value = settings.get(key)
-    noun = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise SpecError(f"{key} must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{key} must be {noun}, got {value!r}") from exc
-
-
-def _build_config(settings: dict) -> TomographyConfig:
-    sigma = _number(settings, "noise_sigma", float)
-    seed = _number(settings, "seed", int)
+def _build_config(args: argparse.Namespace) -> TomographyConfig:
     # built for every sigma, so NaN and negative values are refused too
-    noise = NoiseSpec(sigma=sigma, seed=seed)
-    kwargs = {"noise": noise if sigma > 0 else None}
-    for key, field_name in (("step", "sample_step"), ("window", "window")):
-        if settings.get(key) is not None:
-            kwargs[field_name] = _number(settings, key, float)
+    noise = NoiseSpec(sigma=args.noise_sigma, seed=args.seed)
+    kwargs = {"noise": noise if args.noise_sigma > 0 else None}
+    if args.step is not None:
+        kwargs["sample_step"] = args.step
+    if args.window is not None:
+        kwargs["window"] = args.window
     return TomographyConfig(**kwargs)
+
+
+def _flags(args: argparse.Namespace) -> dict:
+    """The parsed settings, as the manifest records them."""
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _print_table(result) -> None:
@@ -136,27 +90,26 @@ def _print_table(result) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    if not settings.get("spec"):
+    if not args.spec:
         raise SpecError("simulate requires --spec")
     started = _now()
-    spec = ChainSpec.from_json(settings["spec"])
-    config = _build_config(settings)
-    out_dir = Path(settings["out"])
+    spec = ChainSpec.from_json(args.spec)
+    config = _build_config(args)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="simulate",
         version=__version__,
-        config={**settings, "resolved": config.to_dict()},
-        inputs=[str(settings["spec"])],
-        seed=int(settings.get("seed", 0)),
+        config={**_flags(args), "resolved": config.to_dict()},
+        inputs=[str(args.spec)],
+        seed=args.seed,
         started=started,
     )
     meta_common = {
         "model": spec.model.value,
         "n_spins": spec.n_spins,
         "noise": None if config.noise is None else config.noise.to_dict(),
-        "seed": int(settings.get("seed", 0)),
+        "seed": args.seed,
         "truth_couplings": spec.to_dict()["couplings"],
         "allow_signed": spec.allow_signed,
     }
@@ -172,42 +125,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    spec_path = settings.get("spec")
-    trace_paths = settings.get("trace") or []
-    if bool(spec_path) == bool(trace_paths):
+    if bool(args.spec) == bool(args.trace):
         raise SpecError("run requires exactly one of --spec or --trace")
-    if trace_paths and (settings.get("step") is not None
-                        or settings.get("window") is not None):
-        # the trace files fix their own sampling; a config that records
+    if args.trace and (args.step is not None or args.window is not None):
+        # the trace files fix their own sampling; a manifest that records
         # other values would misdescribe the run
         raise SpecError("step and window do not apply to --trace: "
                         "the traces carry their own sampling")
-    if settings["format"] not in ("json", "csv"):
-        raise SpecError(f"format must be json or csv, got {settings['format']!r}")
     started = _now()
-    out_dir = Path(settings["out"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if spec_path:
-        source = ChainSpec.from_json(spec_path)
-        inputs = [str(spec_path)]
+    if args.spec:
+        source = ChainSpec.from_json(args.spec)
+        inputs = [str(args.spec)]
+        config = _build_config(args)
     else:
-        source = TraceBundle.from_metadata([read_trace(p) for p in trace_paths])
-        inputs = [str(p) for p in trace_paths]
-    config = _build_config(settings)
+        source = TraceBundle.from_metadata([read_trace(p) for p in args.trace])
+        inputs = [str(p) for p in args.trace]
+        # a bundle takes no config: a given sigma replaces the sidecars'
+        noise = _build_config(args).noise
+        if noise is not None:
+            source = replace(source, noise_sigma=noise.sigma)
+        config = None
 
     result = run_tomography(source, config)
 
     manifest = RunManifest(
         command="run",
         version=__version__,
-        config={**settings, "resolved": config.to_dict()},
+        config={**_flags(args),
+                "resolved": None if config is None else config.to_dict()},
         inputs=inputs,
-        seed=int(settings.get("seed", 0)),
+        seed=args.seed,
         started=started,
     )
-    if settings["format"] == "csv":
+    if args.format == "csv":
         result_path = out_dir / "result.csv"
         result.to_csv(result_path)
     else:
@@ -236,26 +189,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # "@run.args" reads one argument per line from run.args, in place; a
+    # later setting overrides an earlier one, from a file or a flag
     parser = argparse.ArgumentParser(
         prog="chaintomo",
         description="Reconstruct spin-chain couplings from boundary-spin traces.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_fit_flags: bool) -> None:
         p.add_argument("--spec", help="chain description JSON")
-        p.add_argument("--config", help="JSON file mirroring these flags")
         p.add_argument("--step", type=float, help="sample step in units of 1/J")
         p.add_argument("--window", type=float, help="total window in units of 1/J")
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                       help="additive Gaussian noise level")
-        p.add_argument("--seed", type=int, help="noise seed")
-        p.add_argument("--out", help="output directory (default .)")
+        p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
+                       help="additive Gaussian noise level (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+        p.add_argument("--out", default=".", help="output directory (default .)")
         if with_fit_flags:
             p.add_argument("--trace", action="append", default=[],
                            help="measured trace CSV (repeatable)")
-            p.add_argument("--format", choices=("json", "csv"),
+            p.add_argument("--format", choices=("json", "csv"), default="json",
                            help="result file format (default json)")
 
     p_sim = sub.add_parser("simulate", help="write probe traces for a spec")

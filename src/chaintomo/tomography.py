@@ -41,9 +41,8 @@ class TomographyConfig:
     8*pi, i.e. 200 samples) resolve the slowest line of the reference
     chain with two full periods.  The number of cosines is not a knob:
     an m-link chain has (m+1)//2 lines, plus a dc term when m + 1 is odd.
-    The source type decides what noise means: a ChainSpec is simulated
-    with it; for a TraceBundle its sigma describes the data, so the fit
-    knows its expected residual floor.
+    A config describes how a ChainSpec is simulated; a TraceBundle takes
+    none, since its traces fix the sampling and its noise_sigma the noise.
     """
 
     sample_step: float = math.pi / 25
@@ -86,8 +85,8 @@ class TraceBundle:
     the expected probes and link labels); couplings stay unknown unless a
     ground-truth spec of the same chain is attached.  The truth feeds the
     error columns, and its allow_signed decides whether the recovered
-    magnitudes take its signs.  noise_sigma, the data's noise level, must
-    be finite and nonnegative.
+    magnitudes take its signs.  noise_sigma, the data's noise level, sets
+    the fit's residual floor and must be finite and nonnegative.
     """
 
     model: Model
@@ -181,15 +180,15 @@ class TomographyResult:
     parameters follow chain-traversal order; fits are keyed by the probed
     observable, and so are traces, the signals the fits were made to
     (not serialized).  residual_rms is the worst fit residual across
-    chains.  Serialization is deterministic: identical config and seed
-    give byte-identical JSON.
+    chains.  config is None for an ingested TraceBundle.  Serialization
+    is deterministic: identical config and seed give byte-identical JSON.
     """
 
     model: Model
     n_spins: int
     parameters: tuple[ParameterEstimate, ...]
     fits: dict[str, CosineSumModel]
-    config: TomographyConfig
+    config: TomographyConfig | None
     warnings: tuple[str, ...] = ()
     traces: dict[str, SignalTrace] = field(default_factory=dict)
 
@@ -209,7 +208,7 @@ class TomographyResult:
             "fits": {obs: fit.to_dict() for obs, fit in self.fits.items()},
             "residual_rms": self.residual_rms,
             "warnings": list(self.warnings),
-            "config": self.config.to_dict(),
+            "config": None if self.config is None else self.config.to_dict(),
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -276,30 +275,35 @@ def _simulate_chains(
 def run_tomography(source, config: TomographyConfig | None = None) -> TomographyResult:
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
-    The source type picks the route: a ChainSpec is simulated, a
-    TraceBundle ingested.  Per flux chain: obtain the trace (simulate or
-    look up by probe), fit the cosine sum, recover the links from its
-    spectrum by Lanczos, and label them.  Deterministic for a fixed
-    config and noise seed.  Errors raised inside a stage carry that
-    stage's name.
+    The source type picks the route: a ChainSpec is simulated per config;
+    a TraceBundle is ingested and takes no config, since its traces fix
+    the sampling and its noise_sigma the noise level.  Per flux chain:
+    obtain the trace (simulate or look up by probe), fit the cosine sum,
+    recover the links from its spectrum by Lanczos, and label them.
+    Deterministic for a fixed config and noise seed.  Errors raised inside
+    a stage carry that stage's name; warnings other than
+    TomographyWarning, which goes into the result, reach the caller.
     """
-    config = config or TomographyConfig()
     collected: list[str] = []
 
     with _stage("validate"):
         if isinstance(source, ChainSpec):
+            config = config or TomographyConfig()
             chains = flux_chains(source)
             layout = [(fc.probe, fc.label_map) for fc in chains]
             truth = source
             noise_sigma = config.noise.sigma if config.noise else 0.0
         elif isinstance(source, TraceBundle):
+            if config is not None:
+                raise SpecError(
+                    "a TraceBundle takes no TomographyConfig: its traces fix "
+                    "the sampling and its noise_sigma the noise level"
+                )
             layout = chain_layout(source.model, source.n_spins)
             truth = source.truth
             if truth is not None:
                 validate_spec(truth)
             noise_sigma = source.noise_sigma
-            if config.noise is not None:
-                noise_sigma = config.noise.sigma
         else:
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
@@ -357,6 +361,9 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             for w in caught:
                 if issubclass(w.category, TomographyWarning):
                     collected.append(f"{observable}: {w.message}")
+                else:  # not the pipeline's own: the caller's filters decide
+                    warnings.warn_explicit(w.message, w.category, w.filename,
+                                           w.lineno, source=w.source)
             for (family, k), magnitude in zip(labels, links):
                 estimate = float(magnitude)
                 truth_val = None if truth is None else truth.coupling(family, k)

@@ -196,6 +196,14 @@ class TestChainLayout:
         with pytest.raises(SpecError, match="n_spins"):
             chain_layout(Model.XX, 1)
 
+    @pytest.mark.parametrize("n_spins", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_refuses_a_non_integer_count(self, n_spins):
+        with pytest.raises(SpecError, match="n_spins must be an integer"):
+            chain_layout(Model.XX, n_spins)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert chain_layout(Model.XX, np.int64(3)) == chain_layout(Model.XX, 3)
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):

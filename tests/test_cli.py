@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, config files, outputs, exit codes."""
+"""Command-line interface: subcommands, settings files, outputs, exit codes."""
 
 import json
 import os
@@ -35,6 +35,20 @@ def bench_spec_path(tmp_path):
 
 def _read_json(path):
     return json.loads(path.read_text())
+
+
+def _settings_file(path, *lines):
+    """Write one argument per line; return the argument that reads them."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
+def _exit_code(argv):
+    """main's return value, or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSimulate:
@@ -194,28 +208,52 @@ class TestRunFromTraces:
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, config", [
+    @pytest.mark.parametrize("flags, lines", [
         pytest.param(["--step", "0.5"], None, id="step_flag"),
         pytest.param(["--window", "100"], None, id="window_flag"),
-        pytest.param([], {"window": 100}, id="window_in_config"),
+        pytest.param([], ["--window=100"], id="window_in_config"),
     ])
     def test_sampling_settings_are_refused_with_traces(
-        self, tmp_path, bench_spec_path, capsys, flags, config
+        self, tmp_path, bench_spec_path, capsys, flags, lines
     ):
-        # the trace files fix the sampling; result.json must not record other values
+        # the trace files fix the sampling; the manifest must not record other values
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(bench_spec_path),
                      "--out", str(sim_out)]) == 0
-        if config is not None:
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(config))
-            flags = ["--config", str(config_path)]
+        if lines is not None:
+            flags = [_settings_file(tmp_path / "run.args", *lines)]
         run_out = tmp_path / "run"
         code = main(["run", "--trace", str(sim_out / "trace_x1.csv"),
                      "--out", str(run_out), *flags])
         assert code == 2
         assert "do not apply to --trace" in capsys.readouterr().err
         assert not (run_out / "result.json").exists()
+
+    def test_ingested_result_records_no_config(self, tmp_path, bench_spec_path):
+        # the trace's own sampling is not a TomographyConfig, and the defaults
+        # would misdescribe it
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out),
+                     "--step", "0.1", "--window", "30"]) == 0
+        run_out = tmp_path / "run"
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(run_out)]) == 0
+        assert _read_json(run_out / "result.json")["config"] is None
+        assert _read_json(run_out / "manifest.json")["config"]["resolved"] is None
+
+    def test_noise_sigma_flag_sets_the_bundle_sigma(self, tmp_path, bench_spec_path):
+        # a noisy trace whose sidecar lost its sigma fails the noiseless fit
+        # floor; the flag restores it
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out),
+                     "--noise-sigma", "0.01", "--seed", "3"]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), "noise": None}))
+        trace = str(sim_out / "trace_x1.csv")
+        assert main(["run", "--trace", trace, "--out", str(tmp_path / "a")]) == 3
+        assert main(["run", "--trace", trace, "--noise-sigma", "0.01",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert _read_json(tmp_path / "b" / "result.json")["config"] is None
 
     def test_run_requires_an_input(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path)]) == 2
@@ -236,11 +274,10 @@ class TestRunFromTraces:
 
 class TestConfigFile:
     def test_config_file_mirrors_flags(self, tmp_path, bench_spec_path):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"noise_sigma": 0.01, "seed": 7}))
+        settings = _settings_file(tmp_path / "run.args", "--noise-sigma=0.01", "--seed=7")
         out_cfg = tmp_path / "cfg"
-        assert main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(config_path), "--out", str(out_cfg)]) == 0
+        assert main(["run", "--spec", str(bench_spec_path), settings,
+                     "--out", str(out_cfg)]) == 0
         out_flags = tmp_path / "flags"
         assert main(["run", "--spec", str(bench_spec_path),
                      "--noise-sigma", "0.01", "--seed", "7",
@@ -250,35 +287,46 @@ class TestConfigFile:
         ).read_bytes()
 
     def test_flags_override_the_config_file(self, tmp_path, bench_spec_path):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"noise_sigma": 0.05, "seed": 7}))
+        settings = _settings_file(tmp_path / "run.args", "--noise-sigma=0.05", "--seed=7")
         out = tmp_path / "out"
-        assert main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(config_path), "--noise-sigma", "0.01",
+        assert main(["run", "--spec", str(bench_spec_path), settings,
+                     "--noise-sigma", "0.01", "--out", str(out)]) == 0
+        resolved = _read_json(out / "manifest.json")["config"]["resolved"]
+        assert resolved["noise"] == {"sigma": 0.01, "seed": 7}
+
+    def test_later_lines_override_earlier_ones(self, tmp_path, bench_spec_path):
+        settings = _settings_file(tmp_path / "run.args",
+                                  "--noise-sigma=0.05", "--noise-sigma=0.01")
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(bench_spec_path), settings,
                      "--out", str(out)]) == 0
         resolved = _read_json(out / "manifest.json")["config"]["resolved"]
         assert resolved["noise"]["sigma"] == 0.01
 
-    def test_unknown_config_keys_rejected(self, tmp_path, bench_spec_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"sigma": 0.01}))
-        code = main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(config_path), "--out", str(tmp_path)])
-        assert code == 2
-        assert "unknown keys" in capsys.readouterr().err
-
-    def test_integral_float_settings_are_accepted(self, tmp_path, bench_spec_path):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"seed": 3.0}))
+    def test_manifest_records_the_file_settings(self, tmp_path, bench_spec_path):
+        settings = _settings_file(tmp_path / "run.args", "--noise-sigma=0.01",
+                                  "--seed=7", "--window=30", "--format=csv")
         out = tmp_path / "out"
-        assert main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(config_path), "--out", str(out)]) == 0
-        assert _read_json(out / "manifest.json")["seed"] == 3
+        assert main(["run", "--spec", str(bench_spec_path), settings,
+                     "--out", str(out)]) == 0
+        manifest = _read_json(out / "manifest.json")
+        assert manifest["seed"] == 7
+        config = manifest["config"]
+        assert (config["noise_sigma"], config["seed"]) == (0.01, 7)
+        assert (config["window"], config["step"], config["format"]) == (30.0, None, "csv")
+        assert config["resolved"]["window"] == 30.0
+        assert config["resolved"]["noise"] == {"sigma": 0.01, "seed": 7}
+
+    def test_unknown_config_keys_rejected(self, tmp_path, bench_spec_path, capsys):
+        settings = _settings_file(tmp_path / "run.args", "--sigma=0.01")
+        code = _exit_code(["run", "--spec", str(bench_spec_path), settings,
+                           "--out", str(tmp_path)])
+        assert code == 2
+        assert "unrecognized arguments: --sigma=0.01" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, bench_spec_path):
-        code = main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)])
+        code = _exit_code(["run", "--spec", str(bench_spec_path),
+                           f"@{tmp_path / 'nope.args'}", "--out", str(tmp_path)])
         assert code == 2
 
 
@@ -329,30 +377,29 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("settings", [
-        {"taylor_order": "x"},
-        {"noise_sigma": "abc"},
-        {"window": "big"},
-        {"seed": [1]},
-        {"format": "xml"},
-        {"n_terms": 4.7},
-        {"taylor_order": True},
-        {"n_terms": True},
-        {"seed": 2.5},
-        {"n_terms": float("inf")},
-        {"noise_sigma": float("nan")},
-        {"n_terms": 4},
-    ], ids=["taylor_order", "noise_sigma", "window", "seed", "format",
-            "n_terms_fraction", "taylor_order_bool", "n_terms_bool",
+    @pytest.mark.parametrize("line", [
+        "--taylor-order=3",
+        "--noise-sigma=abc",
+        "--window=big",
+        "--format=xml",
+        "--n-terms=4.7",
+        "--seed=2.5",
+        "--n-terms=inf",
+        "--noise-sigma=nan",
+        "--n-terms=4",
+    ], ids=["taylor_order", "noise_sigma", "window", "format", "n_terms_fraction",
             "seed_fraction", "n_terms_inf", "noise_sigma_nan", "n_terms"])
     def test_malformed_config_value_exits_2(self, tmp_path, bench_spec_path,
-                                            capsys, settings):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(settings))
-        code = main(["run", "--spec", str(bench_spec_path),
-                     "--config", str(config_path), "--out", str(tmp_path / "out")])
+                                            capsys, line):
+        settings = _settings_file(tmp_path / "run.args", line)
+        code = _exit_code(["run", "--spec", str(bench_spec_path), settings,
+                           "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # argparse refuses what it cannot read; a NaN sigma reads as a float
+        # and is refused by the package
+        err = capsys.readouterr().err
+        assert err.startswith("error: " if line == "--noise-sigma=nan" else "usage: ")
+        assert "error: " in err
         assert not (tmp_path / "out" / "result.json").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -32,12 +32,14 @@ def test_cli_lines_run_in_order(tmp_path, monkeypatch):
     (spec_block,) = _blocks("json")
     monkeypatch.chdir(tmp_path)
     ChainSpec.from_dict(json.loads(spec_block)).to_json("spec.json")
+    (settings_block,) = _blocks("text")
+    Path("run.args").write_text(settings_block)
     commands = [
         shlex.split(line, comments=True)
         for block in _blocks("bash")
         for line in block.splitlines()
         if line.startswith("chaintomo ")
     ]
-    assert len(commands) == 3
+    assert len(commands) == 4
     for argv in commands:
         assert cli.main(argv[1:]) == 0, " ".join(argv)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestSimulateMode:
         result = run_tomography(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]))
         assert len(result.parameters) == 6
         assert len(calls) == 1
+
+    def test_foreign_warnings_reach_the_caller(self, monkeypatch):
+        # only TomographyWarnings are collected into result.warnings
+        original = tomography.fit_trace
+
+        def warning_fit(*args, **kwargs):
+            warnings.warn("from inside the fit", RuntimeWarning)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tomography, "fit_trace", warning_fit)
+        with pytest.warns(RuntimeWarning, match="from inside the fit"):
+            result = run_tomography(xx_spec([1.0, 0.8]))
+        assert result.warnings == ()
+
+    @pytest.mark.parametrize("n_spins", [3.0, True], ids=["float", "bool"])
+    def test_non_integer_n_spins_is_refused_at_validate(self, n_spins):
+        with pytest.raises(SpecError, match="n_spins") as exc_info:
+            run_tomography(ChainSpec(Model.XX, n_spins, {"J": [1.0, 0.8]}))
+        assert exc_info.value.stage == "validate"
 
     def test_unknown_source_type_rejected(self):
         with pytest.raises(SpecError, match="ChainSpec or TraceBundle"):
@@ -322,6 +342,25 @@ class TestIngestMode:
             [result.recovered[f"J_{i}"] for i in range(1, 4)], [1.0, 0.8, 1.2],
             atol=1e-6,
         )
+        # the defaults would misdescribe the trace's own sampling
+        assert result.config is None
+        assert json.loads(result.to_json())["config"] is None
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(TomographyConfig(), id="default"),
+        # used to replace the bundle's sigma, dropping the fit floor to 1e-8
+        pytest.param(TomographyConfig(noise=NoiseSpec(0.0)), id="noise_zero"),
+    ])
+    def test_bundle_with_a_config_is_refused(self, config):
+        times = sample_times(TomographyConfig())
+        from chaintomo import spectral_signal
+
+        trace = spectral_signal([1.0, 0.8], times)
+        bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,),
+                             noise_sigma=0.01)
+        with pytest.raises(SpecError, match="takes no TomographyConfig") as exc_info:
+            run_tomography(bundle, config)
+        assert exc_info.value.stage == "validate"
 
     def test_missing_probe_trace_is_an_ingest_error(self, tmp_path):
         spec = xy_spec([1.1, 0.7], [0.9, 1.2])
@@ -457,6 +496,8 @@ class TestIngestMode:
     @pytest.mark.parametrize("model, n_spins", [
         pytest.param("q", 3, id="unknown_model"),
         pytest.param(Model.XX, 1, id="one_spin"),
+        pytest.param(Model.XX, 3.0, id="float_n_spins"),
+        pytest.param(Model.XX, True, id="bool_n_spins"),
     ])
     def test_bundle_chain_is_checked_at_validate(self, model, n_spins):
         times = sample_times(TomographyConfig())
