@@ -142,7 +142,7 @@ class ChainSpec:
         try:
             return cls(
                 model=Model(d["model"]),
-                n_spins=int(d["n_spins"]),
+                n_spins=d["n_spins"],
                 couplings={k: np.asarray(v, dtype=float) for k, v in d["couplings"].items()},
                 allow_signed=bool(d.get("allow_signed", False)),
             )

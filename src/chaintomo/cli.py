@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Two subcommands: `simulate` writes probe traces for a chain description,
-`run` executes the full reconstruction from a spec (simulated) or from
-trace CSVs (ingested).  Settings can also come from a file, one
-`--flag=value` per line, given as `@run.args`.  Every output directory
-gets a RunManifest.
+Two subcommands: `simulate` writes the TraceBundle of a chain
+description, one trace CSV plus metadata sidecar per probe; `run`
+executes the full reconstruction from a spec (simulated into its bundle)
+or from trace CSVs.  Settings can also come from a file, one
+`--flag=value` per line, given as `@run.args` (blank lines are skipped).
+Every output directory gets a RunManifest.
 
 Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
 setting it refuses), 3 pipeline error.
@@ -105,18 +106,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         started=started,
     )
-    meta_common = {
-        "model": spec.model.value,
-        "n_spins": spec.n_spins,
-        "noise": None if config.noise is None else config.noise.to_dict(),
-        "seed": args.seed,
-        "truth_couplings": spec.to_dict()["couplings"],
-        "allow_signed": spec.allow_signed,
-    }
-    for trace in simulate_traces(spec, config):
+    bundle = simulate_traces(spec, config)
+    metadata = bundle.to_metadata()
+    for trace in bundle.traces:
         observable = Observable(trace.probe.observable).value
         path = out_dir / f"trace_{observable}.csv"
-        write_trace(trace, path, meta_common)
+        write_trace(trace, path, metadata)
         manifest.outputs.append(str(path))
         print(f"wrote {path} ({trace.times.size} samples)")
     manifest.finished = _now()
@@ -188,10 +183,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        # a blank line in a settings file is no argument, not an empty one
+        return [arg_line] if arg_line.strip() else []
+
+
 def build_parser() -> argparse.ArgumentParser:
     # "@run.args" reads one argument per line from run.args, in place; a
     # later setting overrides an earlier one, from a file or a flag
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaintomo",
         description="Reconstruct spin-chain couplings from boundary-spin traces.",
         fromfile_prefix_chars="@",

@@ -298,8 +298,9 @@ def _sidecar_path(csv_path: str | Path) -> Path:
 def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None = None) -> Path:
     """Write a trace as `t,value` CSV plus a JSON metadata sidecar.
 
-    The sidecar always records the probe; callers add model, noise, and
-    seed information.  Floats are written with full round-trip precision.
+    The sidecar always records the probe; callers add the chain's fields
+    (TraceBundle.to_metadata).  Floats are written with full round-trip
+    precision.
     """
     csv_path = Path(csv_path)
     rows = zip(trace.times.tolist(), trace.values.tolist())

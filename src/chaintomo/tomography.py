@@ -1,12 +1,14 @@
 """End-to-end pipeline from a chain description or measured traces to
 named coupling estimates.
 
-A ChainSpec source is simulated: one trace per required probe from the
-spectral oracle (optionally with seeded Gaussian noise).  A TraceBundle
-source is ingested: traces measured elsewhere, matched to the required
-probes by observable.  Either way each trace is fitted to a cosine sum,
-the fit is inverted as the spectral measure of the flux chain for its
-links, and the links are mapped back to Hamiltonian parameter names.
+The pipeline reconstructs a TraceBundle: one boundary-spin trace per
+required probe plus what is known of the chain.  A ChainSpec source is
+first simulated into the bundle it describes (spectral-oracle traces,
+optionally with seeded Gaussian noise); a measured bundle comes from
+elsewhere.  Every bundle is ingested the same way: each trace is matched
+to its probe by observable, fitted to a cosine sum, the fit is inverted
+as the spectral measure of the flux chain for its links, and the links
+are mapped back to Hamiltonian parameter names.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_model import (
-    ChainSpec, FluxChain, Model, Observable, chain_layout, flux_chains, parameter_label,
-    validate_spec,
+    ChainSpec, Model, Observable, chain_layout, flux_chains, parameter_label, validate_spec,
 )
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
 from .errors import ChainTomoError, SpecError, TomographyWarning
@@ -79,14 +80,17 @@ class TomographyConfig:
 
 @dataclass(frozen=True, eq=False)
 class TraceBundle:
-    """Measured traces plus the chain identity they came from.
+    """Boundary-spin traces plus the chain identity they came from.
 
-    The model and site count determine the flux-chain structure (and so
-    the expected probes and link labels); couplings stay unknown unless a
+    This is what run_tomography reconstructs, whether the traces were
+    measured or simulated from a ChainSpec (simulate_traces).  The model
+    and site count determine the flux-chain structure (and so the
+    expected probes and link labels); couplings stay unknown unless a
     ground-truth spec of the same chain is attached.  The truth feeds the
     error columns, and its allow_signed decides whether the recovered
     magnitudes take its signs.  noise_sigma, the data's noise level, sets
     the fit's residual floor and must be finite and nonnegative.
+    to_metadata and from_metadata write and read the per-trace sidecar.
     """
 
     model: Model
@@ -108,6 +112,22 @@ class TraceBundle:
                 f"{truth.model.value} chain of {truth.n_spins} spins"
             )
 
+    def to_metadata(self) -> dict:
+        """The sidecar fields its traces share; from_metadata reads them back.
+
+        noise records sigma only: each simulated trace has its own seed.
+        """
+        meta = {
+            "model": Model(self.model).value,
+            "n_spins": self.n_spins,
+            "noise": {"sigma": self.noise_sigma} if self.noise_sigma > 0 else None,
+        }
+        if self.truth is not None:
+            truth = self.truth.to_dict()
+            meta["truth_couplings"] = truth["couplings"]
+            meta["allow_signed"] = truth["allow_signed"]
+        return meta
+
     @classmethod
     def from_metadata(cls, pairs) -> "TraceBundle":
         """Assemble from (SignalTrace, metadata) pairs as read from disk.
@@ -127,32 +147,19 @@ class TraceBundle:
             # convert before the truth block, so a bad field is not named as
             # a malformed chain description
             model = Model(next(iter(models)))
-            n_spins = int(next(iter(counts)))
+            n_spins = next(iter(counts))
+            # chain_layout owns the count check: 3.7 or true is no count
+            chain_layout(model, n_spins)
             sigma = 0.0
             for _, meta in pairs:
                 noise = meta.get("noise")
                 if noise:
                     # checked per sidecar: max() would drop a NaN or negative sigma
                     sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
-            truth = None
-            for _, meta in pairs:
-                if meta.get("truth_couplings"):
-                    truth = ChainSpec.from_dict(
-                        {
-                            "model": meta["model"],
-                            "n_spins": meta["n_spins"],
-                            "couplings": meta["truth_couplings"],
-                            "allow_signed": meta.get("allow_signed", False),
-                        }
-                    )
-                    break
-            return cls(
-                model=model,
-                n_spins=n_spins,
-                traces=tuple(trace for trace, _ in pairs),
-                truth=truth,
-                noise_sigma=sigma,
-            )
+            # the first sidecar with truth couplings describes the truth
+            truth = next((ChainSpec.from_dict({**meta, "couplings": meta["truth_couplings"]})
+                          for _, meta in pairs if meta.get("truth_couplings")), None)
+            return cls(model, n_spins, tuple(trace for trace, _ in pairs), truth, sigma)
         except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
             raise SpecError(f"malformed trace metadata: {exc}") from exc
 
@@ -246,99 +253,88 @@ def sample_times(config: TomographyConfig) -> np.ndarray:
     return config.sample_step * np.arange(n_samples)
 
 
-def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> list[SignalTrace]:
-    """One spectral-oracle trace per required probe, noise per config.
+def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> TraceBundle:
+    """The TraceBundle a spec describes, sampled and noised per config.
 
-    With noise configured, each chain's trace gets an independent stream
-    seeded at noise.seed + chain index, so multi-probe models do not
+    One spectral-oracle trace per required probe, in chain_layout order,
+    with the spec attached as truth and the config's noise sigma as the
+    bundle's.  With noise configured, the trace of chain index i gets its
+    own stream seeded at noise.seed + i, so multi-probe models do not
     share a realization.
     """
-    return _simulate_chains(flux_chains(spec), config or TomographyConfig())
-
-
-def _simulate_chains(
-    chains: list[FluxChain], config: TomographyConfig
-) -> list[SignalTrace]:
+    config = config or TomographyConfig()
+    noise = config.noise
+    sigma = 0.0 if noise is None else noise.sigma
     times = sample_times(config)
     traces = []
-    for index, fc in enumerate(chains):
+    for index, fc in enumerate(flux_chains(spec)):
         trace = spectral_signal(fc, times, fc.probe)
-        if config.noise is not None and config.noise.sigma > 0:
-            per_chain = NoiseSpec(
-                sigma=config.noise.sigma, seed=config.noise.seed + index
-            )
-            trace = add_noise(trace, per_chain)
+        if sigma > 0:
+            trace = add_noise(trace, NoiseSpec(sigma=sigma, seed=noise.seed + index))
         traces.append(trace)
-    return traces
+    return TraceBundle(spec.model, spec.n_spins, tuple(traces), truth=spec,
+                       noise_sigma=sigma)
 
 
 def run_tomography(source, config: TomographyConfig | None = None) -> TomographyResult:
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
-    The source type picks the route: a ChainSpec is simulated per config;
-    a TraceBundle is ingested and takes no config, since its traces fix
-    the sampling and its noise_sigma the noise level.  Per flux chain:
-    obtain the trace (simulate or look up by probe), fit the cosine sum,
-    recover the links from its spectrum by Lanczos, and label them.
-    Deterministic for a fixed config and noise seed.  Errors raised inside
-    a stage carry that stage's name; warnings other than
-    TomographyWarning, which goes into the result, reach the caller.
+    A ChainSpec is validated and simulated per config into the bundle it
+    describes (simulate_traces); a TraceBundle is taken as it is, and
+    takes no config, since its traces fix the sampling and its
+    noise_sigma the noise level.  Then, per flux chain of the bundle:
+    ingest the trace probing it, fit the cosine sum, recover the links
+    from its spectrum by Lanczos, and label them.  Deterministic for a
+    fixed config and noise seed.  Errors raised inside a stage carry that
+    stage's name; warnings other than TomographyWarning, which goes into
+    the result, reach the caller.
     """
     collected: list[str] = []
 
     with _stage("validate"):
         if isinstance(source, ChainSpec):
             config = config or TomographyConfig()
-            chains = flux_chains(source)
-            layout = [(fc.probe, fc.label_map) for fc in chains]
-            truth = source
-            noise_sigma = config.noise.sigma if config.noise else 0.0
+            spec = validate_spec(source)
         elif isinstance(source, TraceBundle):
             if config is not None:
                 raise SpecError(
                     "a TraceBundle takes no TomographyConfig: its traces fix "
                     "the sampling and its noise_sigma the noise level"
                 )
-            layout = chain_layout(source.model, source.n_spins)
-            truth = source.truth
-            if truth is not None:
-                validate_spec(truth)
-            noise_sigma = source.noise_sigma
+            spec = None
+            if source.truth is not None:
+                validate_spec(source.truth)
         else:
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
             )
-        signed = truth is not None and truth.allow_signed
+        layout = chain_layout(source.model, source.n_spins)
 
-    if isinstance(source, ChainSpec):
+    bundle = source
+    if spec is not None:
         with _stage("simulate"):
-            simulated = _simulate_chains(chains, config)
+            bundle = simulate_traces(spec, config)
+    truth = bundle.truth
+    signed = truth is not None and truth.allow_signed
+    noise_sigma = bundle.noise_sigma
 
     parameters: list[ParameterEstimate] = []
     fits: dict[str, CosineSumModel] = {}
     traces: dict[str, SignalTrace] = {}
 
-    for index, (probe, labels) in enumerate(layout):
+    for probe, labels in layout:
         observable = probe.observable.value
 
-        if isinstance(source, ChainSpec):
-            trace = simulated[index]
-        else:
-            with _stage("ingest"):
-                matching = [
-                    tr
-                    for tr in source.traces
-                    if Observable(tr.probe.observable) is probe.observable
-                ]
-                if len(matching) != 1:
-                    raise SpecError(
-                        f"ingest needs exactly one trace probing {observable}, "
-                        f"got {len(matching)}"
-                    )
-                trace = matching[0].check_physical(
-                    allowance=max(0.1, 6.0 * noise_sigma)
+        with _stage("ingest"):
+            matching = [tr for tr in bundle.traces
+                        if Observable(tr.probe.observable) is probe.observable]
+            if len(matching) != 1:
+                raise SpecError(
+                    f"ingest needs exactly one trace probing {observable}, "
+                    f"got {len(matching)}"
                 )
-                _check_uniform(trace.times)
+            trace = matching[0].check_physical(allowance=max(0.1, 6.0 * noise_sigma))
+            _check_uniform(trace.times)
         traces[observable] = trace
 
         m = len(labels)
@@ -381,8 +377,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 )
 
     return TomographyResult(
-        model=Model(source.model),
-        n_spins=source.n_spins,
+        model=Model(bundle.model),
+        n_spins=bundle.n_spins,
         parameters=tuple(parameters),
         fits=fits,
         config=config,

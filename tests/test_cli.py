@@ -72,6 +72,22 @@ class TestSimulate:
         assert str(trace_path) in manifest["outputs"]
         assert "wrote" in capsys.readouterr().out
 
+    def test_sidecars_state_only_their_own_noise(self, tmp_path):
+        # trace_y1's noise is drawn with seed 8 (seed + chain index), so a
+        # sidecar that recorded seed 7 misdescribed it
+        spec_path = tmp_path / "xy.json"
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out),
+                     "--noise-sigma", "0.01", "--seed", "7"]) == 0
+        for observable in ("x1", "y1"):
+            meta = _read_json(out / f"trace_{observable}.meta.json")
+            assert meta["noise"] == {"sigma": 0.01}
+            assert "seed" not in meta
+        manifest = _read_json(out / "manifest.json")
+        assert manifest["seed"] == 7
+        assert manifest["config"]["resolved"]["noise"] == {"sigma": 0.01, "seed": 7}
+
     def test_step_flag_is_honored(self, tmp_path, bench_spec_path):
         out = tmp_path / "out"
         code = main([
@@ -186,6 +202,23 @@ class TestRunFromTraces:
         for a, b in zip(ingest, direct):
             assert a["parameter"] == b["parameter"]
             assert a["estimate"] == pytest.approx(b["estimate"], abs=1e-12)
+
+    def test_noisy_xy_traces_match_the_spec_run(self, tmp_path):
+        spec_path = tmp_path / "xy.json"
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
+        noise = ["--noise-sigma", "0.01", "--seed", "7"]
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out),
+                     *noise]) == 0
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--trace", str(sim_out / "trace_y1.csv"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "direct"),
+                     *noise]) == 0
+        ingest = _read_json(tmp_path / "run" / "result.json")
+        direct = _read_json(tmp_path / "direct" / "result.json")
+        assert ingest["parameters"] == direct["parameters"]
+        assert ingest["fits"] == direct["fits"]
 
     def test_repeated_calls_do_not_share_trace_lists(self, tmp_path, bench_spec_path):
         # the parser is built once per process; --trace appends must not leak
@@ -317,6 +350,16 @@ class TestConfigFile:
         assert config["resolved"]["window"] == 30.0
         assert config["resolved"]["noise"] == {"sigma": 0.01, "seed": 7}
 
+    def test_blank_lines_are_skipped(self, tmp_path, bench_spec_path):
+        # argparse reads a blank line as an empty argument by default
+        settings = _settings_file(tmp_path / "run.args", "", "--noise-sigma=0.01",
+                                  "   ", "--seed=7", "")
+        out = tmp_path / "out"
+        assert _exit_code(["run", "--spec", str(bench_spec_path), settings,
+                           "--out", str(out)]) == 0
+        resolved = _read_json(out / "manifest.json")["config"]["resolved"]
+        assert resolved["noise"] == {"sigma": 0.01, "seed": 7}
+
     def test_unknown_config_keys_rejected(self, tmp_path, bench_spec_path, capsys):
         settings = _settings_file(tmp_path / "run.args", "--sigma=0.01")
         code = _exit_code(["run", "--spec", str(bench_spec_path), settings,
@@ -376,6 +419,24 @@ class TestErrors:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
+    def test_non_integer_n_spins_in_json_exits_2(self, tmp_path, capsys, n_spins):
+        # int() used to read 3.7 as a 3-spin chain, on both JSON routes
+        spec = {"model": "xx", "n_spins": n_spins, "couplings": {"J": [1.0, 0.8]}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "a")]) == 2
+        assert "n_spins must be an integer" in capsys.readouterr().err
+        sim_out = tmp_path / "sim"
+        xx_spec([1.0, 0.8]).to_json(spec_path)
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out)]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), "n_spins": n_spins}))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "b")]) == 2
+        assert "n_spins must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "--taylor-order=3",

@@ -174,7 +174,7 @@ class TestRefineFit:
     def test_stops_once_a_line_leaves_the_band(self):
         # without the band stop this input ran all 500 steps (about 200 ms)
         spec, config = out_of_band_input()
-        (trace,) = simulate_traces(spec, config)
+        (trace,) = simulate_traces(spec, config).traces
         seed = estimate_spectrum(trace, 6)
         best = refine_fit(trace, seed)
         assert best.iterations <= 2

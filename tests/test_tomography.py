@@ -9,6 +9,7 @@ import pytest
 
 from chaintomo import (
     ChainSpec,
+    ChainTomoError,
     CosineSumModel,
     DegenerateError,
     Model,
@@ -18,15 +19,17 @@ from chaintomo import (
     SpecError,
     TomographyConfig,
     TraceBundle,
+    flux_chains,
     parameter_names,
     read_trace,
     run_tomography,
     sample_times,
     simulate_traces,
+    spectral_signal,
     write_trace,
 )
 from chaintomo import tomography
-from chaintomo.chain_model import Observable, Preparation, Probe
+from chaintomo.chain_model import Observable, Preparation, Probe, chain_layout
 
 from _bench import (
     BENCH_J,
@@ -172,6 +175,16 @@ class TestSimulateMode:
             run_tomography(ChainSpec(Model.XX, n_spins, {"J": [1.0, 0.8]}))
         assert exc_info.value.stage == "validate"
 
+    @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
+    def test_json_n_spins_is_not_truncated(self, n_spins):
+        # from_dict used to pass n_spins through int(): 3.7 ran as 3 spins
+        spec = ChainSpec.from_dict(
+            {"model": "xx", "n_spins": n_spins, "couplings": {"J": [1.0, 0.8]}}
+        )
+        with pytest.raises(SpecError, match="n_spins must be an integer") as exc_info:
+            run_tomography(spec)
+        assert exc_info.value.stage == "validate"
+
     def test_unknown_source_type_rejected(self):
         with pytest.raises(SpecError, match="ChainSpec or TraceBundle"):
             run_tomography(42)
@@ -300,20 +313,26 @@ class TestResultObject:
 def _write_bundle(spec, tmp_path, config=None):
     """Simulate, write to disk, and read back as (trace, meta) pairs."""
     tmp_path.mkdir(parents=True, exist_ok=True)
-    config = config or TomographyConfig()
-    meta = {
-        "model": spec.model.value,
-        "n_spins": spec.n_spins,
-        "noise": None if config.noise is None else config.noise.to_dict(),
-        "truth_couplings": spec.to_dict()["couplings"],
-        "allow_signed": spec.allow_signed,
-    }
+    bundle = simulate_traces(spec, config)
+    meta = bundle.to_metadata()
     pairs = []
-    for trace in simulate_traces(spec, config):
+    for trace in bundle.traces:
         path = tmp_path / f"trace_{trace.probe.observable.value}.csv"
         write_trace(trace, path, meta)
         pairs.append(read_trace(path))
     return pairs
+
+
+def _outcome(source, config=None):
+    """A run's result without its config block, or its error's class, stage
+    and message."""
+    try:
+        result = run_tomography(source, config)
+    except ChainTomoError as exc:
+        return type(exc), exc.stage, str(exc)
+    data = result.to_dict()
+    assert data.pop("config") == (None if config is None else config.to_dict())
+    return data
 
 
 class TestIngestMode:
@@ -324,7 +343,7 @@ class TestIngestMode:
                      id="ising_transverse"),
     ])
     def test_matches_simulation_mode_exactly(self, tmp_path, spec, observables):
-        bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path))
+        bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path / "clean"))
         result = run_tomography(bundle)
         reference = run_tomography(spec)
         assert result.fits.keys() == set(observables)
@@ -333,6 +352,45 @@ class TestIngestMode:
             assert got.name == want.name
             assert got.estimate == pytest.approx(want.estimate, abs=1e-12)
             assert got.truth == want.truth  # carried via the sidecar
+        # the two routes reconstruct the same bundle, so fits, parameters
+        # and errors agree to the bit; only the config differs
+        assert _outcome(bundle) == _outcome(spec, TomographyConfig())
+        noisy = TomographyConfig(noise=NoiseSpec(sigma=1e-2, seed=3))
+        bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path / "noisy", noisy))
+        assert _outcome(bundle) == _outcome(spec, noisy)
+
+    def test_a_spec_simulates_into_the_bundle_it_describes(self):
+        spec = xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6])
+        config = TomographyConfig(noise=NoiseSpec(sigma=1e-2, seed=3))
+        bundle = simulate_traces(spec, config)
+        assert bundle.truth is spec
+        assert bundle.noise_sigma == config.noise.sigma
+        assert (bundle.model, bundle.n_spins) == (spec.model, spec.n_spins)
+        layout = chain_layout(spec.model, spec.n_spins)
+        assert [t.probe for t in bundle.traces] == [probe for probe, _ in layout]
+        # each chain draws its own stream, seeded at seed + chain index
+        times = sample_times(config)
+        for index, trace in enumerate(bundle.traces):
+            clean = spectral_signal(flux_chains(spec)[index], times, trace.probe)
+            noise = np.random.default_rng(3 + index).normal(0.0, 1e-2, times.size)
+            np.testing.assert_array_equal(trace.values, clean.values + noise)
+
+    def test_metadata_round_trips_the_bundle(self):
+        spec = xx_spec([1.0, -0.8, 0.9], allow_signed=True)
+        config = TomographyConfig(noise=NoiseSpec(sigma=1e-2, seed=3))
+        bundle = simulate_traces(spec, config)
+        meta = bundle.to_metadata()
+        # the noise block states sigma only: the seed differs per trace
+        assert meta["noise"] == {"sigma": 0.01}
+        assert "seed" not in meta
+        again = TraceBundle.from_metadata([(t, meta) for t in bundle.traces])
+        assert again.to_metadata() == meta
+        assert (again.model, again.n_spins) == (bundle.model, bundle.n_spins)
+        assert again.noise_sigma == bundle.noise_sigma
+        assert again.truth.to_dict() == spec.to_dict()
+        assert TraceBundle(Model.XX, 4, bundle.traces).to_metadata() == {
+            "model": "xx", "n_spins": 4, "noise": None,
+        }
 
     def test_bundle_is_ingested_without_a_config(self, tmp_path):
         spec = xx_spec([1.0, 0.8, 1.2])
@@ -435,6 +493,13 @@ class TestIngestMode:
         pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
         pairs = [(trace, {**meta, field: value}) for trace, meta in pairs]
         with pytest.raises(SpecError, match="malformed trace metadata"):
+            TraceBundle.from_metadata(pairs)
+
+    @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
+    def test_sidecar_n_spins_is_not_truncated(self, tmp_path, n_spins):
+        pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
+        pairs = [(trace, {**meta, "n_spins": n_spins}) for trace, meta in pairs]
+        with pytest.raises(SpecError, match="n_spins must be an integer"):
             TraceBundle.from_metadata(pairs)
 
     def test_empty_bundle_rejected(self):
