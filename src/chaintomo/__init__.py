@@ -17,7 +17,6 @@ from .chain_model import (
     Probe,
     flux_chains,
     parameter_names,
-    validate_spec,
 )
 from .dynamics import (
     BulkState,
@@ -108,6 +107,5 @@ __all__ = [
     "spectral_signal",
     "statevector_signal",
     "taylor_signal",
-    "validate_spec",
     "write_trace",
 ]

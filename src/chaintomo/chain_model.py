@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -75,31 +76,38 @@ class Probe:
     sign: int
 
     def __post_init__(self):
-        allowed = _PROBE_TABLE[Observable(self.observable)]
-        prep = Preparation(self.preparation)
+        try:
+            observable = Observable(self.observable)
+            prep = Preparation(self.preparation)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "preparation", prep)
+        # True would read as +1, and 1.9 is no sign
+        sign = self.sign
+        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
+            raise SpecError(f"probe sign must be an integer, got {sign!r}")
+        object.__setattr__(self, "sign", int(sign))
+        allowed = _PROBE_TABLE[observable]
         if prep not in allowed:
             raise SpecError(
-                f"preparation {prep.value} is not an eigenstate of {self.observable}"
+                f"preparation {prep.value} is not an eigenstate of {observable.value}"
             )
-        if self.sign != allowed[prep]:
+        if sign != allowed[prep]:
             raise SpecError(
-                f"probe sign {self.sign} inconsistent with preparation {prep.value}"
+                f"probe sign {sign} inconsistent with preparation {prep.value}"
             )
 
     def to_dict(self) -> dict:
         return {
-            "observable": Observable(self.observable).value,
-            "preparation": Preparation(self.preparation).value,
+            "observable": self.observable.value,
+            "preparation": self.preparation.value,
             "sign": self.sign,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Probe":
-        return cls(
-            observable=Observable(d["observable"]),
-            preparation=Preparation(d["preparation"]),
-            sign=int(d["sign"]),
-        )
+        return cls(d["observable"], d["preparation"], d["sign"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +118,11 @@ class ChainSpec:
     array.  With ``allow_signed`` unset all parameters must be strictly
     positive (anti-ferromagnetic convention); setting it relaxes the
     constraint to nonzero, for use when the signs are independently known.
+
+    A spec checks itself when built (model and site count via
+    chain_layout, families, lengths, finiteness, signs) and raises
+    SpecError or ShapeMismatch naming the broken invariant.  Each family
+    is kept as a read-only float copy; the caller's array stays writable.
     """
 
     model: Model
@@ -118,9 +131,44 @@ class ChainSpec:
     allow_signed: bool = False
 
     def __post_init__(self):
-        conv = {k: np.asarray(v, dtype=float) for k, v in self.couplings.items()}
+        if not isinstance(self.allow_signed, bool):
+            raise SpecError(f"allow_signed must be true or false, got {self.allow_signed!r}")
+        layout = chain_layout(self.model, self.n_spins)
         object.__setattr__(self, "model", Model(self.model))
-        object.__setattr__(self, "couplings", conv)
+        object.__setattr__(self, "n_spins", int(self.n_spins))
+        if not isinstance(self.couplings, Mapping):
+            raise SpecError("couplings must map family names to arrays, got a "
+                            f"{type(self.couplings).__name__}")
+        lengths = Counter(family for _, labels in layout for family, _ in labels)
+        if set(self.couplings) != set(lengths):
+            raise ShapeMismatch(
+                f"model {self.model.value} requires coupling families "
+                f"{sorted(lengths)}; got {sorted(self.couplings)}"
+            )
+        conv = {}
+        for fam, want in lengths.items():
+            try:
+                arr = np.array(self.couplings[fam], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"{fam} must hold numbers: {exc}") from exc
+            if arr.ndim != 1 or arr.size != want:
+                raise ShapeMismatch(
+                    f"{fam} must have length {want} for n_spins={self.n_spins}, "
+                    f"got {arr.size}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise SpecError(f"{fam} contains non-finite values")
+            if self.allow_signed:
+                if np.any(arr == 0.0):
+                    raise SpecError(f"{fam} contains a zero coupling (chain disconnects)")
+            elif np.any(arr <= 0.0):
+                raise SpecError(
+                    f"{fam} must be strictly positive (set allow_signed to permit signs)"
+                )
+            arr.flags.writeable = False
+            conv[fam] = arr
+        # the caller's family order is kept, so to_dict writes it back
+        object.__setattr__(self, "couplings", {fam: conv[fam] for fam in self.couplings})
 
     def coupling(self, family: str, index: int) -> float:
         """Value of e.g. ("J", 3) -> J_3.  index is 1-based."""
@@ -140,13 +188,8 @@ class ChainSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ChainSpec":
         try:
-            return cls(
-                model=Model(d["model"]),
-                n_spins=d["n_spins"],
-                couplings={k: np.asarray(v, dtype=float) for k, v in d["couplings"].items()},
-                allow_signed=bool(d.get("allow_signed", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(d["model"], d["n_spins"], d["couplings"], d.get("allow_signed", False))
+        except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed chain description: {exc}") from exc
 
     @classmethod
@@ -251,46 +294,12 @@ def parameter_label(family: str, index: int) -> str:
     return f"{family}_{index}"
 
 
-def validate_spec(spec: ChainSpec) -> ChainSpec:
-    """Check all ChainSpec invariants; return the argument unchanged.
-
-    Raises SpecError (or its subclass ShapeMismatch) naming the violated
-    invariant.
-    """
-    n = spec.n_spins
-    lengths = Counter(
-        family for _, labels in chain_layout(spec.model, n) for family, _ in labels
-    )
-    if set(spec.couplings) != set(lengths):
-        raise ShapeMismatch(
-            f"model {spec.model.value} requires coupling families "
-            f"{sorted(lengths)}; got {sorted(spec.couplings)}"
-        )
-    for fam, want in lengths.items():
-        arr = spec.couplings[fam]
-        if arr.ndim != 1 or arr.size != want:
-            raise ShapeMismatch(
-                f"{fam} must have length {want} for n_spins={n}, got {arr.size}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise SpecError(f"{fam} contains non-finite values")
-        if spec.allow_signed:
-            if np.any(arr == 0.0):
-                raise SpecError(f"{fam} contains a zero coupling (chain disconnects)")
-        elif np.any(arr <= 0.0):
-            raise SpecError(
-                f"{fam} must be strictly positive (set allow_signed to permit signs)"
-            )
-    return spec
-
-
 def flux_chains(spec: ChainSpec) -> list[FluxChain]:
-    """Reduce a validated ChainSpec to its flux chain(s) with probes.
+    """Reduce a ChainSpec to its flux chain(s) with probes.
 
     Each chain's links are the spec's values at the labels chain_layout
     gives, in its traversal order.
     """
-    validate_spec(spec)
     return [
         FluxChain([spec.coupling(fam, k) for fam, k in labels], labels, probe)
         for probe, labels in chain_layout(spec.model, spec.n_spins)

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .chain_model import ChainSpec, Observable
+from .chain_model import ChainSpec
 from .dynamics import NoiseSpec, write_trace, read_trace
 from .errors import ChainTomoError, SpecError
 from .tomography import (
@@ -109,8 +109,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     bundle = simulate_traces(spec, config)
     metadata = bundle.to_metadata()
     for trace in bundle.traces:
-        observable = Observable(trace.probe.observable).value
-        path = out_dir / f"trace_{observable}.csv"
+        path = out_dir / f"trace_{trace.probe.observable.value}.csv"
         write_trace(trace, path, metadata)
         manifest.outputs.append(str(path))
         print(f"wrote {path} ({trace.times.size} samples)")

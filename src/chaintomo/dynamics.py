@@ -21,15 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain_model import (
-    ChainSpec,
-    FluxChain,
-    Model,
-    Observable,
-    Preparation,
-    Probe,
-    validate_spec,
-)
+from .chain_model import ChainSpec, FluxChain, Model, Observable, Preparation, Probe
 from .errors import CapExceeded, EigenError, SpecError
 from .series import delta_coefficients
 
@@ -83,6 +75,7 @@ class NoiseSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise SpecError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     def to_dict(self) -> dict:
         return {"sigma": self.sigma, "seed": self.seed}
@@ -210,12 +203,11 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     n = spec.n_spins
     dim = 2**n
     H = np.zeros((dim, dim), dtype=complex)
-    model = Model(spec.model)
-    if model is Model.XX:
+    if spec.model is Model.XX:
         J = spec.couplings["J"]
         for i in range(1, n):
             H += J[i - 1] * (_pair_term(_SX, _SX, i, n) + _pair_term(_SY, _SY, i, n))
-    elif model is Model.XY:
+    elif spec.model is Model.XY:
         JX, JY = spec.couplings["JX"], spec.couplings["JY"]
         for i in range(1, n):
             H += JX[i - 1] * _pair_term(_SX, _SX, i, n)
@@ -253,7 +245,6 @@ def statevector_signal(
     ``bulk_state``.  Dense eigendecomposition keeps this exact at desk
     scale, hence the site cap STATEVECTOR_CAP.
     """
-    validate_spec(spec)
     n = spec.n_spins
     if n > STATEVECTOR_CAP:
         raise CapExceeded(
@@ -265,8 +256,8 @@ def statevector_signal(
         vals, vecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"dense eigensolve failed: {exc}") from exc
-    obs = _site_term(_OBS_MATRIX[Observable(probe.observable)], 1, n)
-    spin1 = _PREP_STATES[Preparation(probe.preparation)]
+    obs = _site_term(_OBS_MATRIX[probe.observable], 1, n)
+    spin1 = _PREP_STATES[probe.preparation]
     rng = np.random.default_rng(bulk_state.seed)
     n_samples = bulk_state.n_samples if bulk_state.kind == "mixed" else 1
     sample_kind = "pure" if bulk_state.kind == "mixed" else bulk_state.kind
@@ -343,6 +334,6 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
         raise SpecError(f"{sidecar}: metadata must identify the probe")
     try:
         probe = Probe.from_dict(meta["probe"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, SpecError) as exc:
         raise SpecError(f"{sidecar}: malformed probe: {exc}") from exc
     return SignalTrace(np.array(times), np.array(values), probe), meta

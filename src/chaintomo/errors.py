@@ -2,9 +2,10 @@
 
 Every error raised by this package derives from :class:`ChainTomoError`.
 Input problems (malformed chain descriptions, bad trace files) raise
-:class:`SpecError`; everything else signals a failure inside a pipeline
-stage and carries a ``stage`` attribute once the orchestrator has tagged
-it.
+:class:`SpecError`.  A ChainSpec, TraceBundle or Probe that breaks an
+invariant raises it when built, outside the pipeline, so its ``stage``
+is None.  An error raised inside a pipeline stage carries that stage's
+name in ``stage`` once the orchestrator has tagged it.
 """
 
 from __future__ import annotations

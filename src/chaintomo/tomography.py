@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_model import (
-    ChainSpec, Model, Observable, chain_layout, flux_chains, parameter_label, validate_spec,
+    ChainSpec, Model, chain_layout, flux_chains, parameter_label,
 )
 from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
 from .errors import ChainTomoError, SpecError, TomographyWarning
@@ -91,6 +91,8 @@ class TraceBundle:
     magnitudes take its signs.  noise_sigma, the data's noise level, sets
     the fit's residual floor and must be finite and nonnegative.
     to_metadata and from_metadata write and read the per-trace sidecar.
+    A bundle checks its chain (chain_layout), noise_sigma and truth when
+    built and raises SpecError if one is wrong.
     """
 
     model: Model
@@ -100,6 +102,9 @@ class TraceBundle:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        chain_layout(self.model, self.n_spins)
+        object.__setattr__(self, "model", Model(self.model))
+        object.__setattr__(self, "n_spins", int(self.n_spins))
         # an infinite or NaN sigma would lift the physical bound and the
         # fit's residual floor, so it is refused as NoiseSpec refuses it
         NoiseSpec(self.noise_sigma)
@@ -118,7 +123,7 @@ class TraceBundle:
         noise records sigma only: each simulated trace has its own seed.
         """
         meta = {
-            "model": Model(self.model).value,
+            "model": self.model.value,
             "n_spins": self.n_spins,
             "noise": {"sigma": self.noise_sigma} if self.noise_sigma > 0 else None,
         }
@@ -144,12 +149,6 @@ class TraceBundle:
                 raise SpecError("traces must agree on one model")
             if len(counts) != 1 or None in counts:
                 raise SpecError("traces must agree on n_spins")
-            # convert before the truth block, so a bad field is not named as
-            # a malformed chain description
-            model = Model(next(iter(models)))
-            n_spins = next(iter(counts))
-            # chain_layout owns the count check: 3.7 or true is no count
-            chain_layout(model, n_spins)
             sigma = 0.0
             for _, meta in pairs:
                 noise = meta.get("noise")
@@ -159,7 +158,8 @@ class TraceBundle:
             # the first sidecar with truth couplings describes the truth
             truth = next((ChainSpec.from_dict({**meta, "couplings": meta["truth_couplings"]})
                           for _, meta in pairs if meta.get("truth_couplings")), None)
-            return cls(model, n_spins, tuple(trace for trace, _ in pairs), truth, sigma)
+            return cls(next(iter(models)), next(iter(counts)),
+                       tuple(trace for trace, _ in pairs), truth, sigma)
         except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
             raise SpecError(f"malformed trace metadata: {exc}") from exc
 
@@ -209,7 +209,7 @@ class TomographyResult:
 
     def to_dict(self) -> dict:
         return {
-            "model": Model(self.model).value,
+            "model": self.model.value,
             "n_spins": self.n_spins,
             "parameters": [p.to_dict() for p in self.parameters],
             "fits": {obs: fit.to_dict() for obs, fit in self.fits.items()},
@@ -279,7 +279,9 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
 def run_tomography(source, config: TomographyConfig | None = None) -> TomographyResult:
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
-    A ChainSpec is validated and simulated per config into the bundle it
+    Both sources checked themselves when built, so the validate stage
+    refuses only an unknown source type and a config given with a
+    TraceBundle.  A ChainSpec is simulated per config into the bundle it
     describes (simulate_traces); a TraceBundle is taken as it is, and
     takes no config, since its traces fix the sampling and its
     noise_sigma the noise level.  Then, per flux chain of the bundle:
@@ -294,29 +296,24 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     with _stage("validate"):
         if isinstance(source, ChainSpec):
             config = config or TomographyConfig()
-            spec = validate_spec(source)
-        elif isinstance(source, TraceBundle):
-            if config is not None:
-                raise SpecError(
-                    "a TraceBundle takes no TomographyConfig: its traces fix "
-                    "the sampling and its noise_sigma the noise level"
-                )
-            spec = None
-            if source.truth is not None:
-                validate_spec(source.truth)
-        else:
+        elif not isinstance(source, TraceBundle):
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
             )
-        layout = chain_layout(source.model, source.n_spins)
+        elif config is not None:
+            raise SpecError(
+                "a TraceBundle takes no TomographyConfig: its traces fix "
+                "the sampling and its noise_sigma the noise level"
+            )
 
     bundle = source
-    if spec is not None:
+    if isinstance(source, ChainSpec):
         with _stage("simulate"):
-            bundle = simulate_traces(spec, config)
+            bundle = simulate_traces(source, config)
     truth = bundle.truth
     signed = truth is not None and truth.allow_signed
     noise_sigma = bundle.noise_sigma
+    layout = chain_layout(bundle.model, bundle.n_spins)
 
     parameters: list[ParameterEstimate] = []
     fits: dict[str, CosineSumModel] = {}
@@ -327,7 +324,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
         with _stage("ingest"):
             matching = [tr for tr in bundle.traces
-                        if Observable(tr.probe.observable) is probe.observable]
+                        if tr.probe.observable is probe.observable]
             if len(matching) != 1:
                 raise SpecError(
                     f"ingest needs exactly one trace probing {observable}, "
@@ -377,7 +374,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 )
 
     return TomographyResult(
-        model=Model(bundle.model),
+        model=bundle.model,
         n_spins=bundle.n_spins,
         parameters=tuple(parameters),
         fits=fits,

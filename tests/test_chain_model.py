@@ -1,5 +1,7 @@
 """Model validation and flux-chain reduction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from chaintomo import (
     SpecError,
     flux_chains,
     parameter_names,
-    validate_spec,
 )
 
 from chaintomo.chain_model import chain_layout
@@ -61,6 +62,24 @@ class TestProbe:
         with pytest.raises(SpecError):
             Probe(Observable.Z1, Preparation.ONE, +1)
 
+    def test_fields_are_stored_as_enums(self):
+        probe = Probe("x1", "plus_x", np.int64(1))
+        assert probe.observable is Observable.X1
+        assert probe.preparation is Preparation.PLUS_X
+        assert type(probe.sign) is int
+
+    @pytest.mark.parametrize("sign", [True, 1.9, 1.0, "1"],
+                             ids=["bool", "fraction", "float", "str"])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(SpecError, match="probe sign must be an integer"):
+            Probe(Observable.X1, Preparation.PLUS_X, sign)
+        with pytest.raises(SpecError, match="probe sign must be an integer"):
+            Probe.from_dict({"observable": "x1", "preparation": "plus_x", "sign": sign})
+
+    def test_unknown_observable_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="Observable"):
+            Probe("q", Preparation.PLUS_X, 1)
+
     def test_dict_round_trip(self):
         probe = Probe(Observable.Y1, Preparation.MINUS_Y, -1)
         again = Probe.from_dict(probe.to_dict())
@@ -70,51 +89,83 @@ class TestProbe:
 
 
 class TestValidateSpec:
+    """A ChainSpec checks its invariants when built."""
+
     def test_accepts_benchmark(self):
         spec = xx_spec(BENCH_J)
-        assert validate_spec(spec) is spec
+        np.testing.assert_array_equal(spec.couplings["J"], BENCH_J)
 
     def test_rejects_single_spin(self):
         with pytest.raises(SpecError, match="n_spins"):
-            validate_spec(ChainSpec(Model.XX, 1, {"J": np.array([])}))
+            ChainSpec(Model.XX, 1, {"J": np.array([])})
 
     def test_rejects_wrong_families(self):
-        spec = ChainSpec(Model.XX, 3, {"JX": np.array([1.0, 1.0])})
         with pytest.raises(ShapeMismatch, match="families"):
-            validate_spec(spec)
+            ChainSpec(Model.XX, 3, {"JX": np.array([1.0, 1.0])})
 
     def test_rejects_extra_family(self):
-        spec = ChainSpec(
-            Model.XX, 3, {"J": np.array([1.0, 1.0]), "B": np.array([1.0])}
-        )
         with pytest.raises(ShapeMismatch):
-            validate_spec(spec)
+            ChainSpec(Model.XX, 3, {"J": np.array([1.0, 1.0]), "B": np.array([1.0])})
 
     def test_rejects_wrong_length(self):
-        spec = ChainSpec(Model.XX, 5, {"J": np.array([1.0, 1.0, 1.0])})
         with pytest.raises(ShapeMismatch, match="length"):
-            validate_spec(spec)
+            ChainSpec(Model.XX, 5, {"J": np.array([1.0, 1.0, 1.0])})
 
     def test_rejects_nonfinite(self):
         with pytest.raises(SpecError, match="finite"):
-            validate_spec(xx_spec([1.0, np.nan]))
+            xx_spec([1.0, np.nan])
 
     def test_rejects_nonpositive_by_default(self):
         with pytest.raises(SpecError, match="positive"):
-            validate_spec(xx_spec([1.0, -0.5]))
+            xx_spec([1.0, -0.5])
         with pytest.raises(SpecError, match="positive"):
-            validate_spec(xx_spec([1.0, 0.0]))
+            xx_spec([1.0, 0.0])
 
     def test_allow_signed_permits_negative_not_zero(self):
-        validate_spec(xx_spec([1.0, -0.5], allow_signed=True))
+        xx_spec([1.0, -0.5], allow_signed=True)
         with pytest.raises(SpecError, match="zero"):
-            validate_spec(xx_spec([1.0, 0.0], allow_signed=True))
+            xx_spec([1.0, 0.0], allow_signed=True)
 
     def test_ising_field_length_is_site_count(self):
-        spec = ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0, 1.0])
-        validate_spec(spec)
+        ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ShapeMismatch):
-            validate_spec(ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0]))
+            ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0])
+
+    def test_couplings_are_read_only(self):
+        spec = xx_spec([1.0, 0.8])
+        with pytest.raises(ValueError):
+            spec.couplings["J"][0] = 0.0
+
+    def test_the_callers_array_is_copied_not_frozen(self):
+        spec = xx_spec(BENCH_J)
+        assert BENCH_J.flags.writeable
+        assert spec.couplings["J"] is not BENCH_J
+
+    def test_stores_python_types(self):
+        spec = ChainSpec("xx", np.int64(3), {"J": [1, 2]})
+        assert spec.model is Model.XX
+        assert type(spec.n_spins) is int
+        assert spec.couplings["J"].dtype == float
+        assert json.loads(json.dumps(spec.to_dict()))["n_spins"] == 3
+
+    @pytest.mark.parametrize("model, couplings, match", [
+        pytest.param(Model.XX, {"J": ["a", 1.0]}, "J must hold numbers", id="string_value"),
+        pytest.param(Model.XX, [1.0, 0.8], "couplings must map", id="list_couplings"),
+        pytest.param("q", {"J": [1.0, 0.8]}, "unknown model", id="unknown_model"),
+    ])
+    def test_malformed_fields_are_spec_errors(self, model, couplings, match):
+        with pytest.raises(SpecError, match=match) as exc_info:
+            ChainSpec(model, 3, couplings)
+        assert exc_info.value.stage is None
+
+    @pytest.mark.parametrize("allow_signed", ["false", 1, None],
+                             ids=["string", "int", "null"])
+    def test_allow_signed_must_be_a_bool(self, allow_signed):
+        # bool("false") is True: J_2 = -0.8 used to pass as signed
+        with pytest.raises(SpecError, match="allow_signed must be true or false"):
+            ChainSpec.from_dict({"model": "xx", "n_spins": 3,
+                                 "couplings": {"J": [1.0, -0.8]},
+                                 "allow_signed": allow_signed})
 
 
 class TestFluxChains:
@@ -169,7 +220,7 @@ class TestFluxChains:
 class TestChainLayout:
     @pytest.mark.parametrize("model, n", _MODELS_AND_SIZES)
     def test_labels_cover_every_parameter_once(self, model, n):
-        spec = validate_spec(_random_spec(model, n, np.random.default_rng(n)))
+        spec = _random_spec(model, n, np.random.default_rng(n))
         labels = [label for _, chain in chain_layout(model, n) for label in chain]
         assert len(labels) == len(set(labels))
         assert set(labels) == {

@@ -438,6 +438,39 @@ class TestErrors:
                      "--out", str(tmp_path / "b")]) == 2
         assert "n_spins must be an integer" in capsys.readouterr().err
 
+    def test_non_bool_allow_signed_exits_2(self, tmp_path, capsys):
+        # bool("false") is True: J_2 = -0.8 used to be recovered as signed
+        spec = {"model": "xx", "n_spins": 3, "couplings": {"J": [1.0, -0.8]},
+                "allow_signed": "false"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "a")]) == 2
+        assert "allow_signed must be true or false" in capsys.readouterr().err
+        sim_out = tmp_path / "sim"
+        xx_spec([1.0, -0.8], allow_signed=True).to_json(spec_path)
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out)]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), "allow_signed": "false"}))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "b")]) == 2
+        assert "malformed trace metadata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sign", [1.9, True], ids=["fraction", "bool"])
+    def test_non_integer_probe_sign_exits_2(self, tmp_path, bench_spec_path,
+                                            capsys, sign):
+        # int() used to read both as +1
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        meta = _read_json(sidecar)
+        sidecar.write_text(json.dumps({**meta, "probe": {**meta["probe"], "sign": sign}}))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "probe sign must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", [
         "--taylor-order=3",
         "--noise-sigma=abc",

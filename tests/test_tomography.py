@@ -171,19 +171,19 @@ class TestSimulateMode:
 
     @pytest.mark.parametrize("n_spins", [3.0, True], ids=["float", "bool"])
     def test_non_integer_n_spins_is_refused_at_validate(self, n_spins):
+        # the spec validates itself when built, outside any pipeline stage
         with pytest.raises(SpecError, match="n_spins") as exc_info:
-            run_tomography(ChainSpec(Model.XX, n_spins, {"J": [1.0, 0.8]}))
-        assert exc_info.value.stage == "validate"
+            ChainSpec(Model.XX, n_spins, {"J": [1.0, 0.8]})
+        assert exc_info.value.stage is None
 
     @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
     def test_json_n_spins_is_not_truncated(self, n_spins):
         # from_dict used to pass n_spins through int(): 3.7 ran as 3 spins
-        spec = ChainSpec.from_dict(
-            {"model": "xx", "n_spins": n_spins, "couplings": {"J": [1.0, 0.8]}}
-        )
         with pytest.raises(SpecError, match="n_spins must be an integer") as exc_info:
-            run_tomography(spec)
-        assert exc_info.value.stage == "validate"
+            ChainSpec.from_dict(
+                {"model": "xx", "n_spins": n_spins, "couplings": {"J": [1.0, 0.8]}}
+            )
+        assert exc_info.value.stage is None
 
     def test_unknown_source_type_rejected(self):
         with pytest.raises(SpecError, match="ChainSpec or TraceBundle"):
@@ -308,6 +308,22 @@ class TestResultObject:
         assert float(estimate) == pytest.approx(1.1, abs=1e-6)
         assert float(truth) == 1.1
         assert float(abs_error) == abs(float(estimate) - 1.1)
+
+    # numpy integers pass the integer checks; each used to reach json.dumps
+    # and fail there with an untyped TypeError
+    def test_numpy_n_spins_serialises(self):
+        spec = ChainSpec(Model.XX, np.int64(3), {"J": [1.0, 0.8]})
+        assert json.loads(run_tomography(spec).to_json())["n_spins"] == 3
+
+    def test_numpy_n_spins_metadata_serialises(self):
+        spec = ChainSpec(Model.XX, np.int64(3), {"J": [1.0, 0.8]})
+        meta = json.loads(json.dumps(simulate_traces(spec).to_metadata()))
+        assert meta["n_spins"] == 3
+
+    def test_numpy_noise_seed_serialises(self):
+        config = TomographyConfig(noise=NoiseSpec(0.01, np.int64(3)))
+        data = json.loads(run_tomography(xx_spec([1.0, 0.8]), config).to_json())
+        assert data["config"]["noise"] == {"sigma": 0.01, "seed": 3}
 
 
 def _write_bundle(spec, tmp_path, config=None):
@@ -488,6 +504,10 @@ class TestIngestMode:
         pytest.param("noise", {"sigma": math.inf}, id="noise-sigma_inf"),
         pytest.param("noise", {"sigma": math.nan}, id="noise-sigma_nan"),
         pytest.param("noise", {"sigma": -0.01}, id="noise-sigma_negative"),
+        # bool() used to read the string "false" as true
+        ("allow_signed", "false"),
+        ("allow_signed", 1),
+        ("allow_signed", None),
     ])
     def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value):
         pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
@@ -568,10 +588,10 @@ class TestIngestMode:
         times = sample_times(TomographyConfig())
         trace = SignalTrace(times, np.cos(times),
                             Probe(Observable.X1, Preparation.PLUS_X, +1))
-        bundle = TraceBundle(model=model, n_spins=n_spins, traces=(trace,))
+        # the bundle validates its chain when built, outside any pipeline stage
         with pytest.raises(SpecError) as exc_info:
-            run_tomography(bundle)
-        assert exc_info.value.stage == "validate"
+            TraceBundle(model=model, n_spins=n_spins, traces=(trace,))
+        assert exc_info.value.stage is None
 
     def test_sidecar_truth_feeds_error_columns(self, tmp_path):
         spec = xx_spec([1.2, 0.9])
