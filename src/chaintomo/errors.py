@@ -77,5 +77,5 @@ class DegenerateError(ChainTomoError):
 
 
 class TomographyWarning(UserWarning):
-    """Non-fatal diagnostics: fitted amplitudes not summing to 1, and
-    (reference invert_couplings only) a radicand clamped at zero."""
+    """The reference invert_couplings clamped a radicand at zero.  The
+    pipeline's own notes are values in TomographyResult.warnings."""

@@ -11,18 +11,18 @@ when the sum of squares stops falling (a relative drop below FTOL), when
 a step is rounding noise (STEP_FLOOR), when a line leaves the band below
 pi/dt, or after MAX_ITER steps.  fit_trace runs the two once and is the
 one place a fit is accepted: it rejects fits that stay above the
-residual floor or put a line at or beyond the Nyquist frequency.
+residual floor or put a line at or beyond the Nyquist frequency.  It
+fits any cosine sum: the amplitudes are not held to sum to 1.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ResolutionError, SpecError, TomographyWarning
+from .errors import ResolutionError, SpecError
 
 # refine_fit stops once a damped step is at most this fraction of
 # |theta|: about 4.5 ulp, so the step only moves rounding noise
@@ -60,7 +60,8 @@ class CosineSumModel:
             raise SpecError("amplitudes and frequencies must match in length")
         if A.size < 1:
             raise SpecError("a cosine-sum model needs at least one term")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(om))):
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(om))
+                and math.isfinite(self.dc or 0.0)):
             raise SpecError("model parameters must be finite")
         if np.any(om < 0):
             raise SpecError("frequencies must be nonnegative")
@@ -132,6 +133,15 @@ def _check_uniform(times: np.ndarray) -> float:
     return float(dt)
 
 
+def _check_sampling(times: np.ndarray, poles: int) -> float:
+    """_check_uniform for a grid of at least 2 * poles + 2 samples: the
+    pencil's Hankel matrix needs `poles` rows under the smallest window."""
+    need = 2 * poles + 2
+    if times.size < need:
+        raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
+    return _check_uniform(times)
+
+
 def _rayleigh(times: np.ndarray) -> float:
     # frequency resolution of the window: one periodogram bin
     return 2.0 * np.pi / (times[-1] - times[0])
@@ -190,11 +200,7 @@ def estimate_spectrum(
     """
     times, values = _times_values(trace)
     poles = 2 * n_terms + (1 if include_dc else 0)
-    # the Hankel matrix needs at least `poles` rows under the smallest window
-    need = 2 * poles + 2
-    if times.size < need:
-        raise SpecError(f"need at least {need} samples to seed {n_terms} terms")
-    dt = _check_uniform(times)
+    dt = _check_sampling(times, poles)
     d_omega = _rayleigh(times)
     n = values.size
     # 6 * poles lags resolve 7- and 11-link chains as well as n // 3 does
@@ -321,8 +327,8 @@ def fit_trace(
     max(1e-8, 2 * noise_sigma).  A refined fit above it, or with a line
     at or above the Nyquist frequency pi/dt (which cannot be told apart
     from its alias), raises ResolutionError: wrong values must not flow
-    silently downstream.  A fitted amplitude sum off 1 by more than the
-    residual allows warns with TomographyWarning.
+    silently downstream.  The amplitudes are not held to any sum:
+    alpha(0) = 1 is the pipeline's to judge (run_tomography).
     """
     times, values = _times_values(trace)
     seed = estimate_spectrum((times, values), n_terms, include_dc=include_dc)
@@ -339,13 +345,5 @@ def fit_trace(
         raise ResolutionError(
             f"fitted line at {best.frequencies[-1]:.3e} rad is at or above the "
             f"Nyquist frequency {nyquist:.3e} rad and cannot be told from its alias"
-        )
-    t0_value = best.amplitude_sum
-    tol = max(1e-6, 5.0 * max(best.residual_rms, noise_sigma))
-    if abs(t0_value - 1.0) > tol:
-        warnings.warn(
-            f"fitted amplitudes sum to {t0_value:.6f}, expected 1",
-            TomographyWarning,
-            stacklevel=2,
         )
     return best

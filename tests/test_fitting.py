@@ -1,5 +1,7 @@
 """Cosine-sum seeding by the matrix pencil, refinement, and the full fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -9,7 +11,6 @@ from chaintomo import (
     NoiseSpec,
     ResolutionError,
     SpecError,
-    TomographyWarning,
     add_noise,
     estimate_spectrum,
     fit_trace,
@@ -49,6 +50,10 @@ class TestCosineSumModel:
             CosineSumModel(np.array([1.0]), np.array([-1.0]))
         with pytest.raises(SpecError):
             CosineSumModel(np.array([np.nan]), np.array([1.0]))
+        # a NaN dc would be written to JSON as a bare NaN
+        for dc in (np.nan, np.inf):
+            with pytest.raises(SpecError, match="finite"):
+                CosineSumModel([1.0], [1.0], dc=dc)
 
     def test_evaluate_and_amplitude_sum(self):
         model = CosineSumModel(np.array([0.6, 0.3]), np.array([1.0, 2.0]), dc=0.1)
@@ -226,10 +231,14 @@ class TestFitTrace:
         fit = fit_trace((trace.times, trace.values), 4)
         assert fit.amplitude_sum == pytest.approx(1.0, abs=1e-6)
 
-    def test_unnormalized_trace_warns(self):
+    def test_unnormalized_trace_is_fitted_as_it_is(self):
+        # the fitter holds the amplitudes to no sum; alpha(0) = 1 is the
+        # pipeline's to judge
         t = _grid()
-        with pytest.warns(TomographyWarning, match="sum"):
-            fit_trace((t, 0.5 * np.cos(2.0 * t)), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_trace((t, 0.5 * np.cos(2.0 * t)), 1)
+        assert fit.amplitude_sum == pytest.approx(0.5, abs=1e-12)
 
     def test_dc_term_of_odd_node_chain(self):
         # 3-node flux chain (1.0, 0.8): zero eigenvalue with weight

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -339,6 +341,16 @@ def _write_bundle(spec, tmp_path, config=None):
     return pairs
 
 
+def _scaled_bundle(factor):
+    """A noiseless 4-spin XX bundle whose x1 trace is scaled by factor."""
+    (trace,) = simulate_traces(xx_spec([1.1, 0.8, 1.3])).traces
+    scaled = SignalTrace(trace.times, factor * trace.values, trace.probe)
+    return TraceBundle(Model.XX, 4, (scaled,))
+
+
+HALF_NOTE = "x1: fitted amplitudes sum to 0.500000, expected 1"
+
+
 def _outcome(source, config=None):
     """A run's result without its config block, or its error's class, stage
     and message."""
@@ -467,6 +479,41 @@ class TestIngestMode:
         with pytest.raises(SpecError, match="uniform") as exc_info:
             run_tomography(bundle)
         assert exc_info.value.stage == "ingest"
+
+    def test_too_short_trace_is_an_ingest_error(self):
+        # a 7-link chain's fit seeds 8 poles, which takes 18 samples
+        trace = spectral_signal([1.0] * 7, np.arange(6) * 0.1)
+        with pytest.raises(SpecError, match="need at least 18 samples") as exc_info:
+            run_tomography(TraceBundle(Model.XX, 8, (trace,)))
+        assert exc_info.value.stage == "ingest"
+
+    def test_unnormalized_trace_is_noted_not_warned(self):
+        # alpha(0) = 1 is judged by the pipeline and reported as a value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_tomography(_scaled_bundle(0.5))
+        assert result.warnings == (HALF_NOTE,)
+        assert json.loads(result.to_json())["warnings"] == [HALF_NOTE]
+        assert run_tomography(_scaled_bundle(1.0)).warnings == ()
+
+    def test_concurrent_runs_keep_their_own_notes(self):
+        # a run keeps no process-wide warning state, so a note can neither
+        # cross into another thread's result nor go missing from its own;
+        # a tiny switch interval makes the threads interleave inside runs
+        clean, scaled = _scaled_bundle(1.0), _scaled_bundle(0.5)
+
+        def notes(bundle):
+            return [run_tomography(bundle).warnings for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                clean_runs, scaled_runs = pool.map(notes, [clean, scaled], timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(clean_runs) == {()}
+        assert set(scaled_runs) == {(HALF_NOTE,)}
 
     def test_duplicate_probe_traces_are_an_ingest_error(self, tmp_path):
         (pair,) = _write_bundle(xx_spec([1.1, 0.7]), tmp_path)
