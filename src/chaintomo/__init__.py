@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fitting import CosineSumModel, estimate_spectrum, fit_trace, refine_fit
 from .series import (
-    DeltaTable,
     delta_coefficients,
     eta_coefficients,
     invert_couplings,
@@ -69,7 +68,6 @@ __all__ = [
     "ChainTomoError",
     "CosineSumModel",
     "DegenerateError",
-    "DeltaTable",
     "EigenError",
     "FluxChain",
     "InsufficientChain",

@@ -141,8 +141,7 @@ def taylor_signal(chain, times, order: int, probe: Probe | None = None) -> Signa
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if order < 0:
         raise ValueError("order must be >= 0")
-    table = delta_coefficients(links, order)
-    d1 = table.entries[0]
+    d1 = delta_coefficients(links, order)[0]
     fact = 1.0
     coeffs = np.empty(order + 1)
     for l in range(order + 1):

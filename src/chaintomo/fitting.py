@@ -97,7 +97,9 @@ class CosineSumModel:
                 for a, w in zip(self.amplitudes, self.frequencies)
             ],
             "dc": None if self.dc is None else float(self.dc),
-            "residual_rms": float(self.residual_rms),
+            # strict JSON has no NaN: a hand-built model's unknown residual is null
+            "residual_rms": float(self.residual_rms)
+            if math.isfinite(self.residual_rms) else None,
             "iterations": int(self.iterations),
         }
 
@@ -107,7 +109,8 @@ class CosineSumModel:
             amplitudes=np.array([term["A"] for term in d["terms"]], dtype=float),
             frequencies=np.array([term["omega"] for term in d["terms"]], dtype=float),
             dc=None if d.get("dc") is None else float(d["dc"]),
-            residual_rms=float(d.get("residual_rms", float("nan"))),
+            residual_rms=float("nan") if d.get("residual_rms") is None
+            else float(d["residual_rms"]),
             iterations=int(d.get("iterations", 0)),
         )
 
@@ -180,10 +183,9 @@ def _shift_matrix(basis: np.ndarray) -> np.ndarray:
     return C + np.outer(v, v @ C) * (1.0 / gap)
 
 
-def estimate_spectrum(
-    trace, n_terms: int, *, include_dc: bool = False
-) -> CosineSumModel:
-    """Seed a cosine-sum model by the matrix pencil (Hua & Sarkar 1990).
+def estimate_spectrum(trace, poles: int) -> CosineSumModel:
+    """Seed a cosine sum with `poles` poles by the matrix pencil
+    (Hua & Sarkar 1990).
 
     A sum of p complex exponentials makes the Hankel matrix of
     the samples rank p; its dominant right-singular subspace is shift
@@ -192,14 +194,15 @@ def estimate_spectrum(
     one-step map comes from it in closed form (_shift_matrix) and the
     seed costs one SVD; a basis whose last row has unit norm leaves the
     map undetermined and raises ResolutionError.  Each cosine contributes
-    a conjugate pair, the dc term a pole at 1.  The estimate is
-    grid-free, so it separates lines closer than one Rayleigh bin.  The
-    n_terms lowest positive frequencies above a quarter bin are kept and
-    the amplitudes (and dc when requested) filled by linear least
-    squares.  Fewer such lines than n_terms raises ResolutionError.
+    a conjugate pair, the dc term a pole at 1, so the model has poles // 2
+    lines plus a dc term when poles is odd.  The estimate is grid-free,
+    so it separates lines closer than one Rayleigh bin.  The poles // 2
+    lowest positive frequencies above a quarter bin are kept and the
+    amplitudes (and dc) filled by linear least squares.  Fewer such
+    lines raises ResolutionError.
     """
     times, values = _times_values(trace)
-    poles = 2 * n_terms + (1 if include_dc else 0)
+    n_terms = poles // 2
     dt = _check_sampling(times, poles)
     d_omega = _rayleigh(times)
     n = values.size
@@ -219,7 +222,7 @@ def estimate_spectrum(
             f"{d_omega:.3g} rad; {n_terms} terms requested"
         )
     freqs = omega[:n_terms]
-    amps, dc, rms = _lstsq_amplitudes(times, values, freqs, include_dc)
+    amps, dc, rms = _lstsq_amplitudes(times, values, freqs, poles % 2 == 1)
     return CosineSumModel(amps, freqs, dc=dc, residual_rms=rms, iterations=0)
 
 
@@ -313,15 +316,11 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
     )
 
 
-def fit_trace(
-    trace,
-    n_terms: int,
-    *,
-    include_dc: bool = False,
-    noise_sigma: float = 0.0,
-) -> CosineSumModel:
-    """Full fit: matrix-pencil seed, then damped refinement.
+def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
+    """Full fit with `poles` poles: matrix-pencil seed, then damped refinement.
 
+    An m-link flux chain has m + 1 nodes, so its trace is fitted with
+    m + 1 poles: poles // 2 lines, plus a dc term when poles is odd.
     This is where a fit is accepted or declined, whichever way the
     refinement stopped.  The acceptable residual floor is
     max(1e-8, 2 * noise_sigma).  A refined fit above it, or with a line
@@ -331,14 +330,14 @@ def fit_trace(
     alpha(0) = 1 is the pipeline's to judge (run_tomography).
     """
     times, values = _times_values(trace)
-    seed = estimate_spectrum((times, values), n_terms, include_dc=include_dc)
+    seed = estimate_spectrum((times, values), poles)
     best = refine_fit((times, values), seed)
     floor = max(1e-8, 2.0 * noise_sigma)
     if best.residual_rms > floor:
         raise ResolutionError(
             f"best fit residual rms {best.residual_rms:.3e} exceeds the "
             f"acceptable floor {floor:.3e}; the window cannot separate "
-            f"{n_terms} lines in this trace"
+            f"{poles // 2} lines in this trace"
         )
     nyquist = np.pi / (times[1] - times[0])
     if best.frequencies[-1] >= nyquist:

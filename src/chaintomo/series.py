@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,27 +66,13 @@ def _links_of(chain) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaTable:
-    """Flux coefficients delta_j^(l) for one chain, up to a max order.
+def delta_coefficients(chain, max_order: int) -> np.ndarray:
+    """The recurrence table of delta_j^(l), l = 0..max_order.
 
-    entries[j-1, l] holds delta_j^(l) for j in 1..m+1, l in 0..max_order.
-    """
-
-    links: np.ndarray
-    entries: np.ndarray
-    max_order: int
-
-    def delta(self, j: int, l: int) -> float:
-        """delta_j^(l) with 1-based node index j."""
-        return float(self.entries[j - 1, l])
-
-
-def delta_coefficients(chain, max_order: int) -> DeltaTable:
-    """Fill the recurrence table for delta_j^(l), l = 0..max_order.
-
-    Accepts a FluxChain or a bare array of link strengths (zeros are
-    permitted here; probing the inversion uses partially zeroed chains).
+    Returns an (m+1) x (max_order+1) array whose row j-1 holds node j:
+    table[j - 1, l] = delta_j^(l).  Accepts a FluxChain or a bare array
+    of link strengths (zeros are permitted here; probing the inversion
+    uses partially zeroed chains).
     """
     links = _links_of(chain)
     if max_order < 0:
@@ -104,13 +89,12 @@ def delta_coefficients(chain, max_order: int) -> DeltaTable:
             cpad[0 : m + 1] * tab[l - 1, 0 : m + 1]
             + cpad[1 : m + 2] * tab[l - 1, 2 : m + 3]
         )
-    return DeltaTable(links=links, entries=tab[:, 1 : m + 2].T.copy(), max_order=max_order)
+    return tab[:, 1 : m + 2].T.copy()
 
 
 def _mu_unchecked(links, n_orders: int) -> np.ndarray:
     """mu_1..mu_K from the recurrence, no link-count precondition."""
-    table = delta_coefficients(links, 2 * n_orders)
-    d1 = table.entries[0]
+    d1 = delta_coefficients(links, 2 * n_orders)[0]
     return np.array(
         [4.0**j * d1[2 * j] / math.factorial(2 * j) for j in range(1, n_orders + 1)]
     )
@@ -153,8 +137,10 @@ def eta_coefficients(fit, n_orders: int) -> np.ndarray:
     )
 
 
-def invert_couplings(eta, n_links: int | None = None) -> np.ndarray:
+def invert_couplings(eta) -> np.ndarray:
     """Solve eta_j = mu_j(c) sequentially for the link magnitudes.
+
+    One link per entry of eta: eta_1..eta_m give c_1..c_m.
 
     At step j the earlier links are already estimated and mu_j is affine
     in c_j^2, so two probe evaluations pin the line: p0 at c_j = 0 and p1
@@ -172,8 +158,6 @@ def invert_couplings(eta, n_links: int | None = None) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=float)
     m = eta.size
-    if n_links is not None and n_links != m:
-        raise ValueError(f"eta has {m} entries but {n_links} links were requested")
     c = np.zeros(m)
     for j in range(1, m + 1):
         probe = np.zeros(j)
@@ -209,11 +193,13 @@ def invert_couplings(eta, n_links: int | None = None) -> np.ndarray:
     return c
 
 
-def spectral_couplings(fit, n_links: int) -> np.ndarray:
+def spectral_couplings(fit) -> np.ndarray:
     """Link magnitudes c_1..c_m of the Jacobi matrix with the fit's spectrum.
 
     The measure has nodes +-omega_k/2 with weight A_k/2 each, plus node 0
     with weight dc when the fit models a constant (an odd node count).
+    A chain has one link fewer than nodes, so the m returned links are
+    counted off the fit: 2n - 1 for n lines, 2n with a dc term.
     Lanczos with full reorthogonalisation on diag(nodes), started from
     the normalised square-root weights, returns the links as its
     off-diagonals; the diagonal vanishes because the measure is
@@ -245,7 +231,8 @@ def spectral_couplings(fit, n_links: int) -> np.ndarray:
             radicand=float(weights[worst]),
         )
     q = np.sqrt(np.maximum(weights, 0.0))
-    basis = np.zeros((nodes.size, n_links + 1))
+    n_links = nodes.size - 1
+    basis = np.zeros((nodes.size, nodes.size))
     basis[:, 0] = q / np.linalg.norm(q)
     threshold = BREAKDOWN_TOL * float(np.max(np.abs(nodes)))
     links = np.zeros(n_links)
@@ -260,7 +247,7 @@ def spectral_couplings(fit, n_links: int) -> np.ndarray:
         if not beta > threshold:
             raise DegenerateError(
                 f"link {j + 1} is unidentifiable: the fitted spectral measure has "
-                f"only {j + 1} distinct nodes of nonzero weight, {n_links + 1} needed",
+                f"only {j + 1} distinct nodes of nonzero weight, {nodes.size} needed",
                 link=j + 1,
             )
         links[j] = beta

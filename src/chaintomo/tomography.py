@@ -40,7 +40,7 @@ class TomographyConfig:
     sample_step and window are in units of 1/J; the defaults (pi/25 and
     8*pi, i.e. 200 samples) resolve the slowest line of the reference
     chain with two full periods.  The number of cosines is not a knob:
-    an m-link chain has (m+1)//2 lines, plus a dc term when m + 1 is odd.
+    the m + 1 nodes of an m-link chain are its fit's poles.
     A config describes how a ChainSpec is simulated; a TraceBundle takes
     none, since its traces fix the sampling and its noise_sigma the noise.
     """
@@ -283,13 +283,15 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     TraceBundle.  A ChainSpec is simulated per config into the bundle it
     describes (simulate_traces); a TraceBundle is taken as it is, and
     takes no config, since its traces fix the sampling and its
-    noise_sigma the noise level.  Then, per flux chain of the bundle:
-    ingest the trace probing it, fit the cosine sum, recover the links
-    from its spectrum by Lanczos, and label them.  Deterministic for a
-    fixed config and noise seed.  Errors raised inside a stage carry that
-    stage's name.  Fitted amplitudes that miss alpha(0) = 1 are noted in
-    result.warnings, as values: a run keeps no process-wide warning state,
-    so it is safe to call from several threads.
+    noise_sigma the noise level.  A bundle trace that no probe of the
+    chain reads is refused at ingest.  Then, per flux chain of the bundle:
+    ingest the trace probing it, fit its m + 1 nodes as poles, recover
+    the links from the fit's spectrum by Lanczos, and label them.
+    Deterministic for a fixed config and noise seed.  Errors raised
+    inside a stage carry that stage's name.  Fitted amplitudes that miss
+    alpha(0) = 1 are noted in result.warnings, as values: a run keeps no
+    process-wide warning state, so it is safe to call from several
+    threads.
     """
     with _stage("validate"):
         if isinstance(source, ChainSpec):
@@ -318,6 +320,17 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     fits: dict[str, CosineSumModel] = {}
     traces: dict[str, SignalTrace] = {}
 
+    with _stage("ingest"):
+        # every trace must feed a probe; one no probe reads would be dropped
+        probed = [probe.observable for probe, _ in layout]
+        for tr in bundle.traces:
+            if tr.probe.observable not in probed:
+                raise SpecError(
+                    f"ingest has no probe for the trace probing {tr.probe.observable.value}: "
+                    f"{bundle.model.value} chains are probed on "
+                    f"{', '.join(o.value for o in probed)} only"
+                )
+
     for probe, labels in layout:
         observable = probe.observable.value
         m = len(labels)
@@ -336,18 +349,13 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         traces[observable] = trace
 
         with _stage("fit"):
-            # fit against +alpha regardless of the preparation's sign; the
-            # m + 1 nodes pair up into (m+1)//2 lines, the odd one out at 0
-            fit = fit_trace(
-                (trace.times, trace.probe.sign * trace.values),
-                (m + 1) // 2,
-                include_dc=m % 2 == 0,
-                noise_sigma=noise_sigma,
-            )
+            # fit against +alpha regardless of the preparation's sign
+            fit = fit_trace((trace.times, trace.probe.sign * trace.values),
+                            m + 1, noise_sigma=noise_sigma)
             fits[observable] = fit
 
         with _stage("invert"):
-            links = spectral_couplings(fit, m)
+            links = spectral_couplings(fit)
 
         with _stage("assemble"):
             # alpha(0) = 1 whatever the bulk state, so the amplitudes must

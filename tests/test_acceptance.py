@@ -225,7 +225,7 @@ def test_ac6_property_suite():
     odd_ok = True
     for _ in range(10):
         table = delta_coefficients(rng.uniform(0.5, 1.5, 7), 14)
-        odd_ok = odd_ok and not np.any(table.entries[0, 1::2])
+        odd_ok = odd_ok and not np.any(table[0, 1::2])
 
     # (e) sequential-solve consistency loop
     worst_inv = 0.0

@@ -231,6 +231,27 @@ class TestRunFromTraces:
             assert main(["run", "--trace", trace, "--out", str(tmp_path / name)]) == 0
             assert _read_json(tmp_path / name / "manifest.json")["inputs"] == [trace]
 
+    def test_trace_no_probe_reads_exits_2(self, tmp_path, capsys):
+        # a y1 trace whose sidecar names an xx chain, which only x1 probes
+        xx_path, xy_path = tmp_path / "xx.json", tmp_path / "xy.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(xx_path)
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(xy_path)
+        for spec_path, out in ((xx_path, "xx"), (xy_path, "xy")):
+            assert main(["simulate", "--spec", str(spec_path),
+                         "--out", str(tmp_path / out)]) == 0
+        y1_sidecar = tmp_path / "xy" / "trace_y1.meta.json"
+        y1_sidecar.write_text(json.dumps({
+            **_read_json(tmp_path / "xx" / "trace_x1.meta.json"),
+            "probe": _read_json(y1_sidecar)["probe"],
+        }))
+        run_out = tmp_path / "run"
+        code = main(["run", "--trace", str(tmp_path / "xx" / "trace_x1.csv"),
+                     "--trace", str(tmp_path / "xy" / "trace_y1.csv"),
+                     "--out", str(run_out)])
+        assert code == 2
+        assert "no probe for the trace probing y1" in capsys.readouterr().err
+        assert not (run_out / "result.json").exists()
+
     def test_spec_and_trace_are_mutually_exclusive(
         self, tmp_path, bench_spec_path, capsys
     ):

@@ -11,10 +11,12 @@ from chaintomo import (
     TomographyWarning,
     delta_coefficients,
     eta_coefficients,
+    fit_trace,
     flux_chains,
     invert_couplings,
     mu_coefficients,
     spectral_couplings,
+    spectral_signal,
 )
 
 from _bench import BENCH_J, ising_spec, mu_closed, xx_spec, xy_spec
@@ -26,13 +28,15 @@ class TestDeltaTable:
         #   delta_1^(0) = 1
         #   delta_2^(1) = +c1,  delta_1^(1) = 0
         #   delta_1^(2) = -c1^2,  delta_3^(2) = -c1 c2
+        # row j - 1 of the table holds node j
         tab = delta_coefficients(np.array([1.3, 0.7]), 2)
-        assert tab.delta(1, 0) == 1.0
-        assert tab.delta(2, 0) == 0.0
-        assert tab.delta(1, 1) == 0.0
-        assert tab.delta(2, 1) == 1.3
-        assert tab.delta(1, 2) == pytest.approx(-1.3**2, abs=1e-15)
-        assert tab.delta(3, 2) == pytest.approx(-1.3 * 0.7, abs=1e-15)
+        assert tab.shape == (3, 3)
+        assert tab[0, 0] == 1.0
+        assert tab[1, 0] == 0.0
+        assert tab[0, 1] == 0.0
+        assert tab[1, 1] == 1.3
+        assert tab[0, 2] == pytest.approx(-1.3**2, abs=1e-15)
+        assert tab[2, 2] == pytest.approx(-1.3 * 0.7, abs=1e-15)
 
     def test_light_cone_entries_are_exact_zeros(self):
         rng = np.random.default_rng(4)
@@ -40,7 +44,7 @@ class TestDeltaTable:
         tab = delta_coefficients(links, 12)
         for j in range(1, 8):
             for l in range(j - 1):
-                assert tab.delta(j, l) == 0.0
+                assert tab[j - 1, l] == 0.0
 
     def test_parity_entries_are_exact_zeros(self):
         # only orders with l - (j-1) even can be reached from node 1
@@ -49,7 +53,7 @@ class TestDeltaTable:
         for j in range(1, 7):
             for l in range(12):
                 if (l - (j - 1)) % 2 == 1:
-                    assert tab.delta(j, l) == 0.0
+                    assert tab[j - 1, l] == 0.0
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -140,12 +144,6 @@ class TestInversion:
         recovered = invert_couplings(mu_coefficients(links, 3))
         np.testing.assert_allclose(recovered, np.abs(links), atol=1e-10)
 
-    def test_n_links_cross_check(self):
-        eta = mu_coefficients(np.array([1.0, 0.8]), 2)
-        invert_couplings(eta, n_links=2)
-        with pytest.raises(ValueError):
-            invert_couplings(eta, n_links=3)
-
     def test_large_negative_radicand_raises(self):
         # mu_1 is strictly negative for any real chain, so eta_1 = +2
         # cannot come from one: the inversion must refuse loudly
@@ -216,7 +214,7 @@ class TestSpectralInversion:
         rng = np.random.default_rng(100 + m)
         for fc in _model_chains(m, rng):
             assert fc.m == m
-            recovered = spectral_couplings(_exact_fit(fc.links), m)
+            recovered = spectral_couplings(_exact_fit(fc.links))
             np.testing.assert_allclose(recovered, np.abs(fc.links), rtol=0, atol=1e-8)
 
     def test_agrees_with_the_taylor_route(self):
@@ -235,7 +233,7 @@ class TestSpectralInversion:
                     dc=None if dc is None else dc / mass,
                 )
                 np.testing.assert_allclose(
-                    spectral_couplings(fit, m),
+                    spectral_couplings(fit),
                     invert_couplings(eta_coefficients(fit, m)),
                     rtol=0,
                     atol=1e-10,
@@ -247,18 +245,34 @@ class TestSpectralInversion:
     ], ids=["amplitude", "dc"])
     def test_negative_weight_is_an_inversion_error(self, fit, weight):
         with pytest.raises(InversionError) as exc_info:
-            spectral_couplings(fit, 4)
+            spectral_couplings(fit)
         assert exc_info.value.link is None
         assert exc_info.value.radicand == pytest.approx(weight)
 
-    @pytest.mark.parametrize("amplitudes, frequencies, n_links, link", [
-        # five links need three lines; two give four nodes
-        ([0.5, 0.3], [1.0, 3.0], 5, 4),
-        ([0.6, 0.0, 0.4], [1.0, 2.0, 3.0], 5, 4),
-        ([0.5, 0.5], [2.0, 2.0], 3, 2),
-    ], ids=["missing-line", "zero-weight", "coincident-lines"])
-    def test_too_few_nodes_is_degenerate(self, amplitudes, frequencies, n_links, link):
+    @pytest.mark.parametrize("amplitudes, frequencies, link", [
+        # six nodes for five links, but one line of zero weight drops two
+        ([0.6, 0.0, 0.4], [1.0, 2.0, 3.0], 4),
+        ([0.5, 0.5], [2.0, 2.0], 2),
+    ], ids=["zero-weight", "coincident-lines"])
+    def test_too_few_nodes_is_degenerate(self, amplitudes, frequencies, link):
         fit = CosineSumModel(np.array(amplitudes), np.array(frequencies))
         with pytest.raises(DegenerateError) as exc_info:
-            spectral_couplings(fit, n_links)
+            spectral_couplings(fit)
         assert exc_info.value.link == link
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_one_count_from_trace_to_links(self, m):
+        # an m-link chain has m + 1 nodes: the fit's poles, which pair into
+        # (m+1)//2 lines plus a dc term when m + 1 is odd, and one node
+        # more than the links the inverter counts off the fit
+        rng = np.random.default_rng(300 + m)
+        times = np.pi / 25 * np.arange(25 * (m + 1))
+        for fc in _model_chains(m, rng):
+            fit = fit_trace(spectral_signal(fc.links, times), m + 1)
+            assert fit.n_terms == (m + 1) // 2
+            assert (fit.dc is not None) == (m % 2 == 0)
+            np.testing.assert_allclose(
+                spectral_couplings(fit), np.abs(fc.links), rtol=0, atol=1e-8
+            )

@@ -522,6 +522,14 @@ class TestIngestMode:
             run_tomography(bundle)
         assert exc_info.value.stage == "ingest"
 
+    def test_trace_no_probe_reads_is_an_ingest_error(self):
+        # an xx chain is probed on x1 only; its y1 trace used to be dropped
+        x1, y1 = simulate_traces(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6])).traces
+        bundle = TraceBundle(Model.XX, 4, (x1, y1))
+        with pytest.raises(SpecError, match="no probe for the trace probing y1") as exc_info:
+            run_tomography(bundle)
+        assert exc_info.value.stage == "ingest"
+
     def test_garbage_trace_fails_in_the_fit_stage(self):
         rng = np.random.default_rng(1)
         times = sample_times(TomographyConfig())
