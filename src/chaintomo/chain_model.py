@@ -304,11 +304,3 @@ def flux_chains(spec: ChainSpec) -> list[FluxChain]:
         FluxChain([spec.coupling(fam, k) for fam, k in labels], labels, probe)
         for probe, labels in chain_layout(spec.model, spec.n_spins)
     ]
-
-
-def parameter_names(spec: ChainSpec) -> tuple[str, ...]:
-    """All parameter display names of a spec, in chain-traversal order."""
-    names: list[str] = []
-    for fc in flux_chains(spec):
-        names.extend(fc.labels)
-    return tuple(names)

@@ -1,12 +1,10 @@
-"""Signal generation: spectral oracle, truncated Taylor, full state vector.
+"""Signal generation and trace I/O: spectral oracle, noise, CSV files.
 
-Three independent routes produce the probed single-spin expectation value.
-The spectral route diagonalizes the flux chain's (m+1)-dimensional
-tridiagonal matrix; the Taylor route truncates the flux expansion; the
-state-vector route evolves the full 2^N chain so the bulk state can be
-anything.  Agreement between the routes is what certifies signs and
-factor-of-two conventions, so none of them may be expressed in terms of
-another.
+spectral_signal diagonalizes the flux chain's (m+1)-dimensional
+tridiagonal matrix, which is how the pipeline simulates a spec.  The
+paper's other two routes, the truncated Taylor series and the full 2^N
+state vector, live in chaintomo.reference, where tests hold this one
+against them.
 """
 
 from __future__ import annotations
@@ -16,14 +14,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .chain_model import ChainSpec, FluxChain, Model, Observable, Preparation, Probe
-from .errors import CapExceeded, EigenError, SpecError
-from .series import delta_coefficients
+from .chain_model import Observable, Preparation, Probe
+from .errors import EigenError, SpecError
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,27 +77,6 @@ class NoiseSpec:
         return {"sigma": self.sigma, "seed": self.seed}
 
 
-@dataclass(frozen=True)
-class BulkState:
-    """How spins 2..N start out in the state-vector simulator.
-
-    kind "product": independent random pure state on each bulk spin;
-    kind "pure": one random pure state of the whole bulk (entangled);
-    kind "mixed": maximally mixed bulk, realized by averaging the signal
-    over ``n_samples`` random pure bulk states.
-    """
-
-    kind: str = "product"
-    seed: int = 0
-    n_samples: int = 20
-
-    def __post_init__(self):
-        if self.kind not in ("product", "pure", "mixed"):
-            raise SpecError(f"unknown bulk state kind: {self.kind}")
-        if self.n_samples < 1:
-            raise SpecError("n_samples must be positive")
-
-
 def _default_probe(chain) -> Probe:
     probe = getattr(chain, "probe", None)
     if probe is None:
@@ -132,146 +107,6 @@ def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     weight = vec[0, :] ** 2
     values = (weight[None, :] * np.cos(2.0 * np.outer(t, lam))).sum(axis=1)
     return SignalTrace(times=t, values=probe.sign * values, probe=probe)
-
-
-def taylor_signal(chain, times, order: int, probe: Probe | None = None) -> SignalTrace:
-    """Truncated flux expansion sum_{l<=order} (2t)^l delta_1^(l) / l!."""
-    links = np.asarray(getattr(chain, "links", chain), dtype=float)
-    probe = probe or _default_probe(chain)
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    d1 = delta_coefficients(links, order)[0]
-    fact = 1.0
-    coeffs = np.empty(order + 1)
-    for l in range(order + 1):
-        if l > 0:
-            fact *= l
-        coeffs[l] = 2.0**l * d1[l] / fact
-    if not np.all(np.isfinite(coeffs)):
-        raise OverflowError("series coefficients overflow before truncation order")
-    values = np.polynomial.polynomial.polyval(t, coeffs)
-    if not np.all(np.isfinite(values)):
-        raise OverflowError("series terms overflow at the requested times")
-    return SignalTrace(times=t, values=probe.sign * values, probe=probe)
-
-
-# most sites statevector_signal evolves: its dense eigensolve holds
-# 2^N x 2^N complex matrices, 256 MiB each at 12 sites
-STATEVECTOR_CAP = 12
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
-
-_PREP_STATES = {
-    Preparation.PLUS_X: np.array([1, 1], dtype=complex) / np.sqrt(2),
-    Preparation.MINUS_X: np.array([1, -1], dtype=complex) / np.sqrt(2),
-    Preparation.PLUS_Y: np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    Preparation.MINUS_Y: np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    Preparation.ZERO: np.array([1, 0], dtype=complex),
-    Preparation.ONE: np.array([0, 1], dtype=complex),
-}
-
-_OBS_MATRIX = {Observable.X1: _SX, Observable.Y1: _SY, Observable.Z1: _SZ}
-
-
-def _kron_all(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
-def _pair_term(a: np.ndarray, b: np.ndarray, i: int, n: int) -> np.ndarray:
-    factors = []
-    for j in range(1, n + 1):
-        if j == i:
-            factors.append(a)
-        elif j == i + 1:
-            factors.append(b)
-        else:
-            factors.append(_ID)
-    return _kron_all(factors)
-
-
-def _site_term(a: np.ndarray, i: int, n: int) -> np.ndarray:
-    return _kron_all([a if j == i else _ID for j in range(1, n + 1)])
-
-
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N Hamiltonian of the model, site 1 = leftmost factor."""
-    n = spec.n_spins
-    dim = 2**n
-    H = np.zeros((dim, dim), dtype=complex)
-    if spec.model is Model.XX:
-        J = spec.couplings["J"]
-        for i in range(1, n):
-            H += J[i - 1] * (_pair_term(_SX, _SX, i, n) + _pair_term(_SY, _SY, i, n))
-    elif spec.model is Model.XY:
-        JX, JY = spec.couplings["JX"], spec.couplings["JY"]
-        for i in range(1, n):
-            H += JX[i - 1] * _pair_term(_SX, _SX, i, n)
-            H += JY[i - 1] * _pair_term(_SY, _SY, i, n)
-    else:
-        JZ, B = spec.couplings["JZ"], spec.couplings["B"]
-        for i in range(1, n):
-            H += JZ[i - 1] * _pair_term(_SZ, _SZ, i, n)
-        for i in range(1, n + 1):
-            H += B[i - 1] * _site_term(_SX, i, n)
-    return H
-
-
-def _bulk_vector(kind: str, n_bulk: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "product":
-        factors = []
-        for _ in range(n_bulk):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            factors.append(v / np.linalg.norm(v))
-        return _kron_all(factors) if factors else np.ones(1, dtype=complex)
-    v = rng.normal(size=2**n_bulk) + 1j * rng.normal(size=2**n_bulk)
-    return v / np.linalg.norm(v)
-
-
-def statevector_signal(
-    spec: ChainSpec,
-    probe: Probe,
-    bulk_state: BulkState,
-    times,
-) -> SignalTrace:
-    """Evolve the full 2^N chain and measure the probed observable.
-
-    Exists to test that the signal does not depend on how spins 2..N
-    start out.  Spin 1 is prepared in probe.preparation; the bulk per
-    ``bulk_state``.  Dense eigendecomposition keeps this exact at desk
-    scale, hence the site cap STATEVECTOR_CAP.
-    """
-    n = spec.n_spins
-    if n > STATEVECTOR_CAP:
-        raise CapExceeded(
-            f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}"
-        )
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    H = build_hamiltonian(spec)
-    try:
-        vals, vecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigenError(f"dense eigensolve failed: {exc}") from exc
-    obs = _site_term(_OBS_MATRIX[probe.observable], 1, n)
-    spin1 = _PREP_STATES[probe.preparation]
-    rng = np.random.default_rng(bulk_state.seed)
-    n_samples = bulk_state.n_samples if bulk_state.kind == "mixed" else 1
-    sample_kind = "pure" if bulk_state.kind == "mixed" else bulk_state.kind
-
-    total = np.zeros(t.size)
-    for _ in range(n_samples):
-        psi0 = np.kron(spin1, _bulk_vector(sample_kind, n - 1, rng))
-        c0 = vecs.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(t, vals))
-        psi_t = (phases * c0[None, :]) @ vecs.T
-        norms = np.einsum("ti,ti->t", psi_t.conj(), psi_t).real
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise EigenError("state norm drifted beyond 1e-9 during evolution")
-        total += np.einsum("ti,ij,tj->t", psi_t.conj(), obs, psi_t).real
-    return SignalTrace(times=t, values=total / n_samples, probe=probe)
 
 
 def add_noise(trace: SignalTrace, noise: NoiseSpec) -> SignalTrace:

@@ -5,7 +5,10 @@ Input problems (malformed chain descriptions, bad trace files) raise
 :class:`SpecError`.  A ChainSpec, TraceBundle or Probe that breaks an
 invariant raises it when built, outside the pipeline, so its ``stage``
 is None.  An error raised inside a pipeline stage carries that stage's
-name in ``stage`` once the orchestrator has tagged it.
+name in ``stage`` once the orchestrator has tagged it.  CapExceeded,
+InsufficientChain and TomographyWarning come only from the reference
+routes in chaintomo.reference, so the package namespace does not export
+them; import them from here.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class ShapeMismatch(SpecError):
 
 
 class CapExceeded(ChainTomoError):
-    """Requested state-vector simulation above STATEVECTOR_CAP sites."""
+    """Requested state-vector simulation above reference.STATEVECTOR_CAP sites."""
 
 
 class EigenError(ChainTomoError):
@@ -45,7 +48,8 @@ class ResolutionError(ChainTomoError):
 
 
 class InsufficientChain(ChainTomoError):
-    """More Taylor orders requested than the chain has links to support."""
+    """More Taylor orders requested than the chain has links to support
+    (reference.mu_coefficients)."""
 
 
 class InversionError(ChainTomoError):
@@ -77,5 +81,5 @@ class DegenerateError(ChainTomoError):
 
 
 class TomographyWarning(UserWarning):
-    """The reference invert_couplings clamped a radicand at zero.  The
+    """reference.invert_couplings clamped a radicand at zero.  The
     pipeline's own notes are values in TomographyResult.warnings."""

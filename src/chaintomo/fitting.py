@@ -18,7 +18,8 @@ fits any cosine sum: the amplitudes are not held to sum to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,14 +83,6 @@ class CosineSumModel:
             out = out + self.dc
         return out
 
-    def sorted_by_frequency(self) -> "CosineSumModel":
-        order = np.argsort(self.frequencies)
-        return replace(
-            self,
-            amplitudes=self.amplitudes[order],
-            frequencies=self.frequencies[order],
-        )
-
     def to_dict(self) -> dict:
         return {
             "terms": [
@@ -138,7 +131,11 @@ def _check_uniform(times: np.ndarray) -> float:
 
 def _check_sampling(times: np.ndarray, poles: int) -> float:
     """_check_uniform for a grid of at least 2 * poles + 2 samples: the
-    pencil's Hankel matrix needs `poles` rows under the smallest window."""
+    pencil's Hankel matrix needs `poles` rows under the smallest window.
+    The pole count must be an integer of at least 2, one cosine line; a
+    bool, which would read as 1, is refused like a float."""
+    if isinstance(poles, bool) or not isinstance(poles, numbers.Integral) or poles < 2:
+        raise SpecError(f"the pole count must be an integer of at least 2, got {poles!r}")
     need = 2 * poles + 2
     if times.size < need:
         raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
@@ -202,8 +199,8 @@ def estimate_spectrum(trace, poles: int) -> CosineSumModel:
     lines raises ResolutionError.
     """
     times, values = _times_values(trace)
-    n_terms = poles // 2
     dt = _check_sampling(times, poles)
+    n_terms = poles // 2
     d_omega = _rayleigh(times)
     n = values.size
     # 6 * poles lags resolve 7- and 11-link chains as well as n // 3 does

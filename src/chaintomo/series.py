@@ -1,48 +1,18 @@
-"""Information-flux recurrence, Taylor coefficients, and the inversions.
+"""The pipeline's inversion: links from the fitted spectrum by Lanczos.
 
-The probed signal has the exact expansion
-
-    alpha_1(t) = sum_l (2t)^l / l! * delta_1^(l),
-
-where the flux coefficients obey the two-term recurrence
-
-    delta_j^(l) = (-1)^j [ c_{j-1} delta_{j-1}^(l-1) + c_j delta_{j+1}^(l-1) ],
-
-with boundary convention c_0 = c_{m+1} = 0 and initial condition
-delta_j^(0) = 1 for j = 1, else 0.  Odd orders of delta_1 vanish, so
-
-    alpha_1(t) = 1 + sum_j mu_j t^{2j},    mu_j = 2^{2j} delta_1^(2j) / (2j)!
-
-Two structural facts drive the paper's inversion: the light cone (order
-l reaches at most node l+1, so mu_j depends only on links c_1..c_j) and
-affinity (mu_j is affine in c_j^2 once c_1..c_{j-1} are fixed, because
-exactly one order-2j round trip reaches link j).  Matching mu_j against
-the fitted coefficients eta_j therefore solves for one new link per
-order (invert_couplings).  That is a Hankel moment inversion whose
-conditioning grows like (2j)!/4^j, so it stays the reference route that
-certifies the conventions.
-
-The pipeline inverts the fitted spectrum directly (spectral_couplings).
 The fitted cosine sum is the spectral measure of the flux chain's
 zero-diagonal Jacobi matrix seen from node 1: nodes +-omega_k/2 with
 weight A_k/2 each, plus node 0 with the dc weight.  Lanczos on that
 measure rebuilds the Jacobi matrix, whose off-diagonals are the links
-(de Boor & Golub 1978; Gragg & Harrod 1984).
+(de Boor & Golub 1978; Gragg & Harrod 1984).  The paper's Taylor-matching
+inversion is kept as a reference in chaintomo.reference.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 
-from .errors import (
-    DegenerateError,
-    InsufficientChain,
-    InversionError,
-    TomographyWarning,
-)
+from .errors import DegenerateError, InversionError
 
 # tolerances of spectral_couplings, relative to the total weight and to
 # the spectral radius: a negative weight within WEIGHT_TOL is rounding in
@@ -50,147 +20,6 @@ from .errors import (
 # out of nodes (no link exceeds the radius, and a real one is not 1e-8 of it)
 WEIGHT_TOL = 1e-8
 BREAKDOWN_TOL = 1e-8
-# tolerances of invert_couplings: a squared link down to -RADICAND_TOL is
-# rounding and clamps to zero; a slope of the order-2j coefficient in c_j^2
-# within DEGENERACY_TOL of the coefficient is lost to rounding
-RADICAND_TOL = 1e-8
-DEGENERACY_TOL = 1e-14
-
-
-def _links_of(chain) -> np.ndarray:
-    """Accept a FluxChain or a bare 1-D array of link strengths."""
-    links = getattr(chain, "links", chain)
-    arr = np.asarray(links, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("links must be one-dimensional")
-    return arr
-
-
-def delta_coefficients(chain, max_order: int) -> np.ndarray:
-    """The recurrence table of delta_j^(l), l = 0..max_order.
-
-    Returns an (m+1) x (max_order+1) array whose row j-1 holds node j:
-    table[j - 1, l] = delta_j^(l).  Accepts a FluxChain or a bare array
-    of link strengths (zeros are permitted here; probing the inversion
-    uses partially zeroed chains).
-    """
-    links = _links_of(chain)
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    m = links.size
-    cpad = np.zeros(m + 2)
-    cpad[1 : m + 1] = links
-    # tab[l, j] = delta_j^(l); ghost columns j=0 and j=m+2 stay zero
-    tab = np.zeros((max_order + 1, m + 3))
-    tab[0, 1] = 1.0
-    sign = (-1.0) ** np.arange(1, m + 2)
-    for l in range(1, max_order + 1):
-        tab[l, 1 : m + 2] = sign * (
-            cpad[0 : m + 1] * tab[l - 1, 0 : m + 1]
-            + cpad[1 : m + 2] * tab[l - 1, 2 : m + 3]
-        )
-    return tab[:, 1 : m + 2].T.copy()
-
-
-def _mu_unchecked(links, n_orders: int) -> np.ndarray:
-    """mu_1..mu_K from the recurrence, no link-count precondition."""
-    d1 = delta_coefficients(links, 2 * n_orders)[0]
-    return np.array(
-        [4.0**j * d1[2 * j] / math.factorial(2 * j) for j in range(1, n_orders + 1)]
-    )
-
-
-def mu_coefficients(chain, n_orders: int) -> np.ndarray:
-    """Taylor coefficients mu_1..mu_K of the chain's signal.
-
-    Requires m >= K: by the light cone, mu_j carries information about
-    links 1..j only, so orders beyond the link count determine nothing new.
-    """
-    links = _links_of(chain)
-    if links.size < n_orders:
-        raise InsufficientChain(
-            f"{n_orders} orders requested but chain has only {links.size} links"
-        )
-    return _mu_unchecked(links, n_orders)
-
-
-def eta_coefficients(fit, n_orders: int) -> np.ndarray:
-    """Taylor coefficients eta_1..eta_K of a fitted cosine sum.
-
-    For sum_i A_i cos(omega_i t) the t^{2j} coefficient is
-
-        eta_j = (-1)^j / (2j)! * sum_i A_i omega_i^(2j),
-
-    linear in each amplitude.  A dc term contributes only at order zero,
-    so it never enters.  ``fit`` is a CosineSumModel or any object with
-    ``amplitudes`` and ``frequencies`` arrays.
-    """
-    A = np.asarray(fit.amplitudes, dtype=float)
-    om = np.asarray(fit.frequencies, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(om))):
-        raise ValueError("fit parameters must be finite")
-    return np.array(
-        [
-            (-1.0) ** j / math.factorial(2 * j) * float(np.sum(A * om ** (2 * j)))
-            for j in range(1, n_orders + 1)
-        ]
-    )
-
-
-def invert_couplings(eta) -> np.ndarray:
-    """Solve eta_j = mu_j(c) sequentially for the link magnitudes.
-
-    One link per entry of eta: eta_1..eta_m give c_1..c_m.
-
-    At step j the earlier links are already estimated and mu_j is affine
-    in c_j^2, so two probe evaluations pin the line: p0 at c_j = 0 and p1
-    at c_j = 1, links beyond j set to zero (legal by the light cone).
-    Then c_j = sqrt((eta_j - p0)/(p1 - p0)).  Returns positive roots;
-    signs are applied downstream by the caller when they are known.
-
-    Small negative radicands (within RADICAND_TOL) are clamped to zero
-    with a warning; larger ones raise InversionError flagging a fit
-    inconsistency.  A slope |p1 - p0| at most DEGENERACY_TOL times |p1|
-    makes this link unidentifiable: DegenerateError.  The slope is
-    exactly zero when an earlier link was estimated at zero; otherwise
-    the single round trip that reaches link j is lost to rounding among
-    all the others of order 2j, as happens for long chains.
-    """
-    eta = np.asarray(eta, dtype=float)
-    m = eta.size
-    c = np.zeros(m)
-    for j in range(1, m + 1):
-        probe = np.zeros(j)
-        probe[: j - 1] = c[: j - 1]
-        p0 = _mu_unchecked(probe, j)[-1]
-        probe[j - 1] = 1.0
-        p1 = _mu_unchecked(probe, j)[-1]
-        if abs(p1 - p0) <= DEGENERACY_TOL * abs(p1):
-            if np.any(c[: j - 1] == 0.0):
-                cause = "an earlier link was estimated at zero"
-            else:
-                cause = (
-                    f"its slope {abs(p1 - p0):.3e} in the order-{2 * j} coefficient "
-                    f"{p1:.3e} is lost to rounding"
-                )
-            raise DegenerateError(f"link {j} is unidentifiable: {cause}", link=j)
-        ratio = (eta[j - 1] - p0) / (p1 - p0)
-        if ratio < -RADICAND_TOL:
-            raise InversionError(
-                f"link {j}: squared coupling came out {ratio:.3e}; "
-                "the fit is inconsistent with a chain of this length",
-                link=j,
-                radicand=ratio,
-            )
-        if ratio < 0.0:
-            warnings.warn(
-                f"link {j}: radicand {ratio:.3e} clamped to zero",
-                TomographyWarning,
-                stacklevel=2,
-            )
-            ratio = 0.0
-        c[j - 1] = math.sqrt(ratio)
-    return c
 
 
 def spectral_couplings(fit) -> np.ndarray:

@@ -30,7 +30,8 @@ from .fitting import CosineSumModel, _check_sampling, fit_trace
 # eta_coefficients and invert_couplings, the paper's Taylor-matching
 # route, are not called here; they stay importable from this module
 # because the benchmark's span tracer looks them up on it by name
-from .series import eta_coefficients, invert_couplings, spectral_couplings  # noqa: F401
+from .reference import eta_coefficients, invert_couplings  # noqa: F401
+from .series import spectral_couplings
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,9 @@ class TraceBundle:
         """Assemble from (SignalTrace, metadata) pairs as read from disk.
 
         Metadata that disagree between traces, or fields of the wrong type
-        or value (the sidecar truth included), raise SpecError.
+        or value (the sidecar truth included), raise SpecError.  A sidecar
+        without truth couplings states no truth; those that state one must
+        agree on its couplings and allow_signed.
         """
         if not pairs:
             raise SpecError("no traces supplied")
@@ -154,9 +157,12 @@ class TraceBundle:
                 if noise:
                     # checked per sidecar: max() would drop a NaN or negative sigma
                     sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
-            # the first sidecar with truth couplings describes the truth
-            truth = next((ChainSpec.from_dict({**meta, "couplings": meta["truth_couplings"]})
-                          for _, meta in pairs if meta.get("truth_couplings")), None)
+            # every sidecar that states a truth must state the same one
+            truths = [ChainSpec.from_dict({**meta, "couplings": meta["truth_couplings"]})
+                      for _, meta in pairs if meta.get("truth_couplings")]
+            if any(t.to_dict() != truths[0].to_dict() for t in truths[1:]):
+                raise SpecError("traces must agree on the truth couplings and allow_signed")
+            truth = truths[0] if truths else None
             return cls(next(iter(models)), next(iter(counts)),
                        tuple(trace for trace, _ in pairs), truth, sigma)
         except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:

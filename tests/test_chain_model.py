@@ -15,7 +15,6 @@ from chaintomo import (
     ShapeMismatch,
     SpecError,
     flux_chains,
-    parameter_names,
 )
 
 from chaintomo.chain_model import chain_layout
@@ -193,7 +192,7 @@ class TestFluxChains:
 
     def test_xy_chains_cover_all_parameters_once(self):
         spec = xy_spec([1.0] * 6, [2.0] * 6)
-        names = parameter_names(spec)
+        names = [label for fc in flux_chains(spec) for label in fc.labels]
         assert len(names) == 12
         assert len(set(names)) == 12
         assert set(names) == {f"JX_{i}" for i in range(1, 7)} | {

@@ -441,6 +441,25 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("truth_couplings", {"JX": [2.0, 0.7, 1.3], "JY": [0.9, 1.2, 0.6]}),
+        ("allow_signed", True),
+    ], ids=["truth_couplings", "allow_signed"])
+    def test_sidecars_disagreeing_on_the_truth_exit_2(self, tmp_path, capsys,
+                                                     field, value):
+        spec_path = tmp_path / "spec.json"
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out)]) == 0
+        capsys.readouterr()
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), field: value}))
+        code = main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--trace", str(sim_out / "trace_y1.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "must agree on the truth" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
     def test_non_integer_n_spins_in_json_exits_2(self, tmp_path, capsys, n_spins):
         # int() used to read 3.7 as a 3-spin chain, on both JSON routes

@@ -8,8 +8,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from chaintomo import (
-    BulkState,
-    CapExceeded,
     EigenError,
     NoiseSpec,
     Probe,
@@ -18,12 +16,16 @@ from chaintomo import (
     SignalTrace,
     SpecError,
     add_noise,
-    build_hamiltonian,
     read_trace,
     spectral_signal,
+    write_trace,
+)
+from chaintomo.errors import CapExceeded
+from chaintomo.reference import (
+    BulkState,
+    build_hamiltonian,
     statevector_signal,
     taylor_signal,
-    write_trace,
 )
 
 from _bench import BENCH_J, ising_spec, xx_spec, xy_spec

@@ -1,6 +1,7 @@
 """Cosine-sum seeding by the matrix pencil, refinement, and the full fit."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -63,12 +64,6 @@ class TestCosineSumModel:
         t = np.array([0.5])
         expected = 0.6 * np.cos(0.5) + 0.3 * np.cos(1.0) + 0.1
         assert model.evaluate(t)[0] == pytest.approx(expected, abs=1e-15)
-
-    def test_sorted_by_frequency(self):
-        model = CosineSumModel(np.array([0.3, 0.7]), np.array([2.0, 1.0]))
-        out = model.sorted_by_frequency()
-        np.testing.assert_array_equal(out.frequencies, [1.0, 2.0])
-        np.testing.assert_array_equal(out.amplitudes, [0.7, 0.3])
 
     def test_dict_round_trip(self):
         model = CosineSumModel(
@@ -304,3 +299,17 @@ class TestFitTrace:
         trace = spectral_signal(BENCH_J, _grid())
         fit = fit_trace(trace, 8)
         assert fit.residual_rms < 1e-12
+
+    @pytest.mark.parametrize("poles", [2.0, 3.5, 0, 1, -1, True, "3"],
+                             ids=["float", "fraction", "zero", "one", "negative", "bool", "str"])
+    @pytest.mark.parametrize("fitter", [fit_trace, estimate_spectrum],
+                             ids=["fit_trace", "estimate_spectrum"])
+    def test_pole_count_must_be_an_integer_of_at_least_two(self, fitter, poles):
+        t = _grid()
+        with pytest.raises(SpecError, match=f"pole count .* got {re.escape(repr(poles))}$"):
+            fitter((t, np.cos(2.0 * t)), poles)
+
+    def test_numpy_integer_pole_count_is_accepted(self):
+        t = _grid()
+        trace = (t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t))
+        assert fit_trace(trace, np.int64(4)).to_dict() == fit_trace(trace, 4).to_dict()

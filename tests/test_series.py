@@ -6,17 +6,18 @@ import pytest
 from chaintomo import (
     CosineSumModel,
     DegenerateError,
-    InsufficientChain,
     InversionError,
-    TomographyWarning,
-    delta_coefficients,
-    eta_coefficients,
     fit_trace,
     flux_chains,
-    invert_couplings,
-    mu_coefficients,
     spectral_couplings,
     spectral_signal,
+)
+from chaintomo.errors import InsufficientChain, TomographyWarning
+from chaintomo.reference import (
+    delta_coefficients,
+    eta_coefficients,
+    invert_couplings,
+    mu_coefficients,
 )
 
 from _bench import BENCH_J, ising_spec, mu_closed, xx_spec, xy_spec

@@ -22,7 +22,6 @@ from chaintomo import (
     TomographyConfig,
     TraceBundle,
     flux_chains,
-    parameter_names,
     read_trace,
     run_tomography,
     sample_times,
@@ -135,7 +134,9 @@ class TestSimulateMode:
     def test_xy_recovers_both_families(self):
         spec = xy_spec([1.1, 0.7, 1.3, 0.9, 1.2], [0.9, 1.2, 0.6, 1.4, 0.8])
         result = run_tomography(spec)
-        assert set(result.recovered) == set(parameter_names(spec))
+        assert set(result.recovered) == {
+            label for fc in flux_chains(spec) for label in fc.labels
+        }
         for p in result.parameters:
             assert p.abs_error < 1e-6
         assert result.fits.keys() == {"x1", "y1"}
@@ -563,12 +564,25 @@ class TestIngestMode:
         ("allow_signed", "false"),
         ("allow_signed", 1),
         ("allow_signed", None),
+        # valid on its own, but the y1 sidecar states another truth
+        pytest.param("truth_couplings", {"JX": [2.0, 0.8], "JY": [0.9, 1.2]},
+                     id="truth_couplings-disagree"),
+        pytest.param("allow_signed", True, id="allow_signed-disagree"),
     ])
     def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value):
-        pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
-        pairs = [(trace, {**meta, field: value}) for trace, meta in pairs]
+        # one bad sidecar spoils the bundle: only the x1 sidecar is edited
+        (x1, x1_meta), y1_pair = _write_bundle(xy_spec([1.1, 0.8], [0.9, 1.2]), tmp_path)
+        pairs = [(x1, {**x1_meta, field: value}), y1_pair]
         with pytest.raises(SpecError, match="malformed trace metadata"):
             TraceBundle.from_metadata(pairs)
+
+    def test_sidecars_without_truth_defer_to_those_with_one(self, tmp_path):
+        spec = xy_spec([1.1, 0.8], [0.9, 1.2])
+        (x1, x1_meta), y1_pair = _write_bundle(spec, tmp_path)
+        x1_meta = {k: v for k, v in x1_meta.items()
+                   if k not in ("truth_couplings", "allow_signed")}
+        bundle = TraceBundle.from_metadata([(x1, x1_meta), y1_pair])
+        assert bundle.truth.to_dict() == spec.to_dict()
 
     @pytest.mark.parametrize("n_spins", [3.7, True, 3.0], ids=["fraction", "bool", "float"])
     def test_sidecar_n_spins_is_not_truncated(self, tmp_path, n_spins):
