@@ -17,7 +17,6 @@ from .chain_model import (
     FluxChain,
     Model,
     Observable,
-    Preparation,
     Probe,
     flux_chains,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "NoiseSpec",
     "Observable",
     "ParameterEstimate",
-    "Preparation",
     "Probe",
     "ResolutionError",
     "ShapeMismatch",

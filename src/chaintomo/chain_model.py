@@ -10,9 +10,9 @@ For each model the Heisenberg-picture operator of a suitable boundary
 observable spreads along an effective linear chain of link strengths
 c_1..c_m (a "flux chain"), and the measured single-spin expectation value
 depends on the Hamiltonian only through those links.  chain_layout
-states, per model, which parameter each link reads and which
-observable/preparation pair probes each chain; parameter validation and
-the reduction to flux chains both read it.
+states, per model, which parameter each link reads and which probe,
+spin 1's preparation, reads each chain; parameter validation and the
+reduction to flux chains both read it.
 
 Physics indexing is 1-based in names (J_1 couples sites 1 and 2); array
 storage is 0-based.
@@ -24,7 +24,7 @@ import json
 import numbers
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -45,7 +45,15 @@ class Observable(str, Enum):
     Z1 = "z1"
 
 
-class Preparation(str, Enum):
+class Probe(str, Enum):
+    """How spin 1 was prepared, which fixes the whole probe.
+
+    Spin 1 starts in an eigenstate of the boundary observable that is
+    then measured, so the preparation alone names the observable and the
+    sign in <O_1>(t) = sign * alpha_1(t): +1 for the +1 eigenstate
+    (plus_x, plus_y, zero), -1 otherwise.
+    """
+
     PLUS_X = "plus_x"
     MINUS_X = "minus_x"
     PLUS_Y = "plus_y"
@@ -53,61 +61,51 @@ class Preparation(str, Enum):
     ZERO = "zero"
     ONE = "one"
 
+    @property
+    def observable(self) -> Observable:
+        return _EIGENSTATES[self][0]
 
-# observable -> {preparation: sign}; the sign is the one carried into
-# <O_1>(t) = sign * alpha_1(t) when spin 1 starts in that eigenstate.
-_PROBE_TABLE = {
-    Observable.X1: {Preparation.PLUS_X: +1, Preparation.MINUS_X: -1},
-    Observable.Y1: {Preparation.PLUS_Y: +1, Preparation.MINUS_Y: -1},
-    Observable.Z1: {Preparation.ZERO: +1, Preparation.ONE: -1},
-}
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Which observable is measured on spin 1 and how spin 1 was prepared.
-
-    The preparation must be an eigenstate of the observable; ``sign`` is +1
-    for the +1 eigenstate (plus_x, plus_y, zero) and -1 otherwise.
-    """
-
-    observable: Observable
-    preparation: Preparation
-    sign: int
-
-    def __post_init__(self):
-        try:
-            observable = Observable(self.observable)
-            prep = Preparation(self.preparation)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-        object.__setattr__(self, "observable", observable)
-        object.__setattr__(self, "preparation", prep)
-        # True would read as +1, and 1.9 is no sign
-        sign = self.sign
-        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
-            raise SpecError(f"probe sign must be an integer, got {sign!r}")
-        object.__setattr__(self, "sign", int(sign))
-        allowed = _PROBE_TABLE[observable]
-        if prep not in allowed:
-            raise SpecError(
-                f"preparation {prep.value} is not an eigenstate of {observable.value}"
-            )
-        if sign != allowed[prep]:
-            raise SpecError(
-                f"probe sign {sign} inconsistent with preparation {prep.value}"
-            )
+    @property
+    def sign(self) -> int:
+        return _EIGENSTATES[self][1]
 
     def to_dict(self) -> dict:
-        return {
-            "observable": self.observable.value,
-            "preparation": self.preparation.value,
-            "sign": self.sign,
-        }
+        """The sidecar block; the file keeps all three fields."""
+        return {"observable": self.observable.value, "preparation": self.value,
+                "sign": self.sign}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Probe":
-        return cls(d["observable"], d["preparation"], d["sign"])
+        """Read a sidecar block; SpecError if its three fields disagree."""
+        observable, preparation, sign = d["observable"], d["preparation"], d["sign"]
+        try:
+            observable = Observable(observable)
+            probe = cls(preparation)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+        # True would read as +1, and 1.9 is no sign
+        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
+            raise SpecError(f"probe sign must be an integer, got {sign!r}")
+        if probe.observable is not observable:
+            raise SpecError(
+                f"preparation {probe.value} is not an eigenstate of {observable.value}"
+            )
+        if sign != probe.sign:
+            raise SpecError(
+                f"probe sign {sign} inconsistent with preparation {probe.value}"
+            )
+        return probe
+
+
+# preparation -> (observable it is an eigenstate of, its eigenvalue)
+_EIGENSTATES = {
+    Probe.PLUS_X: (Observable.X1, +1),
+    Probe.MINUS_X: (Observable.X1, -1),
+    Probe.PLUS_Y: (Observable.Y1, +1),
+    Probe.MINUS_Y: (Observable.Y1, -1),
+    Probe.ZERO: (Observable.Z1, +1),
+    Probe.ONE: (Observable.Z1, -1),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +212,7 @@ class FluxChain:
 
     links: np.ndarray
     label_map: tuple[tuple[str, int], ...]
-    probe: Probe = field(
-        default_factory=lambda: Probe(Observable.X1, Preparation.PLUS_X, +1)
-    )
+    probe: Probe = Probe.PLUS_X
 
     def __post_init__(self):
         arr = np.asarray(self.links, dtype=float)
@@ -249,7 +245,7 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
     exactly once, so the labels also fix each family's length.
 
     XX: the probed X_1 operator spreads through (J_1, ..., J_{N-1});
-    probe (X1, plus_x, +1).
+    probe plus_x.
 
     XY: two chains.  X_1 commutes with X_1 X_2 but not with Y_1 Y_2, so
     the X1-probed cascade starts on JY and alternates: (JY_1, JX_2,
@@ -258,7 +254,7 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
 
     Ising with transverse field: the Z_1 cascade alternates field and
     bond terms, giving (B_1, JZ_1, B_2, JZ_2, ..., B_N) of length 2N-1;
-    probe (Z1, zero, +1).
+    probe zero.
     """
     try:
         model = Model(model)
@@ -272,20 +268,19 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
         raise SpecError(f"n_spins must be at least 2, got {n}")
 
     if model is Model.XX:
-        return [(Probe(Observable.X1, Preparation.PLUS_X, +1),
-                 tuple(("J", k) for k in range(1, n)))]
+        return [(Probe.PLUS_X, tuple(("J", k) for k in range(1, n)))]
 
     if model is Model.XY:
         def alternating(odd: str, even: str):
             return tuple((odd if k % 2 else even, k) for k in range(1, n))
 
         return [
-            (Probe(Observable.X1, Preparation.PLUS_X, +1), alternating("JY", "JX")),
-            (Probe(Observable.Y1, Preparation.PLUS_Y, +1), alternating("JX", "JY")),
+            (Probe.PLUS_X, alternating("JY", "JX")),
+            (Probe.PLUS_Y, alternating("JX", "JY")),
         ]
 
     # transverse-field Ising: B_1, JZ_1, B_2, ..., B_N
-    return [(Probe(Observable.Z1, Preparation.ZERO, +1),
+    return [(Probe.ZERO,
              tuple(("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1)))]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain_model import Observable, Preparation, Probe
+from .chain_model import Probe
 from .errors import EigenError, SpecError
 
 
@@ -77,13 +77,6 @@ class NoiseSpec:
         return {"sigma": self.sigma, "seed": self.seed}
 
 
-def _default_probe(chain) -> Probe:
-    probe = getattr(chain, "probe", None)
-    if probe is None:
-        probe = Probe(Observable.X1, Preparation.PLUS_X, +1)
-    return probe
-
-
 def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     """Exact signal from the flux chain's tridiagonal spectrum.
 
@@ -96,7 +89,7 @@ def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     bare link array; the probe defaults to the chain's own.
     """
     links = np.asarray(getattr(chain, "links", chain), dtype=float)
-    probe = probe or _default_probe(chain)
+    probe = probe or getattr(chain, "probe", Probe.PLUS_X)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(links)):
         raise EigenError("tridiagonal eigensolve failed: links must be finite")
@@ -157,6 +150,8 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
                 values.append(float(row[1]))
             except (IndexError, ValueError) as exc:
                 raise SpecError(f"{csv_path}: malformed row {row!r}") from exc
+    if not times:
+        raise SpecError(f"{csv_path}: trace is empty")
     sidecar = _sidecar_path(csv_path)
     if not sidecar.is_file():
         raise SpecError(f"metadata sidecar not found: {sidecar}")

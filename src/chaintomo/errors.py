@@ -2,9 +2,10 @@
 
 Every error raised by this package derives from :class:`ChainTomoError`.
 Input problems (malformed chain descriptions, bad trace files) raise
-:class:`SpecError`.  A ChainSpec, TraceBundle or Probe that breaks an
-invariant raises it when built, outside the pipeline, so its ``stage``
-is None.  An error raised inside a pipeline stage carries that stage's
+:class:`SpecError`.  A ChainSpec or TraceBundle that breaks an invariant
+raises it when built, and a sidecar probe whose fields disagree when
+Probe.from_dict reads it; both happen outside the pipeline, so its
+``stage`` is None.  An error raised inside a pipeline stage carries that stage's
 name in ``stage`` once the orchestrator has tagged it.  CapExceeded,
 InsufficientChain and TomographyWarning come only from the reference
 routes in chaintomo.reference, so the package namespace does not export

@@ -121,12 +121,15 @@ def _check_uniform(times: np.ndarray) -> float:
     if times.size < 2:
         raise SpecError("a trace needs at least two samples")
     steps = np.diff(times)
-    dt = steps[0]
+    dt = float(steps[0])
+    # a reversed or constant grid has no band edge pi/dt
+    if not (math.isfinite(dt) and dt > 0):
+        raise SpecError(f"trace sampling must be uniform with a positive step, got {dt!r}")
     # written out rather than np.allclose, which costs several times more;
     # the negated <= also rejects NaN steps
-    if not np.max(np.abs(steps - dt)) <= 1e-9 * abs(dt):
+    if not np.max(np.abs(steps - dt)) <= 1e-9 * dt:
         raise SpecError("trace sampling must be uniform")
-    return float(dt)
+    return dt
 
 
 def _check_sampling(times: np.ndarray, poles: int) -> float:

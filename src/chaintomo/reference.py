@@ -48,8 +48,8 @@ from functools import reduce
 
 import numpy as np
 
-from .chain_model import ChainSpec, Model, Observable, Preparation, Probe
-from .dynamics import SignalTrace, _default_probe
+from .chain_model import ChainSpec, Model, Observable, Probe
+from .dynamics import SignalTrace
 from .errors import (
     CapExceeded,
     DegenerateError,
@@ -206,7 +206,7 @@ def invert_couplings(eta) -> np.ndarray:
 def taylor_signal(chain, times, order: int, probe: Probe | None = None) -> SignalTrace:
     """Truncated flux expansion sum_{l<=order} (2t)^l delta_1^(l) / l!."""
     links = np.asarray(getattr(chain, "links", chain), dtype=float)
-    probe = probe or _default_probe(chain)
+    probe = probe or getattr(chain, "probe", Probe.PLUS_X)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -256,12 +256,12 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
 _PREP_STATES = {
-    Preparation.PLUS_X: np.array([1, 1], dtype=complex) / np.sqrt(2),
-    Preparation.MINUS_X: np.array([1, -1], dtype=complex) / np.sqrt(2),
-    Preparation.PLUS_Y: np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    Preparation.MINUS_Y: np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    Preparation.ZERO: np.array([1, 0], dtype=complex),
-    Preparation.ONE: np.array([0, 1], dtype=complex),
+    Probe.PLUS_X: np.array([1, 1], dtype=complex) / np.sqrt(2),
+    Probe.MINUS_X: np.array([1, -1], dtype=complex) / np.sqrt(2),
+    Probe.PLUS_Y: np.array([1, 1j], dtype=complex) / np.sqrt(2),
+    Probe.MINUS_Y: np.array([1, -1j], dtype=complex) / np.sqrt(2),
+    Probe.ZERO: np.array([1, 0], dtype=complex),
+    Probe.ONE: np.array([0, 1], dtype=complex),
 }
 
 _OBS_MATRIX = {Observable.X1: _SX, Observable.Y1: _SY, Observable.Z1: _SZ}
@@ -330,7 +330,7 @@ def statevector_signal(
     """Evolve the full 2^N chain and measure the probed observable.
 
     Exists to test that the signal does not depend on how spins 2..N
-    start out.  Spin 1 is prepared in probe.preparation; the bulk per
+    start out.  Spin 1 is prepared in the probe's eigenstate; the bulk per
     ``bulk_state``.  Dense eigendecomposition keeps this exact at desk
     scale, hence the site cap STATEVECTOR_CAP.
     """
@@ -346,7 +346,7 @@ def statevector_signal(
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"dense eigensolve failed: {exc}") from exc
     obs = _site_term(_OBS_MATRIX[probe.observable], 1, n)
-    spin1 = _PREP_STATES[probe.preparation]
+    spin1 = _PREP_STATES[probe]
     rng = np.random.default_rng(bulk_state.seed)
     n_samples = bulk_state.n_samples if bulk_state.kind == "mixed" else 1
     sample_kind = "pure" if bulk_state.kind == "mixed" else bulk_state.kind

@@ -328,22 +328,22 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
 
     with _stage("ingest"):
         # every trace must feed a probe; one no probe reads would be dropped
-        probed = [probe.observable for probe, _ in layout]
+        by_observable = {probe.observable: [] for probe, _ in layout}
         for tr in bundle.traces:
-            if tr.probe.observable not in probed:
+            if tr.probe.observable not in by_observable:
                 raise SpecError(
                     f"ingest has no probe for the trace probing {tr.probe.observable.value}: "
                     f"{bundle.model.value} chains are probed on "
-                    f"{', '.join(o.value for o in probed)} only"
+                    f"{', '.join(o.value for o in by_observable)} only"
                 )
+            by_observable[tr.probe.observable].append(tr)
 
     for probe, labels in layout:
         observable = probe.observable.value
         m = len(labels)
 
         with _stage("ingest"):
-            matching = [tr for tr in bundle.traces
-                        if tr.probe.observable is probe.observable]
+            matching = by_observable[probe.observable]
             if len(matching) != 1:
                 raise SpecError(
                     f"ingest needs exactly one trace probing {observable}, "

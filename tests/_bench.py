@@ -3,7 +3,9 @@
 BENCH_J is the eight-spin reference coupling set used for end-to-end
 checks; EVAL_J the reference estimates for the same chain used as a
 cross-check target; FIT_TABLE the reference cosine-sum fit (sorted here
-by ascending frequency, the package's canonical order).
+by ascending frequency, the package's canonical order).  The tables at
+the end are the bad trace files that read_trace refuses, shared by its
+own tests and the CLI's.
 """
 
 import numpy as np
@@ -94,3 +96,31 @@ def out_of_band_input() -> tuple[ChainSpec, TomographyConfig]:
         sample_step=np.pi / 25, window=12 * np.pi, noise=NoiseSpec(0.01, 627355221)
     )
     return spec, config
+
+
+# sidecar probe blocks whose fields contradict each other or name nothing,
+# with the words of read_trace's refusal
+CONTRADICTORY_PROBES = {
+    "unknown_observable": ({"observable": "q", "preparation": "plus_x", "sign": 1},
+                           "'q' is not a valid Observable"),
+    "unknown_preparation": ({"observable": "x1", "preparation": "plus_q", "sign": 1},
+                            "'plus_q' is not a valid Probe"),
+    "not_an_eigenstate": ({"observable": "x1", "preparation": "plus_y", "sign": 1},
+                          "preparation plus_y is not an eigenstate of x1"),
+    "disagreeing_sign": ({"observable": "x1", "preparation": "plus_x", "sign": -1},
+                         "probe sign -1 inconsistent with preparation plus_x"),
+}
+
+# probe signs that would read as +-1 if cast, so are refused
+NON_INTEGER_SIGNS = {"bool": True, "fraction": 1.9, "float": 1.0, "str": "1"}
+
+
+# trace CSVs cut short, each as a cut of the full text and the words of
+# read_trace's refusal
+TRUNCATED_CSVS = {
+    "last_row_after_comma": (lambda text: text[: text.rindex(",") + 1], "malformed row"),
+    # keeps the first three characters of the last row's time
+    "last_row_inside_time": (lambda text: text[: text.rindex("\n", 0, -1) + 4], "malformed row"),
+    "short_header": (lambda text: "t,val", "expected CSV header 't,value'"),
+    "header_only": (lambda text: "t,value\n", "trace is empty"),
+}

@@ -13,7 +13,6 @@ import numpy as np
 
 from chaintomo import (
     NoiseSpec,
-    Preparation,
     Probe,
     TomographyConfig,
     flux_chains,
@@ -147,9 +146,9 @@ def test_ac5_bulk_state_independence():
         ("ising,N=4", ising_spec(ISING_JZ, ISING_B)),
     ]
     opposite = {
-        Preparation.PLUS_X: (Preparation.MINUS_X, -1),
-        Preparation.PLUS_Y: (Preparation.MINUS_Y, -1),
-        Preparation.ZERO: (Preparation.ONE, -1),
+        Probe.PLUS_X: Probe.MINUS_X,
+        Probe.PLUS_Y: Probe.MINUS_Y,
+        Probe.ZERO: Probe.ONE,
     }
     worst_pair = 0.0
     worst_neg = 0.0
@@ -170,8 +169,7 @@ def test_ac5_bulk_state_independence():
         worst_pair = max(
             worst_pair, float(np.max(stack.max(axis=0) - stack.min(axis=0)))
         )
-        flip_prep, flip_sign = opposite[fc.probe.preparation]
-        flipped_probe = Probe(fc.probe.observable, flip_prep, flip_sign)
+        flipped_probe = opposite[fc.probe]
         bulk = BulkState("pure", seed=5)
         plus = statevector_signal(spec, fc.probe, bulk, times)
         minus = statevector_signal(spec, flipped_probe, bulk, times)

@@ -10,7 +10,6 @@ from chaintomo import (
     FluxChain,
     Model,
     Observable,
-    Preparation,
     Probe,
     ShapeMismatch,
     SpecError,
@@ -19,7 +18,9 @@ from chaintomo import (
 
 from chaintomo.chain_model import chain_layout
 
-from _bench import BENCH_J, ISING_B, ISING_JZ, ising_spec, xx_spec, xy_spec
+from _bench import (
+    BENCH_J, ISING_B, ISING_JZ, NON_INTEGER_SIGNS, ising_spec, xx_spec, xy_spec,
+)
 
 
 def _random_spec(model: str, n: int, rng) -> ChainSpec:
@@ -40,51 +41,57 @@ _MODELS_AND_SIZES = [
 ]
 
 
+def _probe_dict(observable, preparation, sign):
+    return {"observable": observable, "preparation": preparation, "sign": sign}
+
+
 class TestProbe:
+    """A probe is spin 1's preparation; from_dict is where one arrives
+    from outside, with its observable and sign stated beside it."""
+
     def test_valid_combinations(self):
-        Probe(Observable.X1, Preparation.PLUS_X, +1)
-        Probe(Observable.X1, Preparation.MINUS_X, -1)
-        Probe(Observable.Y1, Preparation.PLUS_Y, +1)
-        Probe(Observable.Y1, Preparation.MINUS_Y, -1)
-        Probe(Observable.Z1, Preparation.ZERO, +1)
-        Probe(Observable.Z1, Preparation.ONE, -1)
+        for probe, observable, sign in [
+            (Probe.PLUS_X, Observable.X1, +1), (Probe.MINUS_X, Observable.X1, -1),
+            (Probe.PLUS_Y, Observable.Y1, +1), (Probe.MINUS_Y, Observable.Y1, -1),
+            (Probe.ZERO, Observable.Z1, +1), (Probe.ONE, Observable.Z1, -1),
+        ]:
+            assert (probe.observable, probe.sign) == (observable, sign)
+            assert Probe.from_dict(_probe_dict(observable.value, probe.value, sign)) is probe
+        assert len(Probe) == 6
 
     def test_preparation_must_match_observable(self):
-        with pytest.raises(SpecError):
-            Probe(Observable.X1, Preparation.PLUS_Y, +1)
-        with pytest.raises(SpecError):
-            Probe(Observable.Z1, Preparation.PLUS_X, +1)
+        with pytest.raises(SpecError, match="plus_y is not an eigenstate of x1"):
+            Probe.from_dict(_probe_dict("x1", "plus_y", 1))
+        with pytest.raises(SpecError, match="plus_x is not an eigenstate of z1"):
+            Probe.from_dict(_probe_dict("z1", "plus_x", 1))
 
     def test_sign_must_match_preparation(self):
-        with pytest.raises(SpecError):
-            Probe(Observable.X1, Preparation.PLUS_X, -1)
-        with pytest.raises(SpecError):
-            Probe(Observable.Z1, Preparation.ONE, +1)
+        with pytest.raises(SpecError, match="sign -1 inconsistent with preparation plus_x"):
+            Probe.from_dict(_probe_dict("x1", "plus_x", -1))
+        with pytest.raises(SpecError, match="sign 1 inconsistent with preparation one"):
+            Probe.from_dict(_probe_dict("z1", "one", 1))
 
     def test_fields_are_stored_as_enums(self):
-        probe = Probe("x1", "plus_x", np.int64(1))
+        probe = Probe.from_dict(_probe_dict("x1", "plus_x", np.int64(1)))
+        assert probe is Probe.PLUS_X
         assert probe.observable is Observable.X1
-        assert probe.preparation is Preparation.PLUS_X
         assert type(probe.sign) is int
 
-    @pytest.mark.parametrize("sign", [True, 1.9, 1.0, "1"],
-                             ids=["bool", "fraction", "float", "str"])
+    @pytest.mark.parametrize("sign", NON_INTEGER_SIGNS.values(), ids=list(NON_INTEGER_SIGNS))
     def test_sign_must_be_an_integer(self, sign):
         with pytest.raises(SpecError, match="probe sign must be an integer"):
-            Probe(Observable.X1, Preparation.PLUS_X, sign)
-        with pytest.raises(SpecError, match="probe sign must be an integer"):
-            Probe.from_dict({"observable": "x1", "preparation": "plus_x", "sign": sign})
+            Probe.from_dict(_probe_dict("x1", "plus_x", sign))
 
     def test_unknown_observable_is_a_spec_error(self):
         with pytest.raises(SpecError, match="Observable"):
-            Probe("q", Preparation.PLUS_X, 1)
+            Probe.from_dict(_probe_dict("q", "plus_x", 1))
 
     def test_dict_round_trip(self):
-        probe = Probe(Observable.Y1, Preparation.MINUS_Y, -1)
-        again = Probe.from_dict(probe.to_dict())
-        assert again.observable is Observable.Y1
-        assert again.preparation is Preparation.MINUS_Y
-        assert again.sign == -1
+        d = Probe.MINUS_Y.to_dict()
+        # the sidecar block keeps its three keys in their order
+        assert list(d.items()) == [("observable", "y1"), ("preparation", "minus_y"),
+                                   ("sign", -1)]
+        assert Probe.from_dict(d) is Probe.MINUS_Y
 
 
 class TestValidateSpec:
@@ -173,8 +180,8 @@ class TestFluxChains:
         assert fc.m == 7
         np.testing.assert_array_equal(fc.links, BENCH_J)
         assert fc.labels == ("J_1", "J_2", "J_3", "J_4", "J_5", "J_6", "J_7")
+        assert fc.probe is Probe.PLUS_X
         assert fc.probe.observable is Observable.X1
-        assert fc.probe.preparation is Preparation.PLUS_X
         assert fc.probe.sign == +1
 
     def test_xy_two_alternating_chains(self):
@@ -205,7 +212,7 @@ class TestFluxChains:
         np.testing.assert_array_equal(fc.links, BENCH_J)
         assert fc.labels == ("B_1", "JZ_1", "B_2", "JZ_2", "B_3", "JZ_3", "B_4")
         assert fc.probe.observable is Observable.Z1
-        assert fc.probe.preparation is Preparation.ZERO
+        assert fc.probe is Probe.ZERO
 
     def test_flux_chain_rejects_zero_link(self):
         with pytest.raises(SpecError, match="nonzero"):

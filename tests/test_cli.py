@@ -12,8 +12,6 @@ import pytest
 import chaintomo
 from chaintomo import (
     Model,
-    Observable,
-    Preparation,
     Probe,
     SignalTrace,
     TomographyConfig,
@@ -23,7 +21,9 @@ from chaintomo import (
 from chaintomo import tomography
 from chaintomo.cli import main
 
-from _bench import BENCH_J, xx_spec, xy_spec
+from _bench import (
+    BENCH_J, CONTRADICTORY_PROBES, NON_INTEGER_SIGNS, TRUNCATED_CSVS, xx_spec, xy_spec,
+)
 
 
 @pytest.fixture
@@ -317,7 +317,7 @@ class TestRunFromTraces:
         times = sample_times(TomographyConfig())
         trace = SignalTrace(
             times, rng.uniform(-0.9, 0.9, times.size),
-            Probe(Observable.X1, Preparation.PLUS_X, +1),
+            Probe.PLUS_X,
         )
         path = tmp_path / "garbage.csv"
         write_trace(trace, path, {"model": "xx", "n_spins": 8})
@@ -496,10 +496,10 @@ class TestErrors:
                      "--out", str(tmp_path / "b")]) == 2
         assert "malformed trace metadata" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sign", [1.9, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("sign", NON_INTEGER_SIGNS.values(), ids=list(NON_INTEGER_SIGNS))
     def test_non_integer_probe_sign_exits_2(self, tmp_path, bench_spec_path,
                                             capsys, sign):
-        # int() used to read both as +1
+        # int() used to read 1.9 and True as +1
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(bench_spec_path),
                      "--out", str(sim_out)]) == 0
@@ -510,6 +510,32 @@ class TestErrors:
         assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "probe sign must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe, message", CONTRADICTORY_PROBES.values(),
+                             ids=list(CONTRADICTORY_PROBES))
+    def test_contradictory_probe_exits_2(self, tmp_path, bench_spec_path, capsys,
+                                         probe, message):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), "probe": probe}))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"{sidecar}: malformed probe: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, message", TRUNCATED_CSVS.values(), ids=list(TRUNCATED_CSVS))
+    def test_truncated_trace_csv_exits_2_naming_the_file(self, tmp_path, bench_spec_path,
+                                                         capsys, cut, message):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path),
+                     "--out", str(sim_out)]) == 0
+        path = sim_out / "trace_x1.csv"
+        path.write_text(cut(path.read_text()))
+        capsys.readouterr()
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("line", [
         "--taylor-order=3",

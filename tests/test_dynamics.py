@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from chaintomo import (
     NoiseSpec,
     Probe,
     Observable,
-    Preparation,
     SignalTrace,
     SpecError,
     add_noise,
@@ -28,35 +28,39 @@ from chaintomo.reference import (
     taylor_signal,
 )
 
-from _bench import BENCH_J, ising_spec, xx_spec, xy_spec
+from _bench import (
+    BENCH_J,
+    CONTRADICTORY_PROBES,
+    NON_INTEGER_SIGNS,
+    TRUNCATED_CSVS,
+    ising_spec,
+    xx_spec,
+    xy_spec,
+)
 
 
 class TestSignalTrace:
     def test_rejects_length_mismatch(self):
         with pytest.raises(SpecError):
-            SignalTrace(np.array([0.0, 1.0]), np.array([1.0]), _probe_x())
+            SignalTrace(np.array([0.0, 1.0]), np.array([1.0]), Probe.PLUS_X)
 
     def test_rejects_empty(self):
         with pytest.raises(SpecError):
-            SignalTrace(np.array([]), np.array([]), _probe_x())
+            SignalTrace(np.array([]), np.array([]), Probe.PLUS_X)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(SpecError):
-            SignalTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]), _probe_x())
+            SignalTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]), Probe.PLUS_X)
 
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(SpecError):
-            SignalTrace(np.array([0.0, 1.0, 1.0]), np.zeros(3), _probe_x())
+            SignalTrace(np.array([0.0, 1.0, 1.0]), np.zeros(3), Probe.PLUS_X)
 
     def test_check_physical(self):
-        trace = SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 1.05]), _probe_x())
+        trace = SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 1.05]), Probe.PLUS_X)
         assert trace.check_physical(allowance=0.1) is trace
         with pytest.raises(SpecError, match="bound"):
             trace.check_physical(allowance=0.01)
-
-
-def _probe_x() -> Probe:
-    return Probe(Observable.X1, Preparation.PLUS_X, +1)
 
 
 class TestSpectralSignal:
@@ -74,7 +78,7 @@ class TestSpectralSignal:
         t = np.linspace(0.0, 4.0, 50)
         plus = spectral_signal(BENCH_J, t)
         minus = spectral_signal(
-            BENCH_J, t, probe=Probe(Observable.X1, Preparation.MINUS_X, -1)
+            BENCH_J, t, probe=Probe.MINUS_X
         )
         np.testing.assert_allclose(minus.values, -plus.values, atol=1e-14)
 
@@ -152,7 +156,7 @@ class TestStateVector:
         spec = xx_spec([1.1, 0.7, 0.9])
         t = np.linspace(0.0, 6.0, 40)
         dense = statevector_signal(
-            spec, _probe_x(), BulkState("product", seed=3), t
+            spec, Probe.PLUS_X, BulkState("product", seed=3), t
         )
         exact = spectral_signal([1.1, 0.7, 0.9], t)
         np.testing.assert_allclose(dense.values, exact.values, atol=1e-11)
@@ -166,7 +170,7 @@ class TestStateVector:
             BulkState("pure", seed=3),
             BulkState("mixed", seed=4, n_samples=3),
         ]
-        traces = [statevector_signal(spec, _probe_x(), b, t).values for b in kinds]
+        traces = [statevector_signal(spec, Probe.PLUS_X, b, t).values for b in kinds]
         for other in traces[1:]:
             np.testing.assert_allclose(other, traces[0], atol=1e-11)
 
@@ -175,17 +179,17 @@ class TestStateVector:
         t = np.linspace(0.0, 4.0, 25)
         bulk = BulkState("pure", seed=5)
         zero = statevector_signal(
-            spec, Probe(Observable.Z1, Preparation.ZERO, +1), bulk, t
+            spec, Probe.ZERO, bulk, t
         )
         one = statevector_signal(
-            spec, Probe(Observable.Z1, Preparation.ONE, -1), bulk, t
+            spec, Probe.ONE, bulk, t
         )
         np.testing.assert_allclose(one.values, -zero.values, atol=1e-12)
 
     def test_site_cap(self):
         spec = xx_spec(np.ones(12))  # 13 spins
         with pytest.raises(CapExceeded):
-            statevector_signal(spec, _probe_x(), BulkState(), [0.0, 0.1])
+            statevector_signal(spec, Probe.PLUS_X, BulkState(), [0.0, 0.1])
 
     def test_hamiltonian_is_hermitian(self):
         for spec in (
@@ -293,4 +297,30 @@ class TestTraceFiles:
         write_trace(trace, path)
         (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
         with pytest.raises(SpecError, match="probe"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("probe, message", CONTRADICTORY_PROBES.values(),
+                             ids=list(CONTRADICTORY_PROBES))
+    def test_contradictory_probe_is_a_spec_error(self, tmp_path, probe, message):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
+        with pytest.raises(SpecError, match=re.escape(f"malformed probe: {message}")):
+            read_trace(path)
+
+    @pytest.mark.parametrize("sign", NON_INTEGER_SIGNS.values(), ids=list(NON_INTEGER_SIGNS))
+    def test_non_integer_probe_sign_is_a_spec_error(self, tmp_path, sign):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        probe = {"observable": "x1", "preparation": "plus_x", "sign": sign}
+        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
+        with pytest.raises(SpecError, match="probe sign must be an integer"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("cut, message", TRUNCATED_CSVS.values(), ids=list(TRUNCATED_CSVS))
+    def test_truncated_csv_is_a_spec_error_naming_the_file(self, tmp_path, cut, message):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, np.linspace(0.0, 5.0, 64)), path)
+        path.write_text(cut(path.read_text()))
+        with pytest.raises(SpecError, match=re.escape(f"{path}: {message}")):
             read_trace(path)

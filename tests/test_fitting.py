@@ -42,6 +42,22 @@ def _trace(values_fn, t):
     return t, values_fn(t)
 
 
+@pytest.mark.parametrize("grid", ["reversed", "constant"])
+@pytest.mark.parametrize("call", [
+    lambda trace: estimate_spectrum(trace, 8),
+    lambda trace: refine_fit(trace, CosineSumModel([1.0], [1.0])),
+    lambda trace: fit_trace(trace, 8),
+], ids=["estimate_spectrum", "refine_fit", "fit_trace"])
+def test_grid_without_a_positive_step_is_a_spec_error(call, grid):
+    t = _grid()
+    values = spectral_signal(BENCH_J, t).values
+    times = t[::-1] if grid == "reversed" else np.zeros(t.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way
+        with pytest.raises(SpecError, match="uniform with a positive step"):
+            call((times, values))
+
+
 class TestCosineSumModel:
     def test_invariants(self):
         with pytest.raises(SpecError):

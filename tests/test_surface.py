@@ -12,7 +12,7 @@ PACKAGE = Path(chaintomo.__file__).resolve().parent
 
 PUBLIC = {
     "__version__",
-    "ChainSpec", "FluxChain", "Model", "Observable", "Preparation", "Probe", "flux_chains",
+    "ChainSpec", "FluxChain", "Model", "Observable", "Probe", "flux_chains",
     "NoiseSpec", "SignalTrace", "add_noise", "read_trace", "spectral_signal", "write_trace",
     "ChainTomoError", "DegenerateError", "EigenError", "InversionError", "ResolutionError",
     "ShapeMismatch", "SpecError",
@@ -49,9 +49,11 @@ def _imports(path: Path) -> set[str]:
 
 
 def test_all_is_the_pipeline():
-    assert len(chaintomo.__all__) == 33
+    assert len(chaintomo.__all__) == 32
     assert set(chaintomo.__all__) == PUBLIC
     assert all(hasattr(chaintomo, name) for name in chaintomo.__all__)
+    # a probe is its preparation: no second enum names the six states
+    assert not hasattr(chaintomo, "Preparation")
 
 
 @pytest.mark.parametrize("origin, name", [

@@ -30,7 +30,7 @@ from chaintomo import (
     write_trace,
 )
 from chaintomo import tomography
-from chaintomo.chain_model import Observable, Preparation, Probe, chain_layout
+from chaintomo.chain_model import Observable, Probe, chain_layout
 
 from _bench import (
     BENCH_J,
@@ -463,7 +463,7 @@ class TestIngestMode:
         times = sample_times(TomographyConfig())
         trace = SignalTrace(
             times, np.full(times.size, 1.5),
-            Probe(Observable.X1, Preparation.PLUS_X, +1),
+            Probe.PLUS_X,
         )
         bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
         with pytest.raises(SpecError, match="bound") as exc_info:
@@ -474,7 +474,7 @@ class TestIngestMode:
         times = sample_times(TomographyConfig())
         times[5:] += 0.01
         trace = SignalTrace(
-            times, np.cos(times), Probe(Observable.X1, Preparation.PLUS_X, +1)
+            times, np.cos(times), Probe.PLUS_X
         )
         bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
         with pytest.raises(SpecError, match="uniform") as exc_info:
@@ -536,7 +536,7 @@ class TestIngestMode:
         times = sample_times(TomographyConfig())
         trace = SignalTrace(
             times, rng.uniform(-0.9, 0.9, times.size),
-            Probe(Observable.X1, Preparation.PLUS_X, +1),
+            Probe.PLUS_X,
         )
         bundle = TraceBundle(model=Model.XX, n_spins=8, traces=(trace,))
         with pytest.raises(ResolutionError) as exc_info:
@@ -602,7 +602,7 @@ class TestIngestMode:
         # would be fitted and inverted without a word
         times = sample_times(TomographyConfig())
         trace = SignalTrace(times, 40.0 * np.cos(2.0 * times),
-                            Probe(Observable.X1, Preparation.PLUS_X, 1))
+                            Probe.PLUS_X)
         with pytest.raises(SpecError, match="sigma"):
             TraceBundle(model=Model.XX, n_spins=3, traces=(trace,),
                         noise_sigma=sigma)
@@ -615,7 +615,7 @@ class TestIngestMode:
 
         plus = spectral_signal(BENCH_J, times)
         minus = SignalTrace(
-            times, -plus.values, Probe(Observable.X1, Preparation.MINUS_X, -1)
+            times, -plus.values, Probe.MINUS_X
         )
         bundle = TraceBundle(model=Model.XX, n_spins=8, traces=(minus,))
         result = run_tomography(bundle)
@@ -656,7 +656,7 @@ class TestIngestMode:
     def test_bundle_chain_is_checked_at_validate(self, model, n_spins):
         times = sample_times(TomographyConfig())
         trace = SignalTrace(times, np.cos(times),
-                            Probe(Observable.X1, Preparation.PLUS_X, +1))
+                            Probe.PLUS_X)
         # the bundle validates its chain when built, outside any pipeline stage
         with pytest.raises(SpecError) as exc_info:
             TraceBundle(model=model, n_spins=n_spins, traces=(trace,))
