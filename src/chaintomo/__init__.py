@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     SpecError,
 )
-from .fitting import CosineSumModel, estimate_spectrum, fit_trace, refine_fit
+from .fitting import CosineSumModel, fit_trace
 from .series import spectral_couplings
 from .tomography import (
     ParameterEstimate,
@@ -71,11 +71,9 @@ __all__ = [
     "TomographyResult",
     "TraceBundle",
     "add_noise",
-    "estimate_spectrum",
     "fit_trace",
     "flux_chains",
     "read_trace",
-    "refine_fit",
     "run_tomography",
     "sample_times",
     "simulate_traces",

@@ -28,6 +28,7 @@ class SignalTrace:
 
     times are in units of 1/J and must be strictly increasing; values are
     dimensionless and bounded by 1 up to the declared noise allowance.
+    probe must be a Probe member; text is read by Probe.from_dict.
     """
 
     times: np.ndarray
@@ -35,6 +36,8 @@ class SignalTrace:
     probe: Probe
 
     def __post_init__(self):
+        if not isinstance(self.probe, Probe):
+            raise SpecError(f"a trace's probe must be a Probe, got {self.probe!r}")
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "times", t)

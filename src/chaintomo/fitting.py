@@ -1,18 +1,15 @@
 """Cosine-sum recovery from a sampled trace.
 
 The probed signal is a finite sum of cosines (plus a constant when the
-flux chain has an odd node count).  estimate_spectrum seeds frequencies
-by the matrix pencil, a grid-free subspace estimate that separates lines
-closer than one periodogram bin, and amplitudes by linear least squares.
-The pencil's shift matrix follows from the orthonormal signal basis in
-closed form, so a seed costs one SVD.  refine_fit polishes everything
-with damped least squares and returns its best model however it stops:
-when the sum of squares stops falling (a relative drop below FTOL), when
-a step is rounding noise (STEP_FLOOR), when a line leaves the band below
-pi/dt, or after MAX_ITER steps.  fit_trace runs the two once and is the
-one place a fit is accepted: it rejects fits that stay above the
-residual floor or put a line at or beyond the Nyquist frequency.  It
-fits any cosine sum: the amplitudes are not held to sum to 1.
+flux chain has an odd node count).  fit_trace is the one entry: it checks
+the trace's grid and pole count once and runs two steps on that grid.
+estimate_spectrum seeds the lines by the matrix pencil, which is
+grid-free, so it separates lines closer than one periodogram bin, and
+costs one SVD.  refine_fit polishes them with damped least squares and
+returns its best model however it stops.  fit_trace is the one place a
+fit is accepted: it rejects fits that stay above the residual floor or
+put a line at or beyond the Nyquist frequency.  It fits any cosine sum:
+the amplitudes are not held to sum to 1.
 """
 
 from __future__ import annotations
@@ -116,10 +113,17 @@ def _times_values(trace) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
 
 
-def _check_uniform(times: np.ndarray) -> float:
-    """The sample step of a uniform grid; SpecError for any other grid."""
-    if times.size < 2:
-        raise SpecError("a trace needs at least two samples")
+def _check_sampling(times: np.ndarray, poles: int) -> float:
+    """The sample step of a uniform grid of at least 2 * poles + 2
+    samples: the pencil's Hankel matrix needs `poles` rows under the
+    smallest window.  The pole count must be an integer of at least 2,
+    one cosine line; a bool, which would read as 1, is refused like a
+    float.  Any other grid or count is a SpecError."""
+    if isinstance(poles, bool) or not isinstance(poles, numbers.Integral) or poles < 2:
+        raise SpecError(f"the pole count must be an integer of at least 2, got {poles!r}")
+    need = 2 * poles + 2
+    if times.size < need:
+        raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
     steps = np.diff(times)
     dt = float(steps[0])
     # a reversed or constant grid has no band edge pi/dt
@@ -130,19 +134,6 @@ def _check_uniform(times: np.ndarray) -> float:
     if not np.max(np.abs(steps - dt)) <= 1e-9 * dt:
         raise SpecError("trace sampling must be uniform")
     return dt
-
-
-def _check_sampling(times: np.ndarray, poles: int) -> float:
-    """_check_uniform for a grid of at least 2 * poles + 2 samples: the
-    pencil's Hankel matrix needs `poles` rows under the smallest window.
-    The pole count must be an integer of at least 2, one cosine line; a
-    bool, which would read as 1, is refused like a float."""
-    if isinstance(poles, bool) or not isinstance(poles, numbers.Integral) or poles < 2:
-        raise SpecError(f"the pole count must be an integer of at least 2, got {poles!r}")
-    need = 2 * poles + 2
-    if times.size < need:
-        raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
-    return _check_uniform(times)
 
 
 def _rayleigh(times: np.ndarray) -> float:
@@ -183,9 +174,12 @@ def _shift_matrix(basis: np.ndarray) -> np.ndarray:
     return C + np.outer(v, v @ C) * (1.0 / gap)
 
 
-def estimate_spectrum(trace, poles: int) -> CosineSumModel:
-    """Seed a cosine sum with `poles` poles by the matrix pencil
-    (Hua & Sarkar 1990).
+def estimate_spectrum(
+    times: np.ndarray, values: np.ndarray, poles: int, dt: float
+) -> CosineSumModel:
+    """fit_trace's seed step: `poles` poles by the matrix pencil (Hua &
+    Sarkar 1990), on the grid fit_trace checked (uniform with step dt, at
+    least 2 * poles + 2 samples).
 
     A sum of p complex exponentials makes the Hankel matrix of
     the samples rank p; its dominant right-singular subspace is shift
@@ -195,14 +189,11 @@ def estimate_spectrum(trace, poles: int) -> CosineSumModel:
     seed costs one SVD; a basis whose last row has unit norm leaves the
     map undetermined and raises ResolutionError.  Each cosine contributes
     a conjugate pair, the dc term a pole at 1, so the model has poles // 2
-    lines plus a dc term when poles is odd.  The estimate is grid-free,
-    so it separates lines closer than one Rayleigh bin.  The poles // 2
-    lowest positive frequencies above a quarter bin are kept and the
-    amplitudes (and dc) filled by linear least squares.  Fewer such
-    lines raises ResolutionError.
+    lines plus a dc term when poles is odd.  The poles // 2 lowest
+    positive frequencies above a quarter Rayleigh bin are kept and the
+    amplitudes (and dc) filled by linear least squares.  Fewer such lines
+    raises ResolutionError.
     """
-    times, values = _times_values(trace)
-    dt = _check_sampling(times, poles)
     n_terms = poles // 2
     d_omega = _rayleigh(times)
     n = values.size
@@ -226,8 +217,11 @@ def estimate_spectrum(trace, poles: int) -> CosineSumModel:
     return CosineSumModel(amps, freqs, dc=dc, residual_rms=rms, iterations=0)
 
 
-def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
-    """Damped least squares over all amplitudes, frequencies, and dc.
+def refine_fit(
+    times: np.ndarray, values: np.ndarray, init: CosineSumModel, dt: float
+) -> CosineSumModel:
+    """fit_trace's refinement step: damped least squares over all
+    amplitudes, frequencies, and dc, on the grid fit_trace checked.
 
     Levenberg-style: the normal equations are damped by a multiple of
     their diagonal, the multiplier grows until a step decreases the sum
@@ -243,8 +237,7 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
     out of steps, frequencies[-1] >= pi/dt left the band, and adjacent
     frequencies within 1e-9 collapsed onto each other.
     """
-    times, values = _times_values(trace)
-    band_edge = np.pi / _check_uniform(times)
+    band_edge = np.pi / dt
     t_col = times[:, None]
     n = init.n_terms
     has_dc = init.dc is not None
@@ -319,6 +312,10 @@ def refine_fit(trace, init: CosineSumModel) -> CosineSumModel:
 def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
     """Full fit with `poles` poles: matrix-pencil seed, then damped refinement.
 
+    The fit layer's one entry and one grid check: `trace`, a SignalTrace
+    or a (times, values) pair, must be uniform with at least 2 * poles + 2
+    samples, and `poles` an integer of at least 2, else SpecError.
+
     An m-link flux chain has m + 1 nodes, so its trace is fitted with
     m + 1 poles: poles // 2 lines, plus a dc term when poles is odd.
     This is where a fit is accepted or declined, whichever way the
@@ -330,8 +327,9 @@ def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
     alpha(0) = 1 is the pipeline's to judge (run_tomography).
     """
     times, values = _times_values(trace)
-    seed = estimate_spectrum((times, values), poles)
-    best = refine_fit((times, values), seed)
+    dt = _check_sampling(times, poles)
+    seed = estimate_spectrum(times, values, poles, dt)
+    best = refine_fit(times, values, seed, dt)
     floor = max(1e-8, 2.0 * noise_sigma)
     if best.residual_rms > floor:
         raise ResolutionError(
@@ -339,7 +337,7 @@ def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
             f"acceptable floor {floor:.3e}; the window cannot separate "
             f"{poles // 2} lines in this trace"
         )
-    nyquist = np.pi / (times[1] - times[0])
+    nyquist = np.pi / dt
     if best.frequencies[-1] >= nyquist:
         raise ResolutionError(
             f"fitted line at {best.frequencies[-1]:.3e} rad is at or above the "

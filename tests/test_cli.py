@@ -43,6 +43,12 @@ def _settings_file(path, *lines):
     return f"@{path}"
 
 
+def _nudge_third_time(rows):
+    """Trace CSV rows with the third sample's time moved 0.01 off the grid."""
+    t, v = rows[3].split(",")
+    return [*rows[:3], f"{float(t) + 0.01!r},{v}", *rows[4:]]
+
+
 def _exit_code(argv):
     """main's return value, or the status argparse exits with."""
     try:
@@ -536,6 +542,23 @@ class TestErrors:
         capsys.readouterr()
         assert main(["run", "--trace", str(path), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(_nudge_third_time, "trace sampling must be uniform", id="nudged_time"),
+        pytest.param(lambda rows: rows[:6],
+                     "need at least 10 samples to seed 4 poles, got 5", id="five_rows"),
+    ])
+    def test_trace_grid_the_fit_cannot_use_exits_2(self, tmp_path, capsys, edit, message):
+        spec_path = tmp_path / "xx.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out)]) == 0
+        path = sim_out / "trace_x1.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run" / "result.json").exists()
 
     @pytest.mark.parametrize("line", [
         "--taylor-order=3",

@@ -56,6 +56,13 @@ class TestSignalTrace:
         with pytest.raises(SpecError):
             SignalTrace(np.array([0.0, 1.0, 1.0]), np.zeros(3), Probe.PLUS_X)
 
+    @pytest.mark.parametrize("probe", ["plus_x", "up", None, 3],
+                             ids=["member_value", "unknown_str", "none", "int"])
+    def test_rejects_a_probe_that_is_not_a_member(self, probe):
+        # the pipeline would end in an untyped AttributeError on .observable
+        with pytest.raises(SpecError, match=f"must be a Probe, got {re.escape(repr(probe))}$"):
+            SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 0.5]), probe)
+
     def test_check_physical(self):
         trace = SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 1.05]), Probe.PLUS_X)
         assert trace.check_physical(allowance=0.1) is trace

@@ -14,14 +14,12 @@ from chaintomo import (
     ResolutionError,
     SpecError,
     add_noise,
-    estimate_spectrum,
     fit_trace,
-    refine_fit,
     simulate_traces,
     spectral_signal,
 )
 from chaintomo import fitting
-from chaintomo.fitting import _shift_matrix
+from chaintomo.fitting import _shift_matrix, estimate_spectrum, refine_fit
 
 from _bench import BENCH_J, out_of_band_input
 
@@ -42,12 +40,19 @@ def _trace(values_fn, t):
     return t, values_fn(t)
 
 
+def _seed(times, values, poles):
+    """fit_trace's seed step on a grid known to be uniform."""
+    return estimate_spectrum(times, values, poles, times[1] - times[0])
+
+
+def _refine(times, values, init):
+    """fit_trace's refinement step on a grid known to be uniform."""
+    return refine_fit(times, values, init, times[1] - times[0])
+
+
+# fit_trace is the one grid check; its two steps trust the grid it checked
 @pytest.mark.parametrize("grid", ["reversed", "constant"])
-@pytest.mark.parametrize("call", [
-    lambda trace: estimate_spectrum(trace, 8),
-    lambda trace: refine_fit(trace, CosineSumModel([1.0], [1.0])),
-    lambda trace: fit_trace(trace, 8),
-], ids=["estimate_spectrum", "refine_fit", "fit_trace"])
+@pytest.mark.parametrize("call", [lambda trace: fit_trace(trace, 8)], ids=["fit_trace"])
 def test_grid_without_a_positive_step_is_a_spec_error(call, grid):
     t = _grid()
     values = spectral_signal(BENCH_J, t).values
@@ -107,7 +112,7 @@ class TestEstimateSpectrum:
     def test_two_separated_lines(self):
         t = _grid()
         values = 0.4 * np.cos(1.1 * t) + 0.6 * np.cos(3.3 * t)
-        seed = estimate_spectrum((t, values), 4)
+        seed = _seed(t, values, 4)
         np.testing.assert_allclose(seed.frequencies, [1.1, 3.3], atol=5e-3)
         np.testing.assert_allclose(seed.amplitudes, [0.4, 0.6], atol=5e-3)
 
@@ -116,33 +121,20 @@ class TestEstimateSpectrum:
         # merged periodogram lobe, but two poles to the pencil seed
         t = _grid()
         values = 0.5 * np.cos(2.0 * t) + 0.5 * np.cos(2.1 * t)
-        seed = estimate_spectrum((t, values), 4)
-        fit = refine_fit((t, values), seed)
+        seed = _seed(t, values, 4)
+        fit = _refine(t, values, seed)
         np.testing.assert_allclose(fit.frequencies, [2.0, 2.1], atol=1e-8)
         np.testing.assert_allclose(fit.amplitudes, [0.5, 0.5], atol=1e-8)
 
     def test_featureless_trace_raises(self):
         t = _grid()
         with pytest.raises(ResolutionError, match="peaks"):
-            estimate_spectrum((t, np.zeros(t.size)), 2)
-
-    def test_too_few_samples(self):
-        t = _grid(n=12)
-        with pytest.raises(SpecError, match="samples"):
-            estimate_spectrum((t, np.cos(t)), 8)
-
-    def test_nonuniform_sampling_rejected(self):
-        t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8])
-        with pytest.raises(SpecError, match="uniform"):
-            estimate_spectrum((t, np.cos(t)), 2)
-        t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
-        with pytest.raises(SpecError, match="uniform"):
-            estimate_spectrum((t_nan, np.cos(t_nan)), 2)
+            _seed(t, np.zeros(t.size), 2)
 
     def test_dc_is_estimated_when_requested(self):
         t = _grid()
         values = 0.35 + 0.65 * np.cos(2.2 * t)
-        seed = estimate_spectrum((t, values), 3)
+        seed = _seed(t, values, 3)
         assert seed.dc == pytest.approx(0.35, abs=1e-3)
 
     @pytest.mark.parametrize("rows, poles, seed", [
@@ -173,7 +165,7 @@ class TestEstimateSpectrum:
         values = np.zeros(t.size)
         values[-1] = 1.0
         with pytest.raises(ResolutionError, match="last lag"):
-            estimate_spectrum((t, values), 4)
+            _seed(t, values, 4)
 
 
 class TestRefineFit:
@@ -181,7 +173,7 @@ class TestRefineFit:
         t = _grid()
         values = 0.3 * np.cos(1.0 * t) + 0.7 * np.cos(3.0 * t)
         seed = CosineSumModel(np.array([0.28, 0.73]), np.array([1.02, 2.97]))
-        fit = refine_fit((t, values), seed)
+        fit = _refine(t, values, seed)
         np.testing.assert_allclose(fit.frequencies, [1.0, 3.0], atol=1e-8)
         np.testing.assert_allclose(fit.amplitudes, [0.3, 0.7], atol=1e-8)
         assert fit.residual_rms < 1e-10
@@ -190,8 +182,8 @@ class TestRefineFit:
         t = _grid()
         values = 0.3 * np.cos(1.0 * t) + 0.7 * np.cos(3.0 * t)
         seed = CosineSumModel(np.array([0.28, 0.73]), np.array([1.02, 2.97]))
-        first = refine_fit((t, values), seed)
-        second = refine_fit((t, values), first)
+        first = _refine(t, values, seed)
+        second = _refine(t, values, first)
         np.testing.assert_allclose(
             second.frequencies, first.frequencies, atol=1e-10
         )
@@ -201,8 +193,8 @@ class TestRefineFit:
         # without the band stop this input ran all 500 steps (about 200 ms)
         spec, config = out_of_band_input()
         (trace,) = simulate_traces(spec, config).traces
-        seed = estimate_spectrum(trace, 12)
-        best = refine_fit(trace, seed)
+        seed = _seed(trace.times, trace.values, 12)
+        best = _refine(trace.times, trace.values, seed)
         assert best.iterations <= 2
         assert best.frequencies[-1] >= np.pi / (trace.times[1] - trace.times[0])
 
@@ -212,14 +204,9 @@ class TestRefineFit:
         values = 0.3 * np.cos(1.0 * t) + 0.7 * np.cos(3.0 * t)
         seed = CosineSumModel(np.array([0.28, 0.73]), np.array([1.02, 2.97]))
         seed_rms = np.sqrt(np.mean((seed.evaluate(t) - values) ** 2))
-        best = refine_fit((t, values), seed)
+        best = _refine(t, values, seed)
         assert best.iterations == 1
         assert best.residual_rms < seed_rms
-
-    def test_single_sample_trace_is_a_spec_error(self):
-        seed = CosineSumModel(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(SpecError, match="two samples"):
-            refine_fit((np.array([0.0]), np.array([1.0])), seed)
 
 
 class TestFitTrace:
@@ -304,12 +291,48 @@ class TestFitTrace:
     def test_running_out_of_steps_goes_on_with_the_best_model(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
         noisy = add_noise(spectral_signal(BENCH_J, _grid()), NoiseSpec(sigma=0.01, seed=3))
-        best = refine_fit(noisy, estimate_spectrum(noisy, 8))
+        best = _refine(noisy.times, noisy.values, _seed(noisy.times, noisy.values, 8))
         fit = fit_trace(noisy, 8, noise_sigma=0.01)
         assert fit.iterations == 1
         np.testing.assert_array_equal(fit.frequencies, best.frequencies)
         np.testing.assert_array_equal(fit.amplitudes, best.amplitudes)
         assert fit.residual_rms == best.residual_rms
+
+    def test_too_few_samples(self):
+        t = _grid(n=12)
+        with pytest.raises(SpecError, match="need at least 18 samples to seed 8 poles, got 12$"):
+            fit_trace((t, np.cos(t)), 8)
+
+    def test_single_sample_trace_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="need at least 6 samples to seed 2 poles, got 1$"):
+            fit_trace((np.array([0.0]), np.array([1.0])), 2)
+
+    def test_nonuniform_sampling_rejected(self):
+        t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8])
+        with pytest.raises(SpecError, match="^trace sampling must be uniform$"):
+            fit_trace((t, np.cos(t)), 2)
+        t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
+        with pytest.raises(SpecError, match="^trace sampling must be uniform$"):
+            fit_trace((t_nan, np.cos(t_nan)), 2)
+
+    def test_grid_is_checked_once_and_its_step_feeds_both_steps(self, monkeypatch):
+        # the steps are looked up by their module-level names at call time
+        calls = []
+
+        def spy(name):
+            original = getattr(fitting, name)
+
+            def wrapper(*args):
+                calls.append((name, args[-1]))
+                return original(*args)
+            monkeypatch.setattr(fitting, name, wrapper)
+
+        for name in ("_check_sampling", "estimate_spectrum", "refine_fit"):
+            spy(name)
+        t = _grid()
+        fit_trace((t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t)), 4)
+        dt = t[1] - t[0]
+        assert calls == [("_check_sampling", 4), ("estimate_spectrum", dt), ("refine_fit", dt)]
 
     def test_accepts_signal_trace_objects(self):
         trace = spectral_signal(BENCH_J, _grid())
@@ -318,8 +341,7 @@ class TestFitTrace:
 
     @pytest.mark.parametrize("poles", [2.0, 3.5, 0, 1, -1, True, "3"],
                              ids=["float", "fraction", "zero", "one", "negative", "bool", "str"])
-    @pytest.mark.parametrize("fitter", [fit_trace, estimate_spectrum],
-                             ids=["fit_trace", "estimate_spectrum"])
+    @pytest.mark.parametrize("fitter", [fit_trace], ids=["fit_trace"])
     def test_pole_count_must_be_an_integer_of_at_least_two(self, fitter, poles):
         t = _grid()
         with pytest.raises(SpecError, match=f"pole count .* got {re.escape(repr(poles))}$"):

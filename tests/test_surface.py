@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import chaintomo
-from chaintomo import dynamics, errors, reference, series
+from chaintomo import dynamics, errors, fitting, reference, series
 
 PACKAGE = Path(chaintomo.__file__).resolve().parent
 
@@ -16,7 +16,7 @@ PUBLIC = {
     "NoiseSpec", "SignalTrace", "add_noise", "read_trace", "spectral_signal", "write_trace",
     "ChainTomoError", "DegenerateError", "EigenError", "InversionError", "ResolutionError",
     "ShapeMismatch", "SpecError",
-    "CosineSumModel", "estimate_spectrum", "fit_trace", "refine_fit",
+    "CosineSumModel", "fit_trace",
     "spectral_couplings",
     "ParameterEstimate", "TomographyConfig", "TomographyResult", "TraceBundle",
     "run_tomography", "sample_times", "simulate_traces",
@@ -49,9 +49,12 @@ def _imports(path: Path) -> set[str]:
 
 
 def test_all_is_the_pipeline():
-    assert len(chaintomo.__all__) == 32
+    assert len(chaintomo.__all__) == 30
     assert set(chaintomo.__all__) == PUBLIC
     assert all(hasattr(chaintomo, name) for name in chaintomo.__all__)
+    # fit_trace is the fit layer's one entry; its two steps stay in fitting
+    assert not hasattr(chaintomo, "estimate_spectrum") and not hasattr(chaintomo, "refine_fit")
+    assert callable(fitting.estimate_spectrum) and callable(fitting.refine_fit)
     # a probe is its preparation: no second enum names the six states
     assert not hasattr(chaintomo, "Preparation")
 
