@@ -45,7 +45,12 @@ class EigenError(ChainTomoError):
 
 
 class ResolutionError(ChainTomoError):
-    """The sampled window cannot separate the requested number of lines."""
+    """The trace's cosine-sum fit is declined: the seed finds no shift or
+    too few separated lines, the refined fit stays above its residual
+    floor, or a line sits at or beyond the Nyquist frequency.  The
+    message states the numbers that failed; it names no cause, since too
+    short a window, an undeclared noise level, a wrong chain length and a
+    decaying signal can each end the same way."""
 
 
 class InsufficientChain(ChainTomoError):

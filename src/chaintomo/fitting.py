@@ -5,11 +5,12 @@ flux chain has an odd node count).  fit_trace is the one entry: it checks
 the trace's grid and pole count once and runs two steps on that grid.
 estimate_spectrum seeds the lines by the matrix pencil, which is
 grid-free, so it separates lines closer than one periodogram bin, and
-costs one SVD.  refine_fit polishes them with damped least squares and
-returns its best model however it stops.  fit_trace is the one place a
-fit is accepted: it rejects fits that stay above the residual floor or
-put a line at or beyond the Nyquist frequency.  It fits any cosine sum:
-the amplitudes are not held to sum to 1.
+costs one SVD.  refine_fit polishes them with damped Gauss-Newton steps,
+then damped Newton steps once Gauss-Newton stalls, and returns its best
+model however it stops.  fit_trace is the one place a fit is accepted:
+it rejects fits that stay above the residual floor or put a line at or
+beyond the Nyquist frequency.  It fits any cosine sum: the amplitudes
+are not held to sum to 1.
 """
 
 from __future__ import annotations
@@ -224,8 +225,15 @@ def refine_fit(
     amplitudes, frequencies, and dc, on the grid fit_trace checked.
 
     Levenberg-style: the normal equations are damped by a multiple of
-    their diagonal, the multiplier grows until a step decreases the sum
-    of squares and shrinks after each accepted step.  The loop stops when
+    the diagonal of J^T J, the multiplier grows until a step decreases
+    the sum of squares and shrinks after each accepted step.  Gauss-Newton
+    converges only linearly when the residual is large (noise), so once
+    an accepted step lowers the sum of squares by a relative amount below
+    sqrt(FTOL) the rest of the fit adds the second-order term
+    sum_i r_i d2m_i/dtheta2 to the normal matrix: each step is then a
+    damped Newton step (as NL2SOL does for large residuals, Dennis, Gay &
+    Welsch 1981).  The switch comes late, in the final basin, so it moves
+    where a fit ends, not which minimum it finds.  The loop stops when
     an accepted step lowers the sum of squares by a relative amount below
     FTOL; when a damped step is at most STEP_FLOOR times |theta| (rounding
     noise; MINPACK's relative step test, More 1978) or no damping finds a
@@ -250,6 +258,7 @@ def refine_fit(
     if has_dc:
         J[:, -1] = 1.0
     diagonal = np.arange(theta.size)
+    amp, freq = diagonal[:n], diagonal[n : 2 * n]
 
     def residual(th):
         """Model minus data, and the phase and cosine matrices the
@@ -262,18 +271,29 @@ def refine_fit(
     resid, phase, cos = residual(theta)
     sse = float(resid @ resid)
     damping = 1e-3
+    newton = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
+        sin = np.sin(phase)
         J[:, :n] = cos
-        J[:, n : 2 * n] = -theta[:n][None, :] * t_col * np.sin(phase)
+        J[:, n : 2 * n] = -theta[:n][None, :] * t_col * sin
         neg_grad = -(J.T @ resid)
         hess = J.T @ J
         hd = hess[diagonal, diagonal]
+        if newton:
+            # the model is linear in A and dc, so sum_i r_i d2m_i/dtheta2
+            # is nonzero only at (A_k, omega_k) and (omega_k, omega_k)
+            rt = resid * times
+            cross = -(rt @ sin)
+            hess[amp, freq] += cross
+            hess[freq, amp] += cross
+            hess[freq, freq] -= theta[:n] * ((rt * times) @ cos)
+        full_diagonal = hess[diagonal, diagonal]
         step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
         accepted = False
         for _ in range(50):
             damped = hess.copy()
-            damped[diagonal, diagonal] = hd + damping * hd
+            damped[diagonal, diagonal] = full_diagonal + damping * hd
             try:
                 step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
@@ -294,6 +314,9 @@ def refine_fit(
         theta, resid, sse = candidate, resid_new, sse_new
         phase, cos = phase_new, cos_new
         damping = max(damping * 0.3, 1e-12)
+        # Gauss-Newton has stalled in the final basin; on a large residual
+        # its linear rate would stop the fit at FTOL short of the minimum
+        newton = newton or rel_drop < math.sqrt(FTOL)
         if np.max(np.abs(theta[n : 2 * n])) >= band_edge or rel_drop < FTOL:
             break
 
@@ -332,10 +355,12 @@ def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
     best = refine_fit(times, values, seed, dt)
     floor = max(1e-8, 2.0 * noise_sigma)
     if best.residual_rms > floor:
+        # an undeclared sigma, a wrong chain length or a decaying trace all
+        # end here, so the message states the numbers and claims no cause
         raise ResolutionError(
             f"best fit residual rms {best.residual_rms:.3e} exceeds the "
-            f"acceptable floor {floor:.3e}; the window cannot separate "
-            f"{poles // 2} lines in this trace"
+            f"acceptable floor {floor:.3e} = max(1e-8, 2 * noise_sigma), "
+            f"with the declared noise_sigma {noise_sigma:.3g}"
         )
     nyquist = np.pi / dt
     if best.frequencies[-1] >= nyquist:

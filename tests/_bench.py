@@ -98,6 +98,22 @@ def out_of_band_input() -> tuple[ChainSpec, TomographyConfig]:
     return spec, config
 
 
+def weak_line_input() -> tuple[ChainSpec, TomographyConfig]:
+    """A noisy 6-spin transverse-Ising input with a weak line (A about
+    -1e-3) under sigma = 1e-2 noise, where Gauss-Newton converges only
+    linearly (found in the long-chain benchmark inputs, then frozen)."""
+    spec = ising_spec(
+        [0.6832761439096007, 0.6033354631335849, 1.4511812407987383,
+         1.3523970799122584, 1.4823670095058403],
+        [0.6872998026734978, 0.5875080285520784, 0.7695365034055598,
+         1.2804425065309406, 0.6156049426190445, 1.112202966303433],
+    )
+    config = TomographyConfig(
+        sample_step=np.pi / 25, window=12 * np.pi, noise=NoiseSpec(0.01, 1721657868)
+    )
+    return spec, config
+
+
 # sidecar probe blocks whose fields contradict each other or name nothing,
 # with the words of read_trace's refusal
 CONTRADICTORY_PROBES = {

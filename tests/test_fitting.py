@@ -21,7 +21,7 @@ from chaintomo import (
 from chaintomo import fitting
 from chaintomo.fitting import _shift_matrix, estimate_spectrum, refine_fit
 
-from _bench import BENCH_J, out_of_band_input
+from _bench import BENCH_J, out_of_band_input, weak_line_input
 
 # a chain whose lowest two lines fall inside one periodogram bin of the
 # default window, so a periodogram seed merges them; the grid-free pencil
@@ -197,6 +197,22 @@ class TestRefineFit:
         best = _refine(trace.times, trace.values, seed)
         assert best.iterations <= 2
         assert best.frequencies[-1] >= np.pi / (trace.times[1] - trace.times[0])
+
+    def test_newton_steps_finish_where_gauss_newton_stalls(self):
+        # the noise makes the dropped second-order term as large as J^T J
+        # along the weak line's omega: Gauss-Newton alone shrinks each step
+        # by only 0.93x and stops at FTOL after 134 steps, 1e-6 rad short
+        # of the minimum, at a scaled gradient of 3.5e-6
+        spec, config = weak_line_input()
+        (trace,) = simulate_traces(spec, config).traces
+        t, values = trace.times, trace.values
+        best = _refine(t, values, _seed(t, values, 12))
+        assert best.iterations <= 60
+        phase = np.outer(t, best.frequencies)
+        J = np.hstack([np.cos(phase), -best.amplitudes * t[:, None] * np.sin(phase)])
+        r = best.evaluate(t) - values
+        cosines = np.abs(J.T @ r) / (np.linalg.norm(J, axis=0) * np.linalg.norm(r))
+        assert cosines.max() <= 1e-10
 
     def test_running_out_of_steps_returns_the_best_model(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITER", 1)

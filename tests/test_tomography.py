@@ -543,6 +543,20 @@ class TestIngestMode:
             run_tomography(bundle)
         assert exc_info.value.stage == "fit"
 
+    def test_undeclared_noise_is_declined_without_naming_a_cause(self):
+        # the fit reaches the noise; only the floor max(1e-8, 2 * 0) is
+        # wrong, so the message states the declared sigma, not "the window
+        # cannot separate" the lines
+        noisy = simulate_traces(
+            xx_spec([1.1, 0.8, 1.3, 0.9, 1.2]),
+            TomographyConfig(window=6 * math.pi, noise=NoiseSpec(1e-3, 5)),
+        )
+        bundle = TraceBundle(model=Model.XX, n_spins=6, traces=noisy.traces)
+        with pytest.raises(ResolutionError, match=r"declared noise_sigma 0$") as exc_info:
+            run_tomography(bundle)
+        assert exc_info.value.stage == "fit"
+        assert "cannot separate" not in str(exc_info.value)
+
     def test_metadata_must_agree(self, tmp_path):
         pairs_a = _write_bundle(xx_spec([1.0]), tmp_path / "a")
         pairs_b = _write_bundle(ising_spec([1.0], [0.9, 1.1]), tmp_path / "b")
