@@ -1,8 +1,10 @@
 """Cosine-sum recovery from a sampled trace.
 
 The probed signal is a finite sum of cosines (plus a constant when the
-flux chain has an odd node count).  fit_trace is the one entry: it checks
-the trace's grid and pole count once and runs two steps on that grid.
+flux chain has an odd node count).  fit_trace is the one entry: it fits
+probe.sign * values of a SignalTrace, whose grid's sign and finiteness
+are the trace's to guarantee, checks the grid's uniformity and the pole
+count once and runs two steps on that grid.
 estimate_spectrum seeds the lines by the matrix pencil, which is
 grid-free, so it separates lines closer than one periodogram bin, and
 costs one SVD.  refine_fit polishes them with damped Gauss-Newton steps,
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import SignalTrace
 from .errors import ResolutionError, SpecError
 
 # refine_fit stops once a damped step is at most this fraction of
@@ -106,20 +109,13 @@ class CosineSumModel:
         )
 
 
-def _times_values(trace) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(trace, "times"):
-        times, values = trace.times, trace.values
-    else:
-        times, values = trace
-    return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
-
-
 def _check_sampling(times: np.ndarray, poles: int) -> float:
     """The sample step of a uniform grid of at least 2 * poles + 2
     samples: the pencil's Hankel matrix needs `poles` rows under the
     smallest window.  The pole count must be an integer of at least 2,
     one cosine line; a bool, which would read as 1, is refused like a
-    float.  Any other grid or count is a SpecError."""
+    float.  Any other grid or count is a SpecError.  A SignalTrace's
+    times are finite and increasing, so the step is positive."""
     if isinstance(poles, bool) or not isinstance(poles, numbers.Integral) or poles < 2:
         raise SpecError(f"the pole count must be an integer of at least 2, got {poles!r}")
     need = 2 * poles + 2
@@ -127,12 +123,8 @@ def _check_sampling(times: np.ndarray, poles: int) -> float:
         raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
     steps = np.diff(times)
     dt = float(steps[0])
-    # a reversed or constant grid has no band edge pi/dt
-    if not (math.isfinite(dt) and dt > 0):
-        raise SpecError(f"trace sampling must be uniform with a positive step, got {dt!r}")
-    # written out rather than np.allclose, which costs several times more;
-    # the negated <= also rejects NaN steps
-    if not np.max(np.abs(steps - dt)) <= 1e-9 * dt:
+    # written out rather than np.allclose, which costs several times more
+    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise SpecError("trace sampling must be uniform")
     return dt
 
@@ -332,12 +324,14 @@ def refine_fit(
     )
 
 
-def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
+def fit_trace(trace: SignalTrace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
     """Full fit with `poles` poles: matrix-pencil seed, then damped refinement.
 
-    The fit layer's one entry and one grid check: `trace`, a SignalTrace
-    or a (times, values) pair, must be uniform with at least 2 * poles + 2
-    samples, and `poles` an integer of at least 2, else SpecError.
+    The fit layer's one entry and one grid check: `trace` must be a
+    SignalTrace, whose probe.sign * values is the alpha(t) fitted, on a
+    uniform grid (its sign and finiteness are the trace's to guarantee)
+    of at least 2 * poles + 2 samples, and `poles` an integer of at least
+    2, else SpecError.
 
     An m-link flux chain has m + 1 nodes, so its trace is fitted with
     m + 1 poles: poles // 2 lines, plus a dc term when poles is odd.
@@ -349,7 +343,9 @@ def fit_trace(trace, poles: int, *, noise_sigma: float = 0.0) -> CosineSumModel:
     silently downstream.  The amplitudes are not held to any sum:
     alpha(0) = 1 is the pipeline's to judge (run_tomography).
     """
-    times, values = _times_values(trace)
+    if not isinstance(trace, SignalTrace):
+        raise SpecError(f"fit_trace takes a SignalTrace, got {type(trace).__name__}")
+    times, values = trace.times, trace.probe.sign * trace.values
     dt = _check_sampling(times, poles)
     seed = estimate_spectrum(times, values, poles, dt)
     best = refine_fit(times, values, seed, dt)

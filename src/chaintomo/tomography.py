@@ -355,9 +355,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         traces[observable] = trace
 
         with _stage("fit"):
-            # fit against +alpha regardless of the preparation's sign
-            fit = fit_trace((trace.times, trace.probe.sign * trace.values),
-                            m + 1, noise_sigma=noise_sigma)
+            fit = fit_trace(trace, m + 1, noise_sigma=noise_sigma)
             fits[observable] = fit
 
         with _stage("invert"):

@@ -49,12 +49,19 @@ class TestSignalTrace:
             SignalTrace(np.array([]), np.array([]), Probe.PLUS_X)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="non-finite"):
             SignalTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]), Probe.PLUS_X)
+        # a NaN time would make a NaN sample step, which no grid check can use
+        t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
+        with pytest.raises(SpecError, match="non-finite"):
+            SignalTrace(t_nan, np.cos(t_nan), Probe.PLUS_X)
 
     def test_rejects_nonincreasing_times(self):
-        with pytest.raises(SpecError):
-            SignalTrace(np.array([0.0, 1.0, 1.0]), np.zeros(3), Probe.PLUS_X)
+        # a repeated, constant or reversed grid has no band edge pi/dt
+        t = np.arange(8.0)
+        for times in (np.array([0.0, 1.0, 1.0]), np.zeros(8), t[::-1]):
+            with pytest.raises(SpecError, match="strictly increasing"):
+                SignalTrace(times, np.zeros(times.size), Probe.PLUS_X)
 
     @pytest.mark.parametrize("probe", ["plus_x", "up", None, 3],
                              ids=["member_value", "unknown_str", "none", "int"])

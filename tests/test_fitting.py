@@ -11,11 +11,14 @@ from scipy.linalg import eigh_tridiagonal
 from chaintomo import (
     CosineSumModel,
     NoiseSpec,
+    Probe,
     ResolutionError,
+    SignalTrace,
     SpecError,
     add_noise,
     fit_trace,
     simulate_traces,
+    spectral_couplings,
     spectral_signal,
 )
 from chaintomo import fitting
@@ -36,8 +39,9 @@ def _grid(n=200, step=np.pi / 25):
     return step * np.arange(n)
 
 
-def _trace(values_fn, t):
-    return t, values_fn(t)
+def _signal(times, values):
+    """A +x-prepared trace, which fit_trace reads as it is."""
+    return SignalTrace(times, values, Probe.PLUS_X)
 
 
 def _seed(times, values, poles):
@@ -48,19 +52,6 @@ def _seed(times, values, poles):
 def _refine(times, values, init):
     """fit_trace's refinement step on a grid known to be uniform."""
     return refine_fit(times, values, init, times[1] - times[0])
-
-
-# fit_trace is the one grid check; its two steps trust the grid it checked
-@pytest.mark.parametrize("grid", ["reversed", "constant"])
-@pytest.mark.parametrize("call", [lambda trace: fit_trace(trace, 8)], ids=["fit_trace"])
-def test_grid_without_a_positive_step_is_a_spec_error(call, grid):
-    t = _grid()
-    values = spectral_signal(BENCH_J, t).values
-    times = t[::-1] if grid == "reversed" else np.zeros(t.size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no divide-by-zero on the way
-        with pytest.raises(SpecError, match="uniform with a positive step"):
-            call((times, values))
 
 
 class TestCosineSumModel:
@@ -229,8 +220,7 @@ class TestFitTrace:
     def test_benchmark_lines_match_the_tridiagonal_spectrum(self):
         # fitted frequencies must be twice the positive eigenvalues of the
         # flux-chain matrix, amplitudes the paired boundary weights
-        trace = spectral_signal(BENCH_J, _grid())
-        fit = fit_trace((trace.times, trace.values), 8)
+        fit = fit_trace(spectral_signal(BENCH_J, _grid()), 8)
         lam, vec = eigh_tridiagonal(np.zeros(8), BENCH_J)
         weight = vec[0, :] ** 2
         positive = lam > 0
@@ -251,8 +241,7 @@ class TestFitTrace:
         assert fit.residual_rms <= 1e-14
 
     def test_amplitudes_sum_to_one_for_physical_traces(self):
-        trace = spectral_signal(BENCH_J, _grid())
-        fit = fit_trace((trace.times, trace.values), 8)
+        fit = fit_trace(spectral_signal(BENCH_J, _grid()), 8)
         assert fit.amplitude_sum == pytest.approx(1.0, abs=1e-6)
 
     def test_unnormalized_trace_is_fitted_as_it_is(self):
@@ -261,14 +250,13 @@ class TestFitTrace:
         t = _grid()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_trace((t, 0.5 * np.cos(2.0 * t)), 2)
+            fit = fit_trace(_signal(t, 0.5 * np.cos(2.0 * t)), 2)
         assert fit.amplitude_sum == pytest.approx(0.5, abs=1e-12)
 
     def test_dc_term_of_odd_node_chain(self):
         # 3-node flux chain (1.0, 0.8): zero eigenvalue with weight
         # c2^2/(c1^2+c2^2) = 0.64/1.64 appears as the constant term
-        trace = spectral_signal(np.array([1.0, 0.8]), _grid())
-        fit = fit_trace((trace.times, trace.values), 3)
+        fit = fit_trace(spectral_signal(np.array([1.0, 0.8]), _grid()), 3)
         assert fit.dc == pytest.approx(0.64 / 1.64, abs=1e-9)
         assert fit.frequencies[0] == pytest.approx(2.0 * np.sqrt(1.64), abs=1e-9)
         assert fit.amplitudes[0] == pytest.approx(1.0 / 1.64, abs=1e-9)
@@ -276,7 +264,7 @@ class TestFitTrace:
     def test_noisy_trace_fits_to_the_noise_floor(self):
         trace = spectral_signal(BENCH_J, _grid())
         noisy = add_noise(trace, NoiseSpec(sigma=0.01, seed=3))
-        fit = fit_trace((noisy.times, noisy.values), 8, noise_sigma=0.01)
+        fit = fit_trace(noisy, 8, noise_sigma=0.01)
         assert 0.004 < fit.residual_rms < 0.02
         lam, _ = eigh_tridiagonal(np.zeros(8), BENCH_J)
         omega_expected = np.sort(2.0 * lam[lam > 0])
@@ -285,13 +273,12 @@ class TestFitTrace:
     def test_rescue_separates_a_sub_rayleigh_pair(self):
         t = _grid()
         values = 0.5 * np.cos(2.0 * t) + 0.5 * np.cos(2.1 * t)
-        fit = fit_trace((t, values), 4)
+        fit = fit_trace(_signal(t, values), 4)
         np.testing.assert_allclose(fit.frequencies, [2.0, 2.1], atol=1e-9)
         np.testing.assert_allclose(fit.amplitudes, [0.5, 0.5], atol=1e-9)
 
     def test_rescue_ladder_recovers_merged_peaks(self):
-        trace = spectral_signal(MERGED_PEAK_J, _grid())
-        fit = fit_trace((trace.times, trace.values), 8)
+        fit = fit_trace(spectral_signal(MERGED_PEAK_J, _grid()), 8)
         assert fit.residual_rms <= 1e-8
         lam, _ = eigh_tridiagonal(np.zeros(8), MERGED_PEAK_J)
         omega_expected = np.sort(2.0 * lam[lam > 0])
@@ -302,7 +289,7 @@ class TestFitTrace:
         t = _grid()
         values = rng.uniform(-0.9, 0.9, t.size)
         with pytest.raises(ResolutionError):
-            fit_trace((t, values), 8)
+            fit_trace(_signal(t, values), 8)
 
     def test_running_out_of_steps_goes_on_with_the_best_model(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
@@ -317,19 +304,16 @@ class TestFitTrace:
     def test_too_few_samples(self):
         t = _grid(n=12)
         with pytest.raises(SpecError, match="need at least 18 samples to seed 8 poles, got 12$"):
-            fit_trace((t, np.cos(t)), 8)
+            fit_trace(_signal(t, np.cos(t)), 8)
 
     def test_single_sample_trace_is_a_spec_error(self):
         with pytest.raises(SpecError, match="need at least 6 samples to seed 2 poles, got 1$"):
-            fit_trace((np.array([0.0]), np.array([1.0])), 2)
+            fit_trace(_signal([0.0], [1.0]), 2)
 
     def test_nonuniform_sampling_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.8])
         with pytest.raises(SpecError, match="^trace sampling must be uniform$"):
-            fit_trace((t, np.cos(t)), 2)
-        t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
-        with pytest.raises(SpecError, match="^trace sampling must be uniform$"):
-            fit_trace((t_nan, np.cos(t_nan)), 2)
+            fit_trace(_signal(t, np.cos(t)), 2)
 
     def test_grid_is_checked_once_and_its_step_feeds_both_steps(self, monkeypatch):
         # the steps are looked up by their module-level names at call time
@@ -346,14 +330,25 @@ class TestFitTrace:
         for name in ("_check_sampling", "estimate_spectrum", "refine_fit"):
             spy(name)
         t = _grid()
-        fit_trace((t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t)), 4)
+        fit_trace(_signal(t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t)), 4)
         dt = t[1] - t[0]
         assert calls == [("_check_sampling", 4), ("estimate_spectrum", dt), ("refine_fit", dt)]
 
-    def test_accepts_signal_trace_objects(self):
+    def test_minus_prepared_trace_fits_as_its_plus_twin(self):
+        # the fit reads probe.sign * values: alpha(t), whatever the
+        # preparation; negation is exact, so the fits agree bit for bit
+        t = _grid()
+        fit = fit_trace(spectral_signal(BENCH_J, t, Probe.MINUS_X), 8)
+        assert fit.to_dict() == fit_trace(spectral_signal(BENCH_J, t, Probe.PLUS_X), 8).to_dict()
+
+    def test_minus_prepared_fit_inverts_to_the_chain(self):
+        fit = fit_trace(spectral_signal(BENCH_J, _grid(), Probe.MINUS_X), 8)
+        np.testing.assert_allclose(spectral_couplings(fit), BENCH_J, atol=1e-8)
+
+    def test_a_times_values_pair_is_a_spec_error(self):
         trace = spectral_signal(BENCH_J, _grid())
-        fit = fit_trace(trace, 8)
-        assert fit.residual_rms < 1e-12
+        with pytest.raises(SpecError, match="takes a SignalTrace, got tuple$"):
+            fit_trace((trace.times, trace.values), 8)
 
     @pytest.mark.parametrize("poles", [2.0, 3.5, 0, 1, -1, True, "3"],
                              ids=["float", "fraction", "zero", "one", "negative", "bool", "str"])
@@ -361,9 +356,9 @@ class TestFitTrace:
     def test_pole_count_must_be_an_integer_of_at_least_two(self, fitter, poles):
         t = _grid()
         with pytest.raises(SpecError, match=f"pole count .* got {re.escape(repr(poles))}$"):
-            fitter((t, np.cos(2.0 * t)), poles)
+            fitter(_signal(t, np.cos(2.0 * t)), poles)
 
     def test_numpy_integer_pole_count_is_accepted(self):
         t = _grid()
-        trace = (t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t))
+        trace = _signal(t, np.cos(2.0 * t) + 0.5 * np.cos(3.0 * t))
         assert fit_trace(trace, np.int64(4)).to_dict() == fit_trace(trace, 4).to_dict()
