@@ -54,6 +54,21 @@ def _refine(times, values, init):
     return refine_fit(times, values, init, times[1] - times[0])
 
 
+# a grid without a positive step never reaches fit_trace's two steps: the
+# SignalTrace that fit_trace must be handed refuses it
+@pytest.mark.parametrize("grid", ["reversed", "constant"])
+@pytest.mark.parametrize("call", [lambda times, values: fit_trace(_signal(times, values), 8)],
+                         ids=["fit_trace"])
+def test_grid_without_a_positive_step_is_a_spec_error(call, grid):
+    t = _grid()
+    values = spectral_signal(BENCH_J, t).values
+    times = t[::-1] if grid == "reversed" else np.zeros(t.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way
+        with pytest.raises(SpecError, match="strictly increasing"):
+            call(times, values)
+
+
 class TestCosineSumModel:
     def test_invariants(self):
         with pytest.raises(SpecError):
