@@ -3,9 +3,11 @@
 Two subcommands: `simulate` writes the TraceBundle of a chain
 description, one trace CSV plus metadata sidecar per probe; `run`
 executes the full reconstruction from a spec (simulated into its bundle)
-or from trace CSVs.  Settings can also come from a file, one
-`--flag=value` per line, given as `@run.args` (blank lines are skipped).
-Every output directory gets a RunManifest.
+or from trace CSVs and writes `result.json`, which holds the parameters
+and every probe's fit.  `run --spec` writes no traces: `simulate` with
+the same flags writes the ones it fits.  Settings can also come from a
+file, one `--flag=value` per line, given as `@run.args` (blank lines are
+skipped).  Every output directory gets a RunManifest.
 
 Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
 setting it refuses), 3 pipeline error.
@@ -144,40 +146,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = None
 
     result = run_tomography(source, config)
-
-    manifest = RunManifest(
+    result_path = out_dir / "result.json"
+    result.to_json(result_path)
+    RunManifest(
         command="run",
         version=__version__,
         config={**_flags(args),
                 "resolved": None if config is None else config.to_dict()},
         inputs=inputs,
+        outputs=[str(result_path)],
         seed=args.seed,
         started=started,
-    )
-    if args.format == "csv":
-        result_path = out_dir / "result.csv"
-        result.to_csv(result_path)
-    else:
-        result_path = out_dir / "result.json"
-        result.to_json(result_path)
-    manifest.outputs.append(str(result_path))
-
-    for observable, fit in result.fits.items():
-        fit_path = out_dir / f"fit_{observable}.json"
-        fit_path.write_text(json.dumps(fit.to_dict(), indent=2) + "\n")
-        manifest.outputs.append(str(fit_path))
-        trace = result.traces[observable]
-        fitted = trace.probe.sign * fit.evaluate(trace.times)
-        plot_path = out_dir / f"plot_{observable}.csv"
-        rows = zip(trace.times.tolist(), trace.values.tolist(), fitted.tolist())
-        with open(plot_path, "w", newline="") as fh:
-            fh.write("t,measured,fitted\n" + "".join(
-                f"{t!r},{meas!r},{mod!r}\n" for t, meas, mod in rows
-            ))
-        manifest.outputs.append(str(plot_path))
-
-    manifest.finished = _now()
-    manifest.write(out_dir)
+        finished=_now(),
+    ).write(out_dir)
     _print_table(result)
     return 0
 
@@ -199,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_fit_flags: bool) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--spec", help="chain description JSON")
         p.add_argument("--step", type=float, help="sample step in units of 1/J")
         p.add_argument("--window", type=float, help="total window in units of 1/J")
@@ -207,18 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additive Gaussian noise level (default 0)")
         p.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
-        if with_fit_flags:
-            p.add_argument("--trace", action="append", default=[],
-                           help="measured trace CSV (repeatable)")
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="result file format (default json)")
 
     p_sim = sub.add_parser("simulate", help="write probe traces for a spec")
-    common(p_sim, with_fit_flags=False)
+    common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_run = sub.add_parser("run", help="full tomography from spec or traces")
-    common(p_run, with_fit_flags=True)
+    common(p_run)
+    p_run.add_argument("--trace", action="append", default=[],
+                       help="measured trace CSV (repeatable)")
     p_run.set_defaults(func=cmd_run)
     return parser
 

@@ -28,7 +28,8 @@ class SignalTrace:
 
     times are in units of 1/J and must be strictly increasing; values are
     dimensionless and bounded by 1 up to the declared noise allowance.
-    probe must be a Probe member; text is read by Probe.from_dict.
+    Both are stored as read-only float copies.  probe must be a Probe
+    member; text is read by Probe.from_dict.
     """
 
     times: np.ndarray
@@ -38,8 +39,10 @@ class SignalTrace:
     def __post_init__(self):
         if not isinstance(self.probe, Probe):
             raise SpecError(f"a trace's probe must be a Probe, got {self.probe!r}")
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        # read-only copies, so no write, the caller's included, undoes a check
+        t = np.array(self.times, dtype=float, ndmin=1)
+        v = np.array(self.values, dtype=float, ndmin=1)
+        t.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,18 +64,6 @@ class TomographyConfig:
             "window": self.window,
             "noise": None if self.noise is None else self.noise.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TomographyConfig":
-        noise = d.get("noise")
-        try:
-            return cls(
-                sample_step=float(d.get("sample_step", math.pi / 25)),
-                window=float(d.get("window", 8 * math.pi)),
-                noise=None if noise is None else NoiseSpec(**noise),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"malformed config: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +178,7 @@ class TomographyResult:
     """Recovered parameters with fit diagnostics.
 
     parameters follow chain-traversal order; fits are keyed by the probed
-    observable, and so are traces, the signals the fits were made to
-    (not serialized).  residual_rms is the worst fit residual across
+    observable.  residual_rms is the worst fit residual across
     chains.  config is None for an ingested TraceBundle.  Serialization
     is deterministic: identical config and seed give byte-identical JSON.
     """
@@ -202,7 +189,6 @@ class TomographyResult:
     fits: dict[str, CosineSumModel]
     config: TomographyConfig | None
     warnings: tuple[str, ...] = ()
-    traces: dict[str, SignalTrace] = field(default_factory=dict)
 
     @property
     def residual_rms(self) -> float:
@@ -225,17 +211,6 @@ class TomographyResult:
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(self.to_dict(), indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    def to_csv(self, path: str | Path | None = None) -> str:
-        lines = ["parameter,estimate,truth,abs_error"]
-        for p in self.parameters:
-            truth = "" if p.truth is None else repr(p.truth)
-            err = "" if p.abs_error is None else repr(p.abs_error)
-            lines.append(f"{p.name},{p.estimate!r},{truth},{err}")
-        text = "\n".join(lines) + "\n"
         if path is not None:
             Path(path).write_text(text)
         return text
@@ -324,7 +299,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     parameters: list[ParameterEstimate] = []
     notes: list[str] = []
     fits: dict[str, CosineSumModel] = {}
-    traces: dict[str, SignalTrace] = {}
 
     with _stage("ingest"):
         # every trace must feed a probe; one no probe reads would be dropped
@@ -352,7 +326,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             trace = matching[0].check_physical(allowance=max(0.1, 6.0 * noise_sigma))
             # the m + 1 nodes of the flux chain are the fit's poles
             _check_sampling(trace.times, m + 1)
-        traces[observable] = trace
 
         with _stage("fit"):
             fit = fit_trace(trace, m + 1, noise_sigma=noise_sigma)
@@ -390,5 +363,4 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         fits=fits,
         config=config,
         warnings=tuple(notes),
-        traces=traces,
     )

@@ -11,11 +11,13 @@ import pytest
 
 import chaintomo
 from chaintomo import (
+    CosineSumModel,
     Model,
     Probe,
     SignalTrace,
     TomographyConfig,
     sample_times,
+    simulate_traces,
     write_trace,
 )
 from chaintomo import tomography
@@ -124,30 +126,19 @@ class TestRunFromSpec:
         )
         for p in result["parameters"]:
             assert p["abs_error"] < 1e-6
-        fit = _read_json(out / "fit_x1.json")
+        fit = result["fits"]["x1"]
         assert len(fit["terms"]) == 4
-        plot = (out / "plot_x1.csv").read_text().strip().splitlines()
-        assert plot[0] == "t,measured,fitted"
-        assert len(plot) == 1 + 200
-        _, measured, fitted = plot[10].split(",")
-        assert float(measured) == pytest.approx(float(fitted), abs=1e-9)
+        # the fitted curve is drawn from result.json; simulate writes the trace
+        (trace,) = simulate_traces(xx_spec(BENCH_J)).traces
+        fitted = trace.probe.sign * CosineSumModel.from_dict(fit).evaluate(trace.times)
+        np.testing.assert_allclose(fitted, trace.values, rtol=0, atol=1e-9)
         manifest = _read_json(out / "manifest.json")
         assert manifest["command"] == "run"
+        assert {path.name for path in out.iterdir()} == {"result.json", "manifest.json"}
+        assert manifest["outputs"] == [str(out / "result.json")]
         table = capsys.readouterr().out
         assert "J_7" in table
         assert "residual rms" in table
-
-    def test_csv_format(self, tmp_path, bench_spec_path):
-        out = tmp_path / "out"
-        code = main([
-            "run", "--spec", str(bench_spec_path), "--out", str(out),
-            "--format", "csv",
-        ])
-        assert code == 0
-        lines = (out / "result.csv").read_text().strip().splitlines()
-        assert lines[0] == "parameter,estimate,truth,abs_error"
-        assert len(lines) == 8
-        assert not (out / "result.json").exists()
 
     def test_xy_model_writes_both_fits(self, tmp_path):
         spec_path = tmp_path / "xy.json"
@@ -155,10 +146,8 @@ class TestRunFromSpec:
         out = tmp_path / "out"
         code = main(["run", "--spec", str(spec_path), "--out", str(out)])
         assert code == 0
-        assert (out / "fit_x1.json").is_file()
-        assert (out / "fit_y1.json").is_file()
-        assert (out / "plot_y1.csv").is_file()
         result = _read_json(out / "result.json")
+        assert set(result["fits"]) == {"x1", "y1"}
         assert len(result["parameters"]) == 6
 
     def test_each_probe_is_simulated_once(self, tmp_path, monkeypatch):
@@ -365,7 +354,7 @@ class TestConfigFile:
 
     def test_manifest_records_the_file_settings(self, tmp_path, bench_spec_path):
         settings = _settings_file(tmp_path / "run.args", "--noise-sigma=0.01",
-                                  "--seed=7", "--window=30", "--format=csv")
+                                  "--seed=7", "--window=30")
         out = tmp_path / "out"
         assert main(["run", "--spec", str(bench_spec_path), settings,
                      "--out", str(out)]) == 0
@@ -373,7 +362,7 @@ class TestConfigFile:
         assert manifest["seed"] == 7
         config = manifest["config"]
         assert (config["noise_sigma"], config["seed"]) == (0.01, 7)
-        assert (config["window"], config["step"], config["format"]) == (30.0, None, "csv")
+        assert (config["window"], config["step"]) == (30.0, None)
         assert config["resolved"]["window"] == 30.0
         assert config["resolved"]["noise"] == {"sigma": 0.01, "seed": 7}
 
@@ -570,8 +559,10 @@ class TestErrors:
         "--n-terms=inf",
         "--noise-sigma=nan",
         "--n-terms=4",
+        # result.json is the one result file, so there is no format to choose
+        "--format=csv",
     ], ids=["taylor_order", "noise_sigma", "window", "format", "n_terms_fraction",
-            "seed_fraction", "n_terms_inf", "noise_sigma_nan", "n_terms"])
+            "seed_fraction", "n_terms_inf", "noise_sigma_nan", "n_terms", "format_csv"])
     def test_malformed_config_value_exits_2(self, tmp_path, bench_spec_path,
                                             capsys, line):
         settings = _settings_file(tmp_path / "run.args", line)

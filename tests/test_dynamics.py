@@ -70,6 +70,20 @@ class TestSignalTrace:
         with pytest.raises(SpecError, match=f"must be a Probe, got {re.escape(repr(probe))}$"):
             SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 0.5]), probe)
 
+    def test_stores_read_only_copies(self):
+        # a write after construction would undo its checks: a NaN written
+        # into the caller's times once reached LAPACK through fit_trace
+        t = 0.1 * np.arange(100)
+        v = np.cos(t)
+        traces = (SignalTrace(t, v, Probe.PLUS_X), spectral_signal(BENCH_J, t))
+        t[50] = v[50] = np.nan
+        for trace in traces:
+            assert np.all(np.isfinite(trace.times)) and np.all(np.isfinite(trace.values))
+            assert trace.times[50] == 5.0
+            for array in (trace.times, trace.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = np.nan
+
     def test_check_physical(self):
         trace = SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 1.05]), Probe.PLUS_X)
         assert trace.check_physical(allowance=0.1) is trace

@@ -69,35 +69,6 @@ class TestConfig:
         with pytest.raises(SpecError, match="finite"):
             TomographyConfig(**kwargs)
 
-    def test_dict_round_trip(self):
-        config = TomographyConfig(
-            sample_step=0.1, window=20.0,
-            noise=NoiseSpec(sigma=0.01, seed=4),
-        )
-        again = TomographyConfig.from_dict(config.to_dict())
-        assert again == config
-
-    @pytest.mark.parametrize("block", [
-        {"noise": {"sigma": "0.1"}},
-        {"noise": {"sigma": 0.1, "seed": 1, "scale": 2}},
-        {"sample_step": "abc"},
-    ], ids=["sigma_str", "noise_extra_key", "step_str"])
-    def test_malformed_blocks_are_spec_errors(self, block):
-        with pytest.raises(SpecError, match="malformed config"):
-            TomographyConfig.from_dict(block)
-
-    def test_older_config_blocks_still_load(self):
-        # result.json files written before the inputs fixed the route and the
-        # term count carry taylor_order, mode and n_terms; they are ignored
-        old = {
-            "sample_step": 0.1, "window": 20.0, "taylor_order": None,
-            "noise": {"sigma": 0.01, "seed": 4}, "n_terms": 5, "mode": "ingest",
-        }
-        assert TomographyConfig.from_dict(old) == TomographyConfig(
-            sample_step=0.1, window=20.0,
-            noise=NoiseSpec(sigma=0.01, seed=4),
-        )
-
 
 class TestSimulateMode:
     def test_two_spin_chain_is_recovered_exactly(self):
@@ -300,17 +271,6 @@ class TestResultObject:
         )
         names = [p["parameter"] for p in data["parameters"]]
         assert names == [f"J_{i}" for i in range(1, 8)]
-
-    def test_csv_serialization(self):
-        result = run_tomography(xx_spec([1.1, 0.7]))
-        lines = result.to_csv().strip().splitlines()
-        assert lines[0] == "parameter,estimate,truth,abs_error"
-        assert len(lines) == 3
-        name, estimate, truth, abs_error = lines[1].split(",")
-        assert name == "J_1"
-        assert float(estimate) == pytest.approx(1.1, abs=1e-6)
-        assert float(truth) == 1.1
-        assert float(abs_error) == abs(float(estimate) - 1.1)
 
     # numpy integers pass the integer checks; each used to reach json.dumps
     # and fail there with an untyped TypeError
