@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Two subcommands: `simulate` writes the TraceBundle of a chain
-description, one trace CSV plus metadata sidecar per probe; `run`
-executes the full reconstruction from a spec (simulated into its bundle)
-or from trace CSVs and writes `result.json`, which holds the parameters
-and every probe's fit.  `run --spec` writes no traces: `simulate` with
-the same flags writes the ones it fits.  Settings can also come from a
-file, one `--flag=value` per line, given as `@run.args` (blank lines are
-skipped).  Every output directory gets a RunManifest.
+Two subcommands: `simulate` writes the TraceBundle of a chain description,
+one trace CSV plus metadata sidecar per probe; `run` executes the full
+reconstruction from a spec (simulated into its bundle) or from trace CSVs
+and writes `result.json`, which holds the parameters and every probe's
+fit.  `run --spec` writes no traces: `simulate` with the same flags writes
+the ones it fits.  Settings can also come from a file, one `--flag=value`
+per line, given as `@run.args` (blank lines are skipped).  A success adds
+a RunManifest; a failed `run` leaves no result.json or manifest.json.
 
 Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
 setting it refuses), 3 pipeline error.
@@ -48,10 +48,8 @@ class RunManifest:
     started: str = ""
     finished: str = ""
 
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(self.__dict__, indent=2) + "\n")
-        return path
+    def write(self, out_dir: Path) -> None:
+        (out_dir / "manifest.json").write_text(json.dumps(self.__dict__, indent=2) + "\n")
 
 
 def _now() -> str:
@@ -121,6 +119,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
+    for stale in ("result.json", "manifest.json"):  # a failed run leaves neither
+        (out_dir / stale).unlink(missing_ok=True)
     if bool(args.spec) == bool(args.trace):
         raise SpecError("run requires exactly one of --spec or --trace")
     if args.trace and (args.step is not None or args.window is not None):
@@ -129,9 +130,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SpecError("step and window do not apply to --trace: "
                         "the traces carry their own sampling")
     started = _now()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.spec:
         source = ChainSpec.from_json(args.spec)
         inputs = [str(args.spec)]
@@ -146,6 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = None
 
     result = run_tomography(source, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "result.json"
     result.to_json(result_path)
     RunManifest(

@@ -10,6 +10,7 @@ against them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -141,23 +142,23 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise SpecError(f"trace file not found: {csv_path}")
-    times: list[float] = []
-    values: list[float] = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-            raise SpecError(f"{csv_path}: expected CSV header 't,value'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise SpecError(f"{csv_path}: malformed row {row!r}") from exc
-    if not times:
+    header, _, body = csv_path.read_text().partition("\n")
+    if [h.strip() for h in next(csv.reader([header]))[:2]] != ["t", "value"]:
+        raise SpecError(f"{csv_path}: expected CSV header 't,value'")
+    if not body.strip("\n"):  # checked first: loadtxt warns on a body with no rows
         raise SpecError(f"{csv_path}: trace is empty")
+    # numpy's C reader: blank rows skipped, numbers may be quoted, extra columns ignored
+    dialect = dict(delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"')
+    try:
+        data = np.loadtxt(io.StringIO(body), **dialect)
+    except ValueError as exc:
+        # name the first row refused on its own; rows parse alone unless a quote spans lines
+        for line, row in ((n, r) for n, r in enumerate(body.split("\n"), 2) if r):
+            try:
+                np.loadtxt([row], **dialect)
+            except ValueError:
+                raise SpecError(f"{csv_path}: malformed row at line {line}: {row!r}") from exc
+        raise SpecError(f"{csv_path}: malformed rows: {exc}") from exc
     sidecar = _sidecar_path(csv_path)
     if not sidecar.is_file():
         raise SpecError(f"metadata sidecar not found: {sidecar}")
@@ -171,4 +172,4 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
         probe = Probe.from_dict(meta["probe"])
     except (KeyError, TypeError, SpecError) as exc:
         raise SpecError(f"{sidecar}: malformed probe: {exc}") from exc
-    return SignalTrace(np.array(times), np.array(values), probe), meta
+    return SignalTrace(data[:, 0], data[:, 1], probe), meta

@@ -247,6 +247,20 @@ class TestRunFromTraces:
         assert "no probe for the trace probing y1" in capsys.readouterr().err
         assert not (run_out / "result.json").exists()
 
+    def test_failed_run_leaves_no_result(self, tmp_path, capsys):
+        spec_path = tmp_path / "xx.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
+        out = tmp_path / "d"
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "sim")]) == 0
+        short = tmp_path / "sim" / "trace_x1.csv"  # five samples: too few to fit
+        short.write_text("\n".join(short.read_text().splitlines()[:6]) + "\n")
+        # the earlier run's outputs are gone, so none passes for this run's
+        assert main(["run", "--trace", str(short), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert main(["run", "--trace", str(short), "--out", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
+
     def test_spec_and_trace_are_mutually_exclusive(
         self, tmp_path, bench_spec_path, capsys
     ):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from chaintomo.reference import (
 from _bench import (
     BENCH_J,
     CONTRADICTORY_PROBES,
+    DIALECT_CSVS,
     NON_INTEGER_SIGNS,
+    REFUSED_CSV_ROWS,
     TRUNCATED_CSVS,
     ising_spec,
     xx_spec,
@@ -271,6 +274,71 @@ class TestTraceFiles:
         assert again.probe.observable is Observable.X1
         assert meta["model"] == "xx"
         assert meta["n_spins"] == 8
+
+    def test_round_trip_is_bit_exact_at_scale(self, tmp_path):
+        rng = np.random.default_rng(20)
+        n = 20_000
+        times = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
+        values[:5] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+        # about a quarter of random doubles need all 17 significant digits
+        assert sum(float(f"{v:.16g}") != v for v in values.tolist()) > n // 5
+        trace = SignalTrace(times, values, Probe.PLUS_X)
+        again, _ = read_trace(write_trace(trace, tmp_path / "trace.csv"))
+        for read, written in ((again.times, trace.times), (again.values, trace.values)):
+            assert np.array_equal(read, written)
+            assert np.array_equal(np.signbit(read), np.signbit(written))
+
+    def test_written_bytes(self, tmp_path):
+        trace = SignalTrace([0.0, 0.1, 2.5], [1.0, -0.0, 1 / 3], Probe.PLUS_X)
+        path = write_trace(trace, tmp_path / "trace.csv", {"model": "xx"})
+        assert path.read_bytes() == b"t,value\n0.0,1.0\n0.1,-0.0\n2.5,0.3333333333333333\n"
+        assert (tmp_path / "trace.meta.json").read_bytes() == (
+            b'{\n  "probe": {\n    "observable": "x1",\n    "preparation": "plus_x",\n'
+            b'    "sign": 1\n  },\n  "model": "xx"\n}\n'
+        )
+
+    @pytest.mark.parametrize("body", DIALECT_CSVS.values(), ids=list(DIALECT_CSVS))
+    def test_csv_dialect(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_bytes(f"t,value\n{body}".encode())
+        trace, _ = read_trace(path)
+        assert trace.times.tolist() == [0.0, 0.5]
+        assert trace.values.tolist() == [1.0, -0.25]
+
+    @pytest.mark.parametrize("body, line", REFUSED_CSV_ROWS.values(), ids=list(REFUSED_CSV_ROWS))
+    def test_refused_row_names_the_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_bytes(f"t,value\n{body}".encode())
+        with pytest.raises(SpecError, match=re.escape(f"{path}: malformed row at line {line}:")):
+            read_trace(path)
+
+    def test_quoted_field_across_lines_is_refused(self, tmp_path):
+        # each line reads alone, so no one line is named
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_text('t,value\n0,"1\n2,3\n')
+        with pytest.raises(SpecError, match=re.escape(f"{path}: malformed rows:")):
+            read_trace(path)
+
+    def test_header_only_is_empty_without_a_warning(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_text("t,value\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SpecError, match=re.escape(f"{path}: trace is empty")):
+                read_trace(path)
+        assert caught == []
+
+    def test_nan_is_refused_by_the_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_text("t,value\n0,nan\n0.5,-0.25\n")
+        with pytest.raises(SpecError, match="non-finite"):
+            read_trace(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="not found"):
