@@ -154,12 +154,12 @@ class ChainSpec:
                     f"{fam} must have length {want} for n_spins={self.n_spins}, "
                     f"got {arr.size}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise SpecError(f"{fam} contains non-finite values")
             if self.allow_signed:
-                if np.any(arr == 0.0):
+                if (arr == 0.0).any():
                     raise SpecError(f"{fam} contains a zero coupling (chain disconnects)")
-            elif np.any(arr <= 0.0):
+            elif (arr <= 0.0).any():
                 raise SpecError(
                     f"{fam} must be strictly positive (set allow_signed to permit signs)"
                 )
@@ -196,8 +196,8 @@ class ChainSpec:
         if not p.is_file():
             raise SpecError(f"spec file not found: {p}")
         try:
-            d = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            d = json.loads(p.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError(f"spec file {p} is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
 
@@ -223,7 +223,7 @@ class FluxChain:
             raise ShapeMismatch(
                 f"label_map has {len(self.label_map)} entries for {arr.size} links"
             )
-        if np.any(arr == 0.0) or not np.all(np.isfinite(arr)):
+        if (arr == 0.0).any() or not np.isfinite(arr).all():
             raise SpecError("flux chain links must be nonzero and finite")
 
     @property

@@ -67,6 +67,14 @@ def _build_config(args: argparse.Namespace) -> TomographyConfig:
     return TomographyConfig(**kwargs)
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """--out as a directory path; a file at it or at a parent is a SpecError."""
+    out_dir = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise SpecError(f"--out must name a directory, but a file is in the way: {out_dir}")
+    return out_dir
+
+
 def _flags(args: argparse.Namespace) -> dict:
     """The parsed settings, as the manifest records them."""
     return {key: value for key, value in vars(args).items() if key != "func"}
@@ -96,7 +104,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     spec = ChainSpec.from_json(args.spec)
     config = _build_config(args)
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="simulate",
@@ -119,7 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args)
     for stale in ("result.json", "manifest.json"):  # a failed run leaves neither
         (out_dir / stale).unlink(missing_ok=True)
     if bool(args.spec) == bool(args.trace):

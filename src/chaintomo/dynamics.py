@@ -50,14 +50,14 @@ class SignalTrace:
             raise SpecError("times and values must be 1-D arrays of equal length")
         if t.size == 0:
             raise SpecError("trace is empty")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
+        if not np.isfinite(t).all() or not np.isfinite(v).all():
             raise SpecError("trace contains non-finite entries")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] - t[:-1] <= 0).any():
             raise SpecError("times must be strictly increasing")
 
     def check_physical(self, allowance: float = 0.0) -> "SignalTrace":
         """Reject values outside [-1, 1] beyond the noise allowance."""
-        if np.max(np.abs(self.values)) > 1.0 + allowance:
+        if abs(self.values).max() > 1.0 + allowance:
             raise SpecError(
                 f"trace values exceed the physical bound 1 + {allowance:g}"
             )
@@ -98,14 +98,14 @@ def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     links = np.asarray(getattr(chain, "links", chain), dtype=float)
     probe = probe or getattr(chain, "probe", Probe.PLUS_X)
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(links)):
+    if not np.isfinite(links).all():
         raise EigenError("tridiagonal eigensolve failed: links must be finite")
     try:
         lam, vec = np.linalg.eigh(np.diag(links, 1) + np.diag(links, -1))
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"tridiagonal eigensolve failed: {exc}") from exc
     weight = vec[0, :] ** 2
-    values = (weight[None, :] * np.cos(2.0 * np.outer(t, lam))).sum(axis=1)
+    values = (weight[None, :] * np.cos(2.0 * (t[:, None] * lam))).sum(axis=1)
     return SignalTrace(times=t, values=probe.sign * values, probe=probe)
 
 
@@ -142,7 +142,10 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise SpecError(f"trace file not found: {csv_path}")
-    header, _, body = csv_path.read_text().partition("\n")
+    try:
+        header, _, body = csv_path.read_text(encoding="utf-8").partition("\n")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{csv_path}: trace is not UTF-8 text: {exc}") from exc
     if [h.strip() for h in next(csv.reader([header]))[:2]] != ["t", "value"]:
         raise SpecError(f"{csv_path}: expected CSV header 't,value'")
     if not body.strip("\n"):  # checked first: loadtxt warns on a body with no rows
@@ -163,8 +166,8 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
     if not sidecar.is_file():
         raise SpecError(f"metadata sidecar not found: {sidecar}")
     try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"metadata sidecar {sidecar} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or "probe" not in meta:
         raise SpecError(f"{sidecar}: metadata must identify the probe")

@@ -62,10 +62,10 @@ class CosineSumModel:
             raise SpecError("amplitudes and frequencies must match in length")
         if A.size < 1:
             raise SpecError("a cosine-sum model needs at least one term")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(om))
+        if not (np.isfinite(A).all() and np.isfinite(om).all()
                 and math.isfinite(self.dc or 0.0)):
             raise SpecError("model parameters must be finite")
-        if np.any(om < 0):
+        if (om < 0).any():
             raise SpecError("frequencies must be nonnegative")
 
     @property
@@ -121,28 +121,22 @@ def _check_sampling(times: np.ndarray, poles: int) -> float:
     need = 2 * poles + 2
     if times.size < need:
         raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")
-    steps = np.diff(times)
+    steps = times[1:] - times[:-1]
     dt = float(steps[0])
     # written out rather than np.allclose, which costs several times more
-    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
+    if abs(steps - dt).max() > 1e-9 * dt:
         raise SpecError("trace sampling must be uniform")
     return dt
-
-
-def _rayleigh(times: np.ndarray) -> float:
-    # frequency resolution of the window: one periodogram bin
-    return 2.0 * np.pi / (times[-1] - times[0])
 
 
 def _lstsq_amplitudes(
     times: np.ndarray, values: np.ndarray, freqs: np.ndarray, include_dc: bool
 ) -> tuple[np.ndarray, float | None, float]:
-    design = np.cos(np.outer(times, freqs))
-    if include_dc:
-        design = np.hstack([design, np.ones((times.size, 1))])
+    design = np.ones((times.size, freqs.size + include_dc))  # dc column last
+    np.cos(times[:, None] * freqs, out=design[:, : freqs.size])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = values - design @ coef
-    rms = float(np.sqrt(resid @ resid / times.size))
+    rms = math.sqrt(resid @ resid / times.size)
     if include_dc:
         return coef[:-1], float(coef[-1]), rms
     return coef, None, rms
@@ -164,7 +158,7 @@ def _shift_matrix(basis: np.ndarray) -> np.ndarray:
             "the pencil's shift is undetermined"
         )
     C = basis[:-1].T @ basis[1:]
-    return C + np.outer(v, v @ C) * (1.0 / gap)
+    return C + v[:, None] * (v @ C) * (1.0 / gap)
 
 
 def estimate_spectrum(
@@ -188,7 +182,7 @@ def estimate_spectrum(
     raises ResolutionError.
     """
     n_terms = poles // 2
-    d_omega = _rayleigh(times)
+    d_omega = 2.0 * np.pi / (times[-1] - times[0])  # one periodogram bin
     n = values.size
     # 6 * poles lags resolve 7- and 11-link chains as well as n // 3 does
     # (4 * poles does not) and keep the SVD linear, not cubic, in n
@@ -198,8 +192,9 @@ def estimate_spectrum(
     # vectors as the tall Hankel matrix and costs less
     _, _, vt = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
     z = np.linalg.eigvals(_shift_matrix(vt[:poles].T))
-    omega = np.angle(z) / dt
-    omega = np.sort(omega[omega > 0.25 * d_omega])
+    omega = np.arctan2(z.imag, z.real) / dt  # np.angle(z), without its wrapper
+    omega = omega[omega > 0.25 * d_omega]
+    omega.sort()
     if omega.size < n_terms:
         raise ResolutionError(
             f"only {omega.size} separated spectral peaks in a window resolving "
@@ -249,8 +244,7 @@ def refine_fit(
     J = np.empty((times.size, theta.size))
     if has_dc:
         J[:, -1] = 1.0
-    diagonal = np.arange(theta.size)
-    amp, freq = diagonal[:n], diagonal[n : 2 * n]
+    amp, freq = np.arange(n), np.arange(n, 2 * n)
 
     def residual(th):
         """Model minus data, and the phase and cosine matrices the
@@ -271,7 +265,7 @@ def refine_fit(
         J[:, n : 2 * n] = -theta[:n][None, :] * t_col * sin
         neg_grad = -(J.T @ resid)
         hess = J.T @ J
-        hd = hess[diagonal, diagonal]
+        hd = hess.diagonal().copy()
         if newton:
             # the model is linear in A and dc, so sum_i r_i d2m_i/dtheta2
             # is nonzero only at (A_k, omega_k) and (omega_k, omega_k)
@@ -280,12 +274,12 @@ def refine_fit(
             hess[amp, freq] += cross
             hess[freq, amp] += cross
             hess[freq, freq] -= theta[:n] * ((rt * times) @ cos)
-        full_diagonal = hess[diagonal, diagonal]
+        full_diagonal = hess.diagonal()
         step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
         accepted = False
         for _ in range(50):
             damped = hess.copy()
-            damped[diagonal, diagonal] = full_diagonal + damping * hd
+            damped.flat[:: theta.size + 1] = full_diagonal + damping * hd
             try:
                 step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
@@ -309,17 +303,17 @@ def refine_fit(
         # Gauss-Newton has stalled in the final basin; on a large residual
         # its linear rate would stop the fit at FTOL short of the minimum
         newton = newton or rel_drop < math.sqrt(FTOL)
-        if np.max(np.abs(theta[n : 2 * n])) >= band_edge or rel_drop < FTOL:
+        if abs(theta[n : 2 * n]).max() >= band_edge or rel_drop < FTOL:
             break
 
     A = theta[:n]
-    om = np.abs(theta[n : 2 * n])
-    order = np.argsort(om)
+    om = abs(theta[n : 2 * n])
+    order = om.argsort()
     return CosineSumModel(
         A[order],
         om[order],
         dc=float(theta[-1]) if has_dc else None,
-        residual_rms=float(np.sqrt(sse / times.size)),
+        residual_rms=math.sqrt(sse / times.size),
         iterations=iterations,
     )
 

@@ -10,6 +10,8 @@ inversion is kept as a reference in chaintomo.reference.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateError, InversionError
@@ -49,10 +51,10 @@ def spectral_couplings(fit) -> np.ndarray:
     dc = getattr(fit, "dc", None)
     nodes = np.concatenate([-half, half, [] if dc is None else [0.0]])
     weights = np.concatenate([0.5 * A, 0.5 * A, [] if dc is None else [dc]])
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise ValueError("fit parameters must be finite")
-    worst = int(np.argmin(weights))
-    if weights[worst] < -WEIGHT_TOL * float(np.sum(np.abs(weights))):
+    worst = int(weights.argmin())
+    if weights[worst] < -WEIGHT_TOL * float(abs(weights).sum()):
         raise InversionError(
             f"spectral weight {weights[worst]:.3e} at node {nodes[worst]:.6g} is "
             "negative; the fit is not the spectrum of any real chain",
@@ -62,8 +64,8 @@ def spectral_couplings(fit) -> np.ndarray:
     q = np.sqrt(np.maximum(weights, 0.0))
     n_links = nodes.size - 1
     basis = np.zeros((nodes.size, nodes.size))
-    basis[:, 0] = q / np.linalg.norm(q)
-    threshold = BREAKDOWN_TOL * float(np.max(np.abs(nodes)))
+    basis[:, 0] = q / math.sqrt(q @ q)
+    threshold = BREAKDOWN_TOL * float(abs(nodes).max())
     links = np.zeros(n_links)
     for j in range(n_links):
         done = basis[:, : j + 1]
@@ -72,7 +74,7 @@ def spectral_couplings(fit) -> np.ndarray:
         # rounding ("twice is enough"), which plain three-term Lanczos loses
         v -= done @ (done.T @ v)
         v -= done @ (done.T @ v)
-        beta = float(np.linalg.norm(v))
+        beta = math.sqrt(v @ v)
         if not beta > threshold:
             raise DegenerateError(
                 f"link {j + 1} is unidentifiable: the fitted spectral measure has "

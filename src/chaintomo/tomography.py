@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,17 +215,6 @@ class TomographyResult:
         return text
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag errors escaping a pipeline stage with the stage name."""
-    try:
-        yield
-    except ChainTomoError as exc:
-        if exc.stage is None:
-            exc.stage = name
-        raise
-
-
 def sample_times(config: TomographyConfig) -> np.ndarray:
     """The uniform grid the config describes: step * (0, 1, ..., n-1)."""
     n_samples = int(round(config.window / config.sample_step))
@@ -274,7 +262,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     process-wide warning state, so it is safe to call from several
     threads.
     """
-    with _stage("validate"):
+    stage = "validate"
+    try:
         if isinstance(source, ChainSpec):
             config = config or TomographyConfig()
         elif not isinstance(source, TraceBundle):
@@ -287,20 +276,20 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 "the sampling and its noise_sigma the noise level"
             )
 
-    bundle = source
-    if isinstance(source, ChainSpec):
-        with _stage("simulate"):
+        bundle = source
+        if isinstance(source, ChainSpec):
+            stage = "simulate"
             bundle = simulate_traces(source, config)
-    truth = bundle.truth
-    signed = truth is not None and truth.allow_signed
-    noise_sigma = bundle.noise_sigma
-    layout = chain_layout(bundle.model, bundle.n_spins)
+        truth = bundle.truth
+        signed = truth is not None and truth.allow_signed
+        noise_sigma = bundle.noise_sigma
+        layout = chain_layout(bundle.model, bundle.n_spins)
 
-    parameters: list[ParameterEstimate] = []
-    notes: list[str] = []
-    fits: dict[str, CosineSumModel] = {}
+        parameters: list[ParameterEstimate] = []
+        notes: list[str] = []
+        fits: dict[str, CosineSumModel] = {}
 
-    with _stage("ingest"):
+        stage = "ingest"
         # every trace must feed a probe; one no probe reads would be dropped
         by_observable = {probe.observable: [] for probe, _ in layout}
         for tr in bundle.traces:
@@ -312,11 +301,11 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 )
             by_observable[tr.probe.observable].append(tr)
 
-    for probe, labels in layout:
-        observable = probe.observable.value
-        m = len(labels)
+        for probe, labels in layout:
+            observable = probe.observable.value
+            m = len(labels)
 
-        with _stage("ingest"):
+            stage = "ingest"
             matching = by_observable[probe.observable]
             if len(matching) != 1:
                 raise SpecError(
@@ -327,14 +316,14 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             # the m + 1 nodes of the flux chain are the fit's poles
             _check_sampling(trace.times, m + 1)
 
-        with _stage("fit"):
+            stage = "fit"
             fit = fit_trace(trace, m + 1, noise_sigma=noise_sigma)
             fits[observable] = fit
 
-        with _stage("invert"):
+            stage = "invert"
             links = spectral_couplings(fit)
 
-        with _stage("assemble"):
+            stage = "assemble"
             # alpha(0) = 1 whatever the bulk state, so the amplitudes must
             # sum to 1 within what the residual and the noise allow
             total = fit.amplitude_sum
@@ -355,6 +344,10 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                         else abs(estimate - truth_val),
                     )
                 )
+    except ChainTomoError as exc:
+        if exc.stage is None:
+            exc.stage = stage
+        raise
 
     return TomographyResult(
         model=bundle.model,

@@ -1,6 +1,7 @@
 """Model validation and flux-chain reduction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,13 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(SpecError, match="JSON"):
+            ChainSpec.from_json(path)
+
+    def test_from_json_not_utf8_names_the_file(self, tmp_path):
+        # JSON text is UTF-8, so a byte that does not decode is bad input
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(SpecError, match=re.escape(f"spec file {path} is not valid JSON")):
             ChainSpec.from_json(path)
 
     def test_from_dict_rejects_unknown_model(self):

@@ -410,6 +410,19 @@ class TestErrors:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_in_place_of_a_file_exits_2(self, tmp_path, bench_spec_path, capsys,
+                                            command, out):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = main([command, "--spec", str(bench_spec_path), "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out must name a directory")
+        assert str(tmp_path / out) in err
+        assert afile.read_text() == "kept\n"
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -344,6 +344,21 @@ class TestTraceFiles:
         with pytest.raises(SpecError, match="not found"):
             read_trace(tmp_path / "nope.csv")
 
+    def test_trace_that_is_not_utf8_is_a_spec_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        path.write_bytes(b"t,value\n0,\xff1\n")
+        with pytest.raises(SpecError, match=re.escape(f"{path}: trace is not UTF-8 text")):
+            read_trace(path)
+
+    def test_sidecar_that_is_not_utf8_is_a_spec_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+        sidecar = tmp_path / "trace.meta.json"
+        sidecar.write_bytes(b"\xff")
+        with pytest.raises(SpecError, match=re.escape(f"metadata sidecar {sidecar} is not")):
+            read_trace(path)
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,value\n0.0,1.0\n1.0,0.5\n")

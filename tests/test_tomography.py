@@ -14,6 +14,7 @@ from chaintomo import (
     ChainTomoError,
     CosineSumModel,
     DegenerateError,
+    EigenError,
     Model,
     NoiseSpec,
     ResolutionError,
@@ -257,6 +258,24 @@ class TestSimulateMode:
             run_tomography(bundle)
         assert exc_info.value.stage == "invert"
         assert exc_info.value.link == 4
+
+    def test_simulation_errors_carry_the_simulate_stage(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise EigenError("tridiagonal eigensolve failed")
+
+        monkeypatch.setattr(tomography, "spectral_signal", failing)
+        with pytest.raises(EigenError) as exc_info:
+            run_tomography(xx_spec(BENCH_J))
+        assert exc_info.value.stage == "simulate"
+
+    def test_an_error_keeps_the_stage_it_carries(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ResolutionError("declined", stage="seed")
+
+        monkeypatch.setattr(tomography, "fit_trace", failing)
+        with pytest.raises(ResolutionError) as exc_info:
+            run_tomography(xx_spec(BENCH_J))
+        assert exc_info.value.stage == "seed"
 
 
 class TestResultObject:
