@@ -7,10 +7,11 @@ and writes `result.json`, which holds the parameters and every probe's
 fit.  `run --spec` writes no traces: `simulate` with the same flags writes
 the ones it fits.  Settings can also come from a file, one `--flag=value`
 per line, given as `@run.args` (blank lines are skipped).  A success adds
-a RunManifest; a failed `run` leaves no result.json or manifest.json.
+manifest.json, which states each parsed setting once; a failed `run`
+leaves no result.json or manifest.json.
 
 Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
-setting it refuses), 3 pipeline error.
+setting it refuses, and on a missing or doubled input), 3 pipeline error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,30 +36,13 @@ from .tomography import (
 )
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly."""
-
-    command: str
-    version: str
-    config: dict
-    inputs: list[str]
-    outputs: list[str] = field(default_factory=list)
-    seed: int | None = None
-    started: str = ""
-    finished: str = ""
-
-    def write(self, out_dir: Path) -> None:
-        (out_dir / "manifest.json").write_text(json.dumps(self.__dict__, indent=2) + "\n")
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
 def _build_config(args: argparse.Namespace) -> TomographyConfig:
     # built for every sigma, so NaN and negative values are refused too
-    noise = NoiseSpec(sigma=args.noise_sigma, seed=args.seed)
+    noise = NoiseSpec(sigma=args.noise_sigma, seed=args.seed or 0)
     kwargs = {"noise": noise if args.noise_sigma > 0 else None}
     if args.step is not None:
         kwargs["sample_step"] = args.step
@@ -75,9 +59,19 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out_dir
 
 
-def _flags(args: argparse.Namespace) -> dict:
-    """The parsed settings, as the manifest records them."""
-    return {key: value for key, value in vars(args).items() if key != "func"}
+def _write_manifest(out_dir: Path, args: argparse.Namespace,
+                    config: TomographyConfig | None, outputs: list[Path],
+                    started: str) -> None:
+    """manifest.json: the parsed flags, the config they resolve to and the outputs."""
+    flags = {key: value for key, value in vars(args).items() if key != "func"}
+    manifest = {
+        "version": __version__,
+        "config": {**flags, "resolved": None if config is None else config.to_dict()},
+        "outputs": [str(path) for path in outputs],
+        "started": started,
+        "finished": _now(),
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _print_table(result) -> None:
@@ -99,30 +93,20 @@ def _print_table(result) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not args.spec:
-        raise SpecError("simulate requires --spec")
     started = _now()
     spec = ChainSpec.from_json(args.spec)
     config = _build_config(args)
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="simulate",
-        version=__version__,
-        config={**_flags(args), "resolved": config.to_dict()},
-        inputs=[str(args.spec)],
-        seed=args.seed,
-        started=started,
-    )
     bundle = simulate_traces(spec, config)
     metadata = bundle.to_metadata()
+    outputs = []
     for trace in bundle.traces:
         path = out_dir / f"trace_{trace.probe.observable.value}.csv"
         write_trace(trace, path, metadata)
-        manifest.outputs.append(str(path))
+        outputs.append(path)
         print(f"wrote {path} ({trace.times.size} samples)")
-    manifest.finished = _now()
-    manifest.write(out_dir)
+    _write_manifest(out_dir, args, config, outputs, started)
     return 0
 
 
@@ -130,21 +114,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     for stale in ("result.json", "manifest.json"):  # a failed run leaves neither
         (out_dir / stale).unlink(missing_ok=True)
-    if bool(args.spec) == bool(args.trace):
-        raise SpecError("run requires exactly one of --spec or --trace")
-    if args.trace and (args.step is not None or args.window is not None):
-        # the trace files fix their own sampling; a manifest that records
-        # other values would misdescribe the run
-        raise SpecError("step and window do not apply to --trace: "
-                        "the traces carry their own sampling")
+    if args.trace and any(v is not None for v in (args.step, args.window, args.seed)):
+        # the trace files fix their own sampling and noise draws; a manifest
+        # that records other values would misdescribe the run
+        raise SpecError("step, window and seed do not apply to --trace: "
+                        "the traces carry their own sampling and noise")
     started = _now()
-    if args.spec:
+    if args.spec is not None:
         source = ChainSpec.from_json(args.spec)
-        inputs = [str(args.spec)]
         config = _build_config(args)
     else:
         source = TraceBundle.from_metadata([read_trace(p) for p in args.trace])
-        inputs = [str(p) for p in args.trace]
         # a bundle takes no config: a given sigma replaces the sidecars'
         noise = _build_config(args).noise
         if noise is not None:
@@ -155,17 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "result.json"
     result.to_json(result_path)
-    RunManifest(
-        command="run",
-        version=__version__,
-        config={**_flags(args),
-                "resolved": None if config is None else config.to_dict()},
-        inputs=inputs,
-        outputs=[str(result_path)],
-        seed=args.seed,
-        started=started,
-        finished=_now(),
-    ).write(out_dir)
+    _write_manifest(out_dir, args, config, [result_path], started)
     _print_table(result)
     return 0
 
@@ -188,22 +158,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--spec", help="chain description JSON")
         p.add_argument("--step", type=float, help="sample step in units of 1/J")
         p.add_argument("--window", type=float, help="total window in units of 1/J")
         p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
                        help="additive Gaussian noise level (default 0)")
-        p.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+        p.add_argument("--seed", type=int, help="noise seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
 
     p_sim = sub.add_parser("simulate", help="write probe traces for a spec")
+    p_sim.add_argument("--spec", required=True, help="chain description JSON")
     common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_run = sub.add_parser("run", help="full tomography from spec or traces")
+    source = p_run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="chain description JSON")
+    source.add_argument("--trace", action="append",
+                        help="measured trace CSV (repeatable)")
     common(p_run)
-    p_run.add_argument("--trace", action="append", default=[],
-                       help="measured trace CSV (repeatable)")
     p_run.set_defaults(func=cmd_run)
     return parser
 
@@ -211,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built once per process: parsing keeps no state between calls, and
-    # argparse copies the --trace default list before appending to it
+    # --trace has no default list to append to, so each parse starts afresh
     return build_parser()
 
 

@@ -84,7 +84,7 @@ class NoiseSpec:
         return {"sigma": self.sigma, "seed": self.seed}
 
 
-def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
+def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     """Exact signal from the flux chain's tridiagonal spectrum.
 
     The (m+1)-dimensional symmetric tridiagonal matrix T with zero
@@ -92,11 +92,10 @@ def spectral_signal(chain, times, probe: Probe | None = None) -> SignalTrace:
     the signal is sum_k (v_k[1])^2 cos(2 lambda_k t), exact up to
     eigensolver precision.  T is at most a few dozen rows, so it is
     built dense and handed to the symmetric solver ``numpy.linalg.eigh``.
-    Non-finite links raise EigenError.  ``chain`` may be a FluxChain or a
-    bare link array; the probe defaults to the chain's own.
+    Non-finite links raise EigenError.  A FluxChain passes its ``links``
+    and ``probe``.
     """
-    links = np.asarray(getattr(chain, "links", chain), dtype=float)
-    probe = probe or getattr(chain, "probe", Probe.PLUS_X)
+    links = np.asarray(links, dtype=float)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.isfinite(links).all():
         raise EigenError("tridiagonal eigensolve failed: links must be finite")
@@ -142,8 +141,8 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise SpecError(f"trace file not found: {csv_path}")
-    try:
-        header, _, body = csv_path.read_text(encoding="utf-8").partition("\n")
+    try:  # utf-8-sig: spreadsheets start a "CSV UTF-8" file with a byte-order mark
+        header, _, body = csv_path.read_text(encoding="utf-8-sig").partition("\n")
     except UnicodeDecodeError as exc:
         raise SpecError(f"{csv_path}: trace is not UTF-8 text: {exc}") from exc
     if [h.strip() for h in next(csv.reader([header]))[:2]] != ["t", "value"]:

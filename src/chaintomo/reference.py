@@ -67,24 +67,23 @@ RADICAND_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
 
 
-def _links_of(chain) -> np.ndarray:
-    """Accept a FluxChain or a bare 1-D array of link strengths."""
-    links = getattr(chain, "links", chain)
+def _links_of(links) -> np.ndarray:
+    """A 1-D float array of link strengths."""
     arr = np.asarray(links, dtype=float)
     if arr.ndim != 1:
         raise ValueError("links must be one-dimensional")
     return arr
 
 
-def delta_coefficients(chain, max_order: int) -> np.ndarray:
+def delta_coefficients(links, max_order: int) -> np.ndarray:
     """The recurrence table of delta_j^(l), l = 0..max_order.
 
     Returns an (m+1) x (max_order+1) array whose row j-1 holds node j:
-    table[j - 1, l] = delta_j^(l).  Accepts a FluxChain or a bare array
-    of link strengths (zeros are permitted here; probing the inversion
-    uses partially zeroed chains).
+    table[j - 1, l] = delta_j^(l).  Takes an array of link strengths
+    (zeros are permitted here; probing the inversion uses partially
+    zeroed chains).
     """
-    links = _links_of(chain)
+    links = _links_of(links)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     m = links.size
@@ -110,13 +109,13 @@ def _mu_unchecked(links, n_orders: int) -> np.ndarray:
     )
 
 
-def mu_coefficients(chain, n_orders: int) -> np.ndarray:
+def mu_coefficients(links, n_orders: int) -> np.ndarray:
     """Taylor coefficients mu_1..mu_K of the chain's signal.
 
     Requires m >= K: by the light cone, mu_j carries information about
     links 1..j only, so orders beyond the link count determine nothing new.
     """
-    links = _links_of(chain)
+    links = _links_of(links)
     if links.size < n_orders:
         raise InsufficientChain(
             f"{n_orders} orders requested but chain has only {links.size} links"
@@ -203,10 +202,9 @@ def invert_couplings(eta) -> np.ndarray:
     return c
 
 
-def taylor_signal(chain, times, order: int, probe: Probe | None = None) -> SignalTrace:
+def taylor_signal(links, times, order: int, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     """Truncated flux expansion sum_{l<=order} (2t)^l delta_1^(l) / l!."""
-    links = np.asarray(getattr(chain, "links", chain), dtype=float)
-    probe = probe or getattr(chain, "probe", Probe.PLUS_X)
+    links = np.asarray(links, dtype=float)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if order < 0:
         raise ValueError("order must be >= 0")

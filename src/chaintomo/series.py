@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateError, InversionError
+from .fitting import CosineSumModel
 
 # tolerances of spectral_couplings, relative to the total weight and to
 # the spectral radius: a negative weight within WEIGHT_TOL is rounding in
@@ -24,7 +25,7 @@ WEIGHT_TOL = 1e-8
 BREAKDOWN_TOL = 1e-8
 
 
-def spectral_couplings(fit) -> np.ndarray:
+def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
     """Link magnitudes c_1..c_m of the Jacobi matrix with the fit's spectrum.
 
     The measure has nodes +-omega_k/2 with weight A_k/2 each, plus node 0
@@ -35,9 +36,7 @@ def spectral_couplings(fit) -> np.ndarray:
     the normalised square-root weights, returns the links as its
     off-diagonals; the diagonal vanishes because the measure is
     symmetric.  Each of the m steps is a few vector operations, where
-    the Taylor route re-runs the recurrence twice per link.  ``fit`` is
-    a CosineSumModel or any object with ``amplitudes``, ``frequencies``
-    and ``dc``.
+    the Taylor route re-runs the recurrence twice per link.
 
     A weight below -WEIGHT_TOL times the total weight raises
     InversionError: no real chain has that spectrum.  Smaller negative
@@ -46,13 +45,9 @@ def spectral_couplings(fit) -> np.ndarray:
     distinct nodes of nonzero weight than the chain needs:
     DegenerateError naming that link.
     """
-    A = np.asarray(fit.amplitudes, dtype=float)
-    half = 0.5 * np.asarray(fit.frequencies, dtype=float)
-    dc = getattr(fit, "dc", None)
+    A, half, dc = fit.amplitudes, 0.5 * fit.frequencies, fit.dc
     nodes = np.concatenate([-half, half, [] if dc is None else [0.0]])
     weights = np.concatenate([0.5 * A, 0.5 * A, [] if dc is None else [dc]])
-    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-        raise ValueError("fit parameters must be finite")
     worst = int(weights.argmin())
     if weights[worst] < -WEIGHT_TOL * float(abs(weights).sum()):
         raise InversionError(

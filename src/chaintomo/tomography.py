@@ -236,7 +236,7 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     times = sample_times(config)
     traces = []
     for index, fc in enumerate(flux_chains(spec)):
-        trace = spectral_signal(fc, times, fc.probe)
+        trace = spectral_signal(fc.links, times, fc.probe)
         if sigma > 0:
             trace = add_noise(trace, NoiseSpec(sigma=sigma, seed=noise.seed + index))
         traces.append(trace)

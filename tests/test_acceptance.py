@@ -121,7 +121,7 @@ def test_ac4_spectral_equals_statevector():
     details = []
     for name, spec in cases:
         for fc in flux_chains(spec):
-            reduced = spectral_signal(fc, times, fc.probe)
+            reduced = spectral_signal(fc.links, times, fc.probe)
             dense = statevector_signal(
                 spec, fc.probe, BulkState("product", seed=11), times
             )

@@ -51,6 +51,11 @@ def _nudge_third_time(rows):
     return [*rows[:3], f"{float(t) + 0.01!r},{v}", *rows[4:]]
 
 
+SIMULATE_CONFIG_KEYS = {"command", "spec", "step", "window", "noise_sigma", "seed", "out",
+                        "resolved"}
+MANIFEST_KEYS = {"version", "config", "outputs", "started", "finished"}
+
+
 def _exit_code(argv):
     """main's return value, or the status argparse exits with."""
     try:
@@ -76,7 +81,7 @@ class TestSimulate:
         assert meta["n_spins"] == 8
         assert "truth_couplings" in meta
         manifest = _read_json(out / "manifest.json")
-        assert manifest["command"] == "simulate"
+        assert manifest["config"]["command"] == "simulate"
         assert str(trace_path) in manifest["outputs"]
         assert "wrote" in capsys.readouterr().out
 
@@ -93,7 +98,7 @@ class TestSimulate:
             assert meta["noise"] == {"sigma": 0.01}
             assert "seed" not in meta
         manifest = _read_json(out / "manifest.json")
-        assert manifest["seed"] == 7
+        assert manifest["config"]["seed"] == 7
         assert manifest["config"]["resolved"]["noise"] == {"sigma": 0.01, "seed": 7}
 
     def test_step_flag_is_honored(self, tmp_path, bench_spec_path):
@@ -108,9 +113,18 @@ class TestSimulate:
         assert float(lines[2].split(",")[0]) == pytest.approx(0.2)
 
     def test_requires_spec(self, tmp_path, capsys):
-        code = main(["simulate", "--out", str(tmp_path)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--out", str(tmp_path)])
+        assert exc_info.value.code == 2
+        assert "the following arguments are required: --spec" in capsys.readouterr().err
+
+    def test_manifest_states_each_setting_once(self, tmp_path, bench_spec_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(out),
+                     "--noise-sigma", "0.01", "--seed", "7"]) == 0
+        manifest = _read_json(out / "manifest.json")
+        assert set(manifest) == MANIFEST_KEYS
+        assert set(manifest["config"]) == SIMULATE_CONFIG_KEYS
 
 
 class TestRunFromSpec:
@@ -133,7 +147,7 @@ class TestRunFromSpec:
         fitted = trace.probe.sign * CosineSumModel.from_dict(fit).evaluate(trace.times)
         np.testing.assert_allclose(fitted, trace.values, rtol=0, atol=1e-9)
         manifest = _read_json(out / "manifest.json")
-        assert manifest["command"] == "run"
+        assert manifest["config"]["command"] == "run"
         assert {path.name for path in out.iterdir()} == {"result.json", "manifest.json"}
         assert manifest["outputs"] == [str(out / "result.json")]
         table = capsys.readouterr().out
@@ -176,6 +190,21 @@ class TestRunFromSpec:
             assert code == 0
             outs.append((out / "result.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("source", ["spec", "trace"])
+    def test_manifest_states_each_setting_once(self, tmp_path, bench_spec_path, source):
+        if source == "spec":
+            argv = ["--spec", str(bench_spec_path)]
+        else:
+            assert main(["simulate", "--spec", str(bench_spec_path),
+                         "--out", str(tmp_path / "sim")]) == 0
+            argv = ["--trace", str(tmp_path / "sim" / "trace_x1.csv")]
+        out = tmp_path / "out"
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        manifest = _read_json(out / "manifest.json")
+        assert set(manifest) == MANIFEST_KEYS
+        assert set(manifest["config"]) == SIMULATE_CONFIG_KEYS | {"trace"}
+        assert manifest["config"]["seed"] is None
 
 
 class TestRunFromTraces:
@@ -224,7 +253,7 @@ class TestRunFromTraces:
         trace = str(sim_out / "trace_x1.csv")
         for name in ("a", "b"):
             assert main(["run", "--trace", trace, "--out", str(tmp_path / name)]) == 0
-            assert _read_json(tmp_path / name / "manifest.json")["inputs"] == [trace]
+            assert _read_json(tmp_path / name / "manifest.json")["config"]["trace"] == [trace]
 
     def test_trace_no_probe_reads_exits_2(self, tmp_path, capsys):
         # a y1 trace whose sidecar names an xx chain, which only x1 probes
@@ -264,22 +293,26 @@ class TestRunFromTraces:
     def test_spec_and_trace_are_mutually_exclusive(
         self, tmp_path, bench_spec_path, capsys
     ):
-        code = main([
-            "run", "--spec", str(bench_spec_path),
-            "--trace", str(tmp_path / "x.csv"), "--out", str(tmp_path),
-        ])
-        assert code == 2
-        assert "exactly one" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "run", "--spec", str(bench_spec_path),
+                "--trace", str(tmp_path / "x.csv"), "--out", str(tmp_path),
+            ])
+        assert exc_info.value.code == 2
+        assert "argument --trace: not allowed with argument --spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, lines", [
         pytest.param(["--step", "0.5"], None, id="step_flag"),
         pytest.param(["--window", "100"], None, id="window_flag"),
         pytest.param([], ["--window=100"], id="window_in_config"),
+        pytest.param(["--seed", "7"], None, id="seed_flag"),
+        pytest.param([], ["--seed=7"], id="seed_in_config"),
     ])
     def test_sampling_settings_are_refused_with_traces(
         self, tmp_path, bench_spec_path, capsys, flags, lines
     ):
-        # the trace files fix the sampling; the manifest must not record other values
+        # the trace files fix the sampling and the noise draws; the manifest
+        # must not record other values
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(bench_spec_path),
                      "--out", str(sim_out)]) == 0
@@ -319,7 +352,20 @@ class TestRunFromTraces:
         assert _read_json(tmp_path / "b" / "result.json")["config"] is None
 
     def test_run_requires_an_input(self, tmp_path, capsys):
-        assert main(["run", "--out", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--out", str(tmp_path)])
+        assert exc_info.value.code == 2
+        assert "one of the arguments --spec --trace is required" in capsys.readouterr().err
+
+    def test_missing_input_keeps_an_earlier_run(self, tmp_path, bench_spec_path):
+        # the parser refuses before cmd_run clears the directory
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(bench_spec_path), "--out", str(out)]) == 0
+        before = (out / "result.json").read_bytes()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert (out / "result.json").read_bytes() == before
 
     def test_garbage_trace_exits_with_pipeline_code(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -372,9 +418,7 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main(["run", "--spec", str(bench_spec_path), settings,
                      "--out", str(out)]) == 0
-        manifest = _read_json(out / "manifest.json")
-        assert manifest["seed"] == 7
-        config = manifest["config"]
+        config = _read_json(out / "manifest.json")["config"]
         assert (config["noise_sigma"], config["seed"]) == (0.01, 7)
         assert (config["window"], config["step"]) == (30.0, None)
         assert config["resolved"]["window"] == 30.0

@@ -351,6 +351,16 @@ class TestTraceFiles:
         with pytest.raises(SpecError, match=re.escape(f"{path}: trace is not UTF-8 text")):
             read_trace(path)
 
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
+        path = tmp_path / "trace.csv"
+        written = spectral_signal(BENCH_J, [0.0, 1.0])
+        write_trace(written, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        trace, _ = read_trace(path)
+        assert trace.times.tolist() == written.times.tolist()
+        assert trace.values.tolist() == written.values.tolist()
+
     def test_sidecar_that_is_not_utf8_is_a_spec_error_naming_the_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)

@@ -85,15 +85,6 @@ class TestMuCoefficients:
         with pytest.raises(InsufficientChain):
             mu_coefficients(np.array([1.0]), 2)
 
-    def test_accepts_flux_chain_or_array(self):
-        from chaintomo import flux_chains
-        from _bench import xx_spec
-
-        (fc,) = flux_chains(xx_spec(BENCH_J))
-        np.testing.assert_array_equal(
-            mu_coefficients(fc, 4), mu_coefficients(BENCH_J, 4)
-        )
-
 
 class TestEtaCoefficients:
     def test_hand_values(self):

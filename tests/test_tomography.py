@@ -379,7 +379,7 @@ class TestIngestMode:
         # each chain draws its own stream, seeded at seed + chain index
         times = sample_times(config)
         for index, trace in enumerate(bundle.traces):
-            clean = spectral_signal(flux_chains(spec)[index], times, trace.probe)
+            clean = spectral_signal(flux_chains(spec)[index].links, times, trace.probe)
             noise = np.random.default_rng(3 + index).normal(0.0, 1e-2, times.size)
             np.testing.assert_array_equal(trace.values, clean.values + noise)
 
