@@ -20,6 +20,7 @@ storage is 0-based.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from collections import Counter
@@ -169,8 +170,15 @@ class ChainSpec:
         object.__setattr__(self, "couplings", {fam: conv[fam] for fam in self.couplings})
 
     def coupling(self, family: str, index: int) -> float:
-        """Value of e.g. ("J", 3) -> J_3.  index is 1-based."""
-        return float(self.couplings[family][index - 1])
+        """Value of e.g. ("J", 3) -> J_3.  index is 1-based; an unknown
+        family or an index outside 1..len(family) is a SpecError."""
+        values = self.couplings.get(family)
+        # concrete integer types: an abstract numbers.Integral check costs 4x more
+        if (values is None or isinstance(index, bool)
+                or not isinstance(index, (int, np.integer)) or not 0 < index <= values.size):
+            raise SpecError(f"a {self.model.value} chain of {self.n_spins} spins has no "
+                            f"parameter {family!r} index {index!r}")
+        return float(values[index - 1])
 
     def to_dict(self) -> dict:
         return {
@@ -237,7 +245,7 @@ class FluxChain:
         return tuple(parameter_label(fam, idx) for fam, idx in self.label_map)
 
 
-def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int], ...]]]:
+def chain_layout(model, n_spins: int) -> tuple[tuple[Probe, tuple[tuple[str, int], ...]], ...]:
     """Each flux chain's probe and, in traversal order, its link labels.
 
     A label is the (family, 1-based index) of the Hamiltonian parameter
@@ -254,7 +262,8 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
 
     Ising with transverse field: the Z_1 cascade alternates field and
     bond terms, giving (B_1, JZ_1, B_2, JZ_2, ..., B_N) of length 2N-1;
-    probe zero.
+    probe zero.  Each layout is built once, after the checks, and
+    shared: it is tuples all the way down.
     """
     try:
         model = Model(model)
@@ -266,22 +275,27 @@ def chain_layout(model, n_spins: int) -> list[tuple[Probe, tuple[tuple[str, int]
         raise SpecError(f"n_spins must be an integer, got {n!r}")
     if n < 2:
         raise SpecError(f"n_spins must be at least 2, got {n}")
+    return _layout(model, int(n))
 
+
+@functools.lru_cache(maxsize=64)
+def _layout(model: Model, n: int) -> tuple[tuple[Probe, tuple[tuple[str, int], ...]], ...]:
+    """chain_layout's answer for a model and site count it has checked."""
     if model is Model.XX:
-        return [(Probe.PLUS_X, tuple(("J", k) for k in range(1, n)))]
+        return ((Probe.PLUS_X, tuple(("J", k) for k in range(1, n))),)
 
     if model is Model.XY:
         def alternating(odd: str, even: str):
             return tuple((odd if k % 2 else even, k) for k in range(1, n))
 
-        return [
+        return (
             (Probe.PLUS_X, alternating("JY", "JX")),
             (Probe.PLUS_Y, alternating("JX", "JY")),
-        ]
+        )
 
     # transverse-field Ising: B_1, JZ_1, B_2, ..., B_N
-    return [(Probe.ZERO,
-             tuple(("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1)))]
+    return ((Probe.ZERO,
+             tuple(("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1))),)
 
 
 def parameter_label(family: str, index: int) -> str:
@@ -296,6 +310,6 @@ def flux_chains(spec: ChainSpec) -> list[FluxChain]:
     gives, in its traversal order.
     """
     return [
-        FluxChain([spec.coupling(fam, k) for fam, k in labels], labels, probe)
+        FluxChain([spec.couplings[fam][k - 1] for fam, k in labels], labels, probe)
         for probe, labels in chain_layout(spec.model, spec.n_spins)
     ]

@@ -104,7 +104,8 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"tridiagonal eigensolve failed: {exc}") from exc
     weight = vec[0, :] ** 2
-    values = (weight[None, :] * np.cos(2.0 * (t[:, None] * lam))).sum(axis=1)
+    # 2 * lam is exact, so this equals cos(2 * (t * lam)) bit for bit
+    values = (weight[None, :] * np.cos(t[:, None] * (2.0 * lam))).sum(axis=1)
     return SignalTrace(times=t, values=probe.sign * values, probe=probe)
 
 

@@ -7,9 +7,11 @@ are the trace's to guarantee, checks the grid's uniformity and the pole
 count once and runs two steps on that grid.
 estimate_spectrum seeds the lines by the matrix pencil, which is
 grid-free, so it separates lines closer than one periodogram bin, and
-costs one SVD.  refine_fit polishes them with damped Gauss-Newton steps,
-then damped Newton steps once Gauss-Newton stalls, and returns its best
-model however it stops.  fit_trace is the one place a fit is accepted:
+costs one SVD; it hands its amplitudes, frequencies, dc and cosine block
+to refine_fit as arrays.  refine_fit polishes them with damped
+Gauss-Newton steps, then damped Newton steps once Gauss-Newton stalls,
+and returns its best model, the fit's one CosineSumModel, however it
+stops.  fit_trace is the one place a fit is accepted:
 it rejects fits that stay above the residual floor or put a line at or
 beyond the Nyquist frequency.  It fits any cosine sum: the amplitudes
 are not held to sum to 1.
@@ -44,7 +46,7 @@ class CosineSumModel:
 
     dc is None when no constant term is modeled.  residual_rms is the
     root-mean-square misfit of the model that produced the parameters;
-    iterations counts refinement steps (0 for a raw seed).
+    iterations counts refinement steps.
     """
 
     amplitudes: np.ndarray
@@ -129,19 +131,6 @@ def _check_sampling(times: np.ndarray, poles: int) -> float:
     return dt
 
 
-def _lstsq_amplitudes(
-    times: np.ndarray, values: np.ndarray, freqs: np.ndarray, include_dc: bool
-) -> tuple[np.ndarray, float | None, float]:
-    design = np.ones((times.size, freqs.size + include_dc))  # dc column last
-    np.cos(times[:, None] * freqs, out=design[:, : freqs.size])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = values - design @ coef
-    rms = math.sqrt(resid @ resid / times.size)
-    if include_dc:
-        return coef[:-1], float(coef[-1]), rms
-    return coef, None, rms
-
-
 def _shift_matrix(basis: np.ndarray) -> np.ndarray:
     """The least-squares map pinv(basis[:-1]) @ basis[1:] of an
     orthonormal basis, without a second SVD.
@@ -163,10 +152,12 @@ def _shift_matrix(basis: np.ndarray) -> np.ndarray:
 
 def estimate_spectrum(
     times: np.ndarray, values: np.ndarray, poles: int, dt: float
-) -> CosineSumModel:
+) -> tuple[np.ndarray, np.ndarray, float | None, np.ndarray]:
     """fit_trace's seed step: `poles` poles by the matrix pencil (Hua &
     Sarkar 1990), on the grid fit_trace checked (uniform with step dt, at
-    least 2 * poles + 2 samples).
+    least 2 * poles + 2 samples).  It returns the seed refine_fit starts
+    from: (amplitudes, frequencies, dc, cos), with cos the block
+    np.cos(times[:, None] * frequencies) the amplitudes were solved on.
 
     A sum of p complex exponentials makes the Hankel matrix of
     the samples rank p; its dominant right-singular subspace is shift
@@ -187,7 +178,10 @@ def estimate_spectrum(
     # 6 * poles lags resolve 7- and 11-link chains as well as n // 3 does
     # (4 * poles does not) and keep the SVD linear, not cubic, in n
     window = max(poles + 2, min(n // 3, 6 * poles))
-    hankel = np.lib.stride_tricks.sliding_window_view(values, window + 1)
+    # row i is values[i : i + window + 1]; read-only, and qr copies it
+    step = values.strides[0]
+    hankel = np.lib.stride_tricks.as_strided(
+        values, (n - window, window + 1), (step, step), writeable=False)
     # the SVD of the square triangular factor has the same right singular
     # vectors as the tall Hankel matrix and costs less
     _, _, vt = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
@@ -201,15 +195,21 @@ def estimate_spectrum(
             f"{d_omega:.3g} rad; {n_terms} terms requested"
         )
     freqs = omega[:n_terms]
-    amps, dc, rms = _lstsq_amplitudes(times, values, freqs, poles % 2 == 1)
-    return CosineSumModel(amps, freqs, dc=dc, residual_rms=rms, iterations=0)
+    cos = np.cos(times[:, None] * freqs)
+    design = np.concatenate([cos, np.ones((n, 1))], axis=1) if poles % 2 else cos
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)  # dc column last
+    if poles % 2:
+        return coef[:-1], freqs, float(coef[-1]), cos
+    return coef, freqs, None, cos
 
 
 def refine_fit(
-    times: np.ndarray, values: np.ndarray, init: CosineSumModel, dt: float
+    times: np.ndarray, values: np.ndarray, seed: tuple, dt: float
 ) -> CosineSumModel:
     """fit_trace's refinement step: damped least squares over all
-    amplitudes, frequencies, and dc, on the grid fit_trace checked.
+    amplitudes, frequencies, and dc, on the grid fit_trace checked,
+    from estimate_spectrum's (amplitudes, frequencies, dc, cos); its
+    first residual reuses that cosine block.
 
     Levenberg-style: the normal equations are damped by a multiple of
     the diagonal of J^T J, the multiplier grows until a step decreases
@@ -232,29 +232,31 @@ def refine_fit(
     out of steps, frequencies[-1] >= pi/dt left the band, and adjacent
     frequencies within 1e-9 collapsed onto each other.
     """
+    amplitudes, frequencies, dc, cos = seed
     band_edge = np.pi / dt
     t_col = times[:, None]
-    n = init.n_terms
-    has_dc = init.dc is not None
-    theta = np.concatenate(
-        [init.amplitudes, init.frequencies, [init.dc] if has_dc else []]
-    )
+    n = frequencies.size
+    has_dc = dc is not None
+    theta = np.concatenate([amplitudes, frequencies, [dc] if has_dc else []])
+    size = theta.size
+    diag = size + 1  # the step along a diagonal of the flattened Hessian
     # the Jacobian is rebuilt in place at each accepted point; its dc
     # column never changes
-    J = np.empty((times.size, theta.size))
+    J = np.empty((times.size, size))
     if has_dc:
         J[:, -1] = 1.0
-    amp, freq = np.arange(n), np.arange(n, 2 * n)
+    J_omega = J[:, n : 2 * n]
 
-    def residual(th):
+    def residual(th, cos=None):
         """Model minus data, and the phase and cosine matrices the
-        Jacobian reuses."""
+        Jacobian reuses; a given cos is np.cos(phase) already."""
         phase = t_col * th[n : 2 * n]
-        cos = np.cos(phase)
+        if cos is None:
+            cos = np.cos(phase)
         out = cos @ th[:n]
         return (out + th[-1] if has_dc else out) - values, phase, cos
 
-    resid, phase, cos = residual(theta)
+    resid, phase, cos = residual(theta, cos)
     sse = float(resid @ resid)
     damping = 1e-3
     newton = False
@@ -262,24 +264,27 @@ def refine_fit(
     for iterations in range(1, MAX_ITER + 1):
         sin = np.sin(phase)
         J[:, :n] = cos
-        J[:, n : 2 * n] = -theta[:n][None, :] * t_col * sin
+        np.multiply(-theta[:n], t_col, out=J_omega)
+        J_omega *= sin
         neg_grad = -(J.T @ resid)
         hess = J.T @ J
         hd = hess.diagonal().copy()
         if newton:
             # the model is linear in A and dc, so sum_i r_i d2m_i/dtheta2
-            # is nonzero only at (A_k, omega_k) and (omega_k, omega_k)
+            # is nonzero only at (A_k, omega_k) and (omega_k, omega_k):
+            # n entries of three diagonals, written through strided slices
             rt = resid * times
             cross = -(rt @ sin)
-            hess[amp, freq] += cross
-            hess[freq, amp] += cross
-            hess[freq, freq] -= theta[:n] * ((rt * times) @ cos)
+            flat = hess.reshape(-1)
+            flat[n : n + n * diag : diag] += cross
+            flat[n * size : n * size + n * diag : diag] += cross
+            flat[n * diag : 2 * n * diag : diag] -= theta[:n] * ((rt * times) @ cos)
         full_diagonal = hess.diagonal()
         step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
         accepted = False
         for _ in range(50):
             damped = hess.copy()
-            damped.flat[:: theta.size + 1] = full_diagonal + damping * hd
+            damped.flat[::diag] = full_diagonal + damping * hd
             try:
                 step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:

@@ -262,6 +262,26 @@ class TestChainLayout:
     def test_accepts_a_numpy_integer_count(self):
         assert chain_layout(Model.XX, np.int64(3)) == chain_layout(Model.XX, 3)
 
+    def test_a_built_layout_keeps_every_refusal(self):
+        # the layout of (XX, 3) is built and kept; 3.0 == 3 and hashes
+        # alike, so a cache consulted before the checks would hand it out
+        layout = chain_layout(Model.XX, 3)
+        for n_spins in (3.0, True, "3"):
+            with pytest.raises(SpecError, match="n_spins must be an integer"):
+                chain_layout(Model.XX, n_spins)
+        assert chain_layout(Model.XX, np.int64(3)) is layout
+
+    @pytest.mark.parametrize("model, n", _MODELS_AND_SIZES)
+    def test_layout_is_tuples_all_the_way_down(self, model, n):
+        def frozen(node):
+            if isinstance(node, (str, int)):  # a Probe is a str
+                return True
+            return isinstance(node, tuple) and all(map(frozen, node))
+
+        layout = chain_layout(model, n)
+        assert frozen(layout)
+        assert chain_layout(model, n) is layout
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
@@ -311,3 +331,13 @@ class TestSerialization:
         spec = xx_spec(BENCH_J)
         assert spec.coupling("J", 1) == 1.40
         assert spec.coupling("J", 7) == 0.66
+
+    @pytest.mark.parametrize("family, index", [
+        ("J", 0), ("J", -1), ("J", 4), ("K", 1), ("J", 1.0), ("J", True),
+    ], ids=["zero", "negative", "past-the-end", "unknown-family", "float", "bool"])
+    def test_coupling_outside_the_spec_is_a_spec_error(self, family, index):
+        # bare indexing would read 0 and -1 from the end and raise IndexError or KeyError
+        spec = xx_spec([1.0, 0.9, 1.1])
+        with pytest.raises(SpecError, match=re.escape(f"no parameter {family!r} index {index!r}")):
+            spec.coupling(family, index)
+        assert spec.coupling("J", np.int64(3)) == 1.1

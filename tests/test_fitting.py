@@ -15,8 +15,10 @@ from chaintomo import (
     ResolutionError,
     SignalTrace,
     SpecError,
+    TomographyConfig,
     add_noise,
     fit_trace,
+    flux_chains,
     simulate_traces,
     spectral_couplings,
     spectral_signal,
@@ -24,7 +26,10 @@ from chaintomo import (
 from chaintomo import fitting
 from chaintomo.fitting import _shift_matrix, estimate_spectrum, refine_fit
 
-from _bench import BENCH_J, out_of_band_input, weak_line_input
+from _bench import (
+    BENCH_J, ISING_B, ISING_JZ, ising_spec, out_of_band_input, weak_line_input, xx_spec,
+    xy_spec,
+)
 
 # a chain whose lowest two lines fall inside one periodogram bin of the
 # default window, so a periodogram seed merges them; the grid-free pencil
@@ -45,12 +50,17 @@ def _signal(times, values):
 
 
 def _seed(times, values, poles):
-    """fit_trace's seed step on a grid known to be uniform."""
+    """fit_trace's seed step on a grid known to be uniform: the tuple
+    (amplitudes, frequencies, dc, cos) that refine_fit starts from."""
     return estimate_spectrum(times, values, poles, times[1] - times[0])
 
 
 def _refine(times, values, init):
-    """fit_trace's refinement step on a grid known to be uniform."""
+    """fit_trace's refinement step on a grid known to be uniform, from a
+    seed tuple or from a model's parameters."""
+    if isinstance(init, CosineSumModel):
+        cos = np.cos(times[:, None] * init.frequencies)
+        init = (init.amplitudes, init.frequencies, init.dc, cos)
     return refine_fit(times, values, init, times[1] - times[0])
 
 
@@ -118,9 +128,9 @@ class TestEstimateSpectrum:
     def test_two_separated_lines(self):
         t = _grid()
         values = 0.4 * np.cos(1.1 * t) + 0.6 * np.cos(3.3 * t)
-        seed = _seed(t, values, 4)
-        np.testing.assert_allclose(seed.frequencies, [1.1, 3.3], atol=5e-3)
-        np.testing.assert_allclose(seed.amplitudes, [0.4, 0.6], atol=5e-3)
+        amplitudes, frequencies, _, _ = _seed(t, values, 4)
+        np.testing.assert_allclose(frequencies, [1.1, 3.3], atol=5e-3)
+        np.testing.assert_allclose(amplitudes, [0.4, 0.6], atol=5e-3)
 
     def test_sub_rayleigh_pair_defeats_the_periodogram_seed(self):
         # 0.1 rad/J apart inside a window resolving only 0.25 rad/J: one
@@ -140,8 +150,8 @@ class TestEstimateSpectrum:
     def test_dc_is_estimated_when_requested(self):
         t = _grid()
         values = 0.35 + 0.65 * np.cos(2.2 * t)
-        seed = _seed(t, values, 3)
-        assert seed.dc == pytest.approx(0.35, abs=1e-3)
+        _, _, dc, _ = _seed(t, values, 3)
+        assert dc == pytest.approx(0.35, abs=1e-3)
 
     @pytest.mark.parametrize("rows, poles, seed", [
         (9, 3, 0), (25, 8, 1), (67, 11, 2), (139, 23, 3),
@@ -165,6 +175,24 @@ class TestEstimateSpectrum:
         basis[-1, 0] = 1.0
         with pytest.raises(ResolutionError, match="last lag"):
             _shift_matrix(basis)
+
+    @pytest.mark.parametrize("layout", ["read-only", "strided"])
+    def test_a_values_view_seeds_as_its_contiguous_copy(self, layout):
+        # the Hankel matrix is a strided view of values, not a copy
+        t = _grid()
+        clean = spectral_signal(BENCH_J, t).values.copy()
+        if layout == "read-only":
+            values = clean.copy()
+            values.flags.writeable = False
+        else:
+            values = np.repeat(clean, 2)[::2]
+            assert not values.flags.c_contiguous
+        before = values.copy()
+        got, want = _seed(t, values, 8), _seed(t, clean, 8)
+        assert got[2] is want[2] is None
+        for mine, theirs in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            np.testing.assert_array_equal(mine, theirs, strict=True)
+        np.testing.assert_array_equal(values, before, strict=True)
 
     def test_trace_ending_in_its_only_nonzero_sample_is_declined(self):
         t = _grid()
@@ -229,6 +257,34 @@ class TestRefineFit:
         best = _refine(t, values, seed)
         assert best.iterations == 1
         assert best.residual_rms < seed_rms
+
+
+class TestSeedHandoff:
+    """The seed's cosine block goes to the refinement as it is; a fit
+    started from it ends where one started from a fresh block does."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("spec", [
+        xx_spec(BENCH_J),
+        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]),
+        ising_spec(ISING_JZ, ISING_B),
+    ], ids=["xx", "xy", "ising"])
+    def test_fit_trace_refines_the_seed_block_bit_for_bit(self, spec, sigma):
+        noise = NoiseSpec(sigma, seed=3) if sigma else None
+        bundle = simulate_traces(spec, TomographyConfig(noise=noise))
+        for chain, trace in zip(flux_chains(spec), bundle.traces):
+            poles = chain.m + 1
+            times, values = trace.times, trace.probe.sign * trace.values
+            amplitudes, frequencies, dc, cos = _seed(times, values, poles)
+            np.testing.assert_array_equal(cos, np.cos(times[:, None] * frequencies),
+                                          strict=True)
+            fresh = (amplitudes, frequencies, dc, np.cos(times[:, None] * frequencies))
+            want = refine_fit(times, values, fresh, times[1] - times[0])
+            got = fit_trace(trace, poles, noise_sigma=sigma)
+            np.testing.assert_array_equal(got.amplitudes, want.amplitudes, strict=True)
+            np.testing.assert_array_equal(got.frequencies, want.frequencies, strict=True)
+            assert (got.dc, got.residual_rms, got.iterations) == (
+                want.dc, want.residual_rms, want.iterations)
 
 
 class TestFitTrace:
