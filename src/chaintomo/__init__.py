@@ -34,7 +34,6 @@ from .errors import (
     EigenError,
     InversionError,
     ResolutionError,
-    ShapeMismatch,
     SpecError,
 )
 from .fitting import CosineSumModel, fit_trace
@@ -64,7 +63,6 @@ __all__ = [
     "ParameterEstimate",
     "Probe",
     "ResolutionError",
-    "ShapeMismatch",
     "SignalTrace",
     "SpecError",
     "TomographyConfig",

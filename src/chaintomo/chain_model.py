@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError, ShapeMismatch
+from .errors import SpecError
 
 
 class Model(str, Enum):
@@ -120,8 +120,8 @@ class ChainSpec:
 
     A spec checks itself when built (model and site count via
     chain_layout, families, lengths, finiteness, signs) and raises
-    SpecError or ShapeMismatch naming the broken invariant.  Each family
-    is kept as a read-only float copy; the caller's array stays writable.
+    SpecError naming the broken invariant.  Each family is kept as a
+    read-only float copy; the caller's array stays writable.
     """
 
     model: Model
@@ -140,7 +140,7 @@ class ChainSpec:
                             f"{type(self.couplings).__name__}")
         lengths = Counter(family for _, labels in layout for family, _ in labels)
         if set(self.couplings) != set(lengths):
-            raise ShapeMismatch(
+            raise SpecError(
                 f"model {self.model.value} requires coupling families "
                 f"{sorted(lengths)}; got {sorted(self.couplings)}"
             )
@@ -151,7 +151,7 @@ class ChainSpec:
             except (TypeError, ValueError) as exc:
                 raise SpecError(f"{fam} must hold numbers: {exc}") from exc
             if arr.ndim != 1 or arr.size != want:
-                raise ShapeMismatch(
+                raise SpecError(
                     f"{fam} must have length {want} for n_spins={self.n_spins}, "
                     f"got {arr.size}"
                 )
@@ -228,7 +228,7 @@ class FluxChain:
         if arr.ndim != 1 or arr.size < 1:
             raise SpecError("flux chain needs at least one link")
         if len(self.label_map) != arr.size:
-            raise ShapeMismatch(
+            raise SpecError(
                 f"label_map has {len(self.label_map)} entries for {arr.size} links"
             )
         if (arr == 0.0).any() or not np.isfinite(arr).all():

@@ -64,6 +64,12 @@ class SignalTrace:
         return self
 
 
+def _check_sigma(sigma: float) -> None:
+    """A noise level is finite and nonnegative, else SpecError."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise SpecError("noise sigma must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian measurement noise, seeded for reproducibility."""
@@ -72,8 +78,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise SpecError("noise sigma must be finite and nonnegative")
+        _check_sigma(self.sigma)
         # numpy's generator needs a nonnegative int; True would read as 1
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -92,13 +97,14 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     the signal is sum_k (v_k[1])^2 cos(2 lambda_k t), exact up to
     eigensolver precision.  T is at most a few dozen rows, so it is
     built dense and handed to the symmetric solver ``numpy.linalg.eigh``.
-    Non-finite links raise EigenError.  A FluxChain passes its ``links``
+    Links that are not a 1-D array of finite numbers raise SpecError; a
+    solver failure raises EigenError.  A FluxChain passes its ``links``
     and ``probe``.
     """
     links = np.asarray(links, dtype=float)
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.isfinite(links).all():
-        raise EigenError("tridiagonal eigensolve failed: links must be finite")
+    if links.ndim != 1 or not np.isfinite(links).all():
+        raise SpecError("links must be a 1-D array of finite numbers")
     try:
         lam, vec = np.linalg.eigh(np.diag(links, 1) + np.diag(links, -1))
     except np.linalg.LinAlgError as exc:

@@ -1,15 +1,15 @@
 """Exception taxonomy for the tomography pipeline.
 
 Every error raised by this package derives from :class:`ChainTomoError`.
-Input problems (malformed chain descriptions, bad trace files) raise
-:class:`SpecError`.  A ChainSpec or TraceBundle that breaks an invariant
-raises it when built, and a sidecar probe whose fields disagree when
-Probe.from_dict reads it; both happen outside the pipeline, so its
-``stage`` is None.  An error raised inside a pipeline stage carries that stage's
-name in ``stage`` once the orchestrator has tagged it.  CapExceeded,
-InsufficientChain and TomographyWarning come only from the reference
-routes in chaintomo.reference, so the package namespace does not export
-them; import them from here.
+Every refusal of a bad argument or input (a malformed chain
+description, a bad trace file, a pole count or noise level out of range),
+by the pipeline or by chaintomo.reference, raises :class:`SpecError`.
+A ChainSpec or TraceBundle that breaks an invariant raises it when built,
+and a sidecar probe whose fields disagree when Probe.from_dict reads it;
+both happen outside the pipeline, so its ``stage`` is None.  An error
+raised inside a pipeline stage carries that stage's name in ``stage``
+once the orchestrator has tagged it.  :class:`EigenError` means only that
+a solver failed.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ class ChainTomoError(Exception):
 
 
 class SpecError(ChainTomoError):
-    """A chain description or input file violates a declared invariant."""
-
-
-class ShapeMismatch(SpecError):
-    """Parameter arrays or parameter-name sets do not line up."""
-
-
-class CapExceeded(ChainTomoError):
-    """Requested state-vector simulation above reference.STATEVECTOR_CAP sites."""
+    """A chain description, input file or argument violates a declared invariant."""
 
 
 class EigenError(ChainTomoError):
@@ -51,11 +43,6 @@ class ResolutionError(ChainTomoError):
     message states the numbers that failed; it names no cause, since too
     short a window, an undeclared noise level, a wrong chain length and a
     decaying signal can each end the same way."""
-
-
-class InsufficientChain(ChainTomoError):
-    """More Taylor orders requested than the chain has links to support
-    (reference.mu_coefficients)."""
 
 
 class InversionError(ChainTomoError):
@@ -84,8 +71,3 @@ class DegenerateError(ChainTomoError):
     def __init__(self, message: str, *, link: int):
         super().__init__(message)
         self.link = link
-
-
-class TomographyWarning(UserWarning):
-    """reference.invert_couplings clamped a radicand at zero.  The
-    pipeline's own notes are values in TomographyResult.warnings."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SignalTrace
+from .dynamics import SignalTrace, _check_sigma
 from .errors import ResolutionError, SpecError
 
 # refine_fit stops once a damped step is at most this fraction of
@@ -329,8 +329,8 @@ def fit_trace(trace: SignalTrace, poles: int, *, noise_sigma: float = 0.0) -> Co
     The fit layer's one entry and one grid check: `trace` must be a
     SignalTrace, whose probe.sign * values is the alpha(t) fitted, on a
     uniform grid (its sign and finiteness are the trace's to guarantee)
-    of at least 2 * poles + 2 samples, and `poles` an integer of at least
-    2, else SpecError.
+    of at least 2 * poles + 2 samples, `poles` an integer of at least 2,
+    and `noise_sigma` a level NoiseSpec accepts, else SpecError.
 
     An m-link flux chain has m + 1 nodes, so its trace is fitted with
     m + 1 poles: poles // 2 lines, plus a dc term when poles is odd.
@@ -344,6 +344,7 @@ def fit_trace(trace: SignalTrace, poles: int, *, noise_sigma: float = 0.0) -> Co
     """
     if not isinstance(trace, SignalTrace):
         raise SpecError(f"fit_trace takes a SignalTrace, got {type(trace).__name__}")
+    _check_sigma(noise_sigma)
     times, values = trace.times, trace.probe.sign * trace.values
     dt = _check_sampling(times, poles)
     seed = estimate_spectrum(times, values, poles, dt)

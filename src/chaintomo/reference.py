@@ -42,7 +42,6 @@ them, only so that the benchmark's span tracer finds them there.)
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -50,15 +49,8 @@ import numpy as np
 
 from .chain_model import ChainSpec, Model, Observable, Probe
 from .dynamics import SignalTrace
-from .errors import (
-    CapExceeded,
-    DegenerateError,
-    EigenError,
-    InsufficientChain,
-    InversionError,
-    SpecError,
-    TomographyWarning,
-)
+from .errors import DegenerateError, EigenError, InversionError, SpecError
+from .fitting import CosineSumModel
 
 # tolerances of invert_couplings: a squared link down to -RADICAND_TOL is
 # rounding and clamps to zero; a slope of the order-2j coefficient in c_j^2
@@ -71,7 +63,7 @@ def _links_of(links) -> np.ndarray:
     """A 1-D float array of link strengths."""
     arr = np.asarray(links, dtype=float)
     if arr.ndim != 1:
-        raise ValueError("links must be one-dimensional")
+        raise SpecError("links must be one-dimensional")
     return arr
 
 
@@ -85,7 +77,7 @@ def delta_coefficients(links, max_order: int) -> np.ndarray:
     """
     links = _links_of(links)
     if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+        raise SpecError("max_order must be >= 0")
     m = links.size
     cpad = np.zeros(m + 2)
     cpad[1 : m + 1] = links
@@ -117,7 +109,7 @@ def mu_coefficients(links, n_orders: int) -> np.ndarray:
     """
     links = _links_of(links)
     if links.size < n_orders:
-        raise InsufficientChain(
+        raise SpecError(
             f"{n_orders} orders requested but chain has only {links.size} links"
         )
     return _mu_unchecked(links, n_orders)
@@ -131,13 +123,11 @@ def eta_coefficients(fit, n_orders: int) -> np.ndarray:
         eta_j = (-1)^j / (2j)! * sum_i A_i omega_i^(2j),
 
     linear in each amplitude.  A dc term contributes only at order zero,
-    so it never enters.  ``fit`` is a CosineSumModel or any object with
-    ``amplitudes`` and ``frequencies`` arrays.
+    so it never enters.  Anything but a CosineSumModel is a SpecError.
     """
-    A = np.asarray(fit.amplitudes, dtype=float)
-    om = np.asarray(fit.frequencies, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(om))):
-        raise ValueError("fit parameters must be finite")
+    if not isinstance(fit, CosineSumModel):
+        raise SpecError(f"eta_coefficients takes a CosineSumModel, got {type(fit).__name__}")
+    A, om = fit.amplitudes, fit.frequencies
     return np.array(
         [
             (-1.0) ** j / math.factorial(2 * j) * float(np.sum(A * om ** (2 * j)))
@@ -157,8 +147,8 @@ def invert_couplings(eta) -> np.ndarray:
     Then c_j = sqrt((eta_j - p0)/(p1 - p0)).  Returns positive roots;
     signs are applied downstream by the caller when they are known.
 
-    Small negative radicands (within RADICAND_TOL) are clamped to zero
-    with a warning; larger ones raise InversionError flagging a fit
+    Small negative radicands (within RADICAND_TOL) are rounding and
+    clamp to zero; larger ones raise InversionError flagging a fit
     inconsistency.  A slope |p1 - p0| at most DEGENERACY_TOL times |p1|
     makes this link unidentifiable: DegenerateError.  The slope is
     exactly zero when an earlier link was estimated at zero; otherwise
@@ -191,14 +181,7 @@ def invert_couplings(eta) -> np.ndarray:
                 link=j,
                 radicand=ratio,
             )
-        if ratio < 0.0:
-            warnings.warn(
-                f"link {j}: radicand {ratio:.3e} clamped to zero",
-                TomographyWarning,
-                stacklevel=2,
-            )
-            ratio = 0.0
-        c[j - 1] = math.sqrt(ratio)
+        c[j - 1] = math.sqrt(max(ratio, 0.0))
     return c
 
 
@@ -207,7 +190,7 @@ def taylor_signal(links, times, order: int, probe: Probe = Probe.PLUS_X) -> Sign
     links = np.asarray(links, dtype=float)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise SpecError("order must be >= 0")
     d1 = delta_coefficients(links, order)[0]
     fact = 1.0
     coeffs = np.empty(order + 1)
@@ -334,9 +317,7 @@ def statevector_signal(
     """
     n = spec.n_spins
     if n > STATEVECTOR_CAP:
-        raise CapExceeded(
-            f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}"
-        )
+        raise SpecError(f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}")
     t = np.atleast_1d(np.asarray(times, dtype=float))
     H = build_hamiltonian(spec)
     try:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateError, InversionError
+from .errors import DegenerateError, InversionError, SpecError
 from .fitting import CosineSumModel
 
 # tolerances of spectral_couplings, relative to the total weight and to
@@ -43,8 +43,11 @@ def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
     weights count as zero.  A Lanczos step whose new off-diagonal is at
     most BREAKDOWN_TOL times the spectral radius means the fit has fewer
     distinct nodes of nonzero weight than the chain needs:
-    DegenerateError naming that link.
+    DegenerateError naming that link.  Anything but a CosineSumModel is
+    a SpecError.
     """
+    if not isinstance(fit, CosineSumModel):
+        raise SpecError(f"spectral_couplings takes a CosineSumModel, got {type(fit).__name__}")
     A, half, dc = fit.amplitudes, 0.5 * fit.frequencies, fit.dc
     nodes = np.concatenate([-half, half, [] if dc is None else [0.0]])
     weights = np.concatenate([0.5 * A, 0.5 * A, [] if dc is None else [dc]])

@@ -12,7 +12,6 @@ from chaintomo import (
     Model,
     Observable,
     Probe,
-    ShapeMismatch,
     SpecError,
     flux_chains,
 )
@@ -107,15 +106,15 @@ class TestValidateSpec:
             ChainSpec(Model.XX, 1, {"J": np.array([])})
 
     def test_rejects_wrong_families(self):
-        with pytest.raises(ShapeMismatch, match="families"):
+        with pytest.raises(SpecError, match="requires coupling families"):
             ChainSpec(Model.XX, 3, {"JX": np.array([1.0, 1.0])})
 
     def test_rejects_extra_family(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpecError, match=r"requires coupling families \['J'\]; got \['B', 'J'\]"):
             ChainSpec(Model.XX, 3, {"J": np.array([1.0, 1.0]), "B": np.array([1.0])})
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ShapeMismatch, match="length"):
+        with pytest.raises(SpecError, match="J must have length 4 for n_spins=5, got 3"):
             ChainSpec(Model.XX, 5, {"J": np.array([1.0, 1.0, 1.0])})
 
     def test_rejects_nonfinite(self):
@@ -135,7 +134,7 @@ class TestValidateSpec:
 
     def test_ising_field_length_is_site_count(self):
         ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpecError, match="JZ must have length 2 for n_spins=3, got 3"):
             ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0])
 
     def test_couplings_are_read_only(self):
@@ -220,7 +219,7 @@ class TestFluxChains:
             FluxChain(np.array([1.0, 0.0]), (("J", 1), ("J", 2)))
 
     def test_flux_chain_rejects_label_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(SpecError, match="label_map has 1 entries for 2 links"):
             FluxChain(np.array([1.0, 2.0]), (("J", 1),))
 
 

@@ -21,7 +21,6 @@ from chaintomo import (
     spectral_signal,
     write_trace,
 )
-from chaintomo.errors import CapExceeded
 from chaintomo.reference import (
     BulkState,
     build_hamiltonian,
@@ -135,10 +134,13 @@ class TestSpectralSignal:
         trace = spectral_signal(links, t)
         np.testing.assert_allclose(trace.values, expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_links_are_an_eigen_error(self, bad):
-        with pytest.raises(EigenError):
-            spectral_signal(np.array([1.0, bad, 0.8]), [0.0, 1.0])
+    @pytest.mark.parametrize("links", [
+        [1.0, np.nan, 0.8], [1.0, np.inf, 0.8], [1.0, -np.inf, 0.8], [[1.0, 2.0]],
+    ], ids=["nan", "inf", "-inf", "2-D"])
+    def test_nonfinite_links_are_a_spec_error(self, links):
+        # refused before any solve: EigenError means only that a solver failed
+        with pytest.raises(SpecError, match="links must be a 1-D array of finite numbers"):
+            spectral_signal(links, [0.0, 1.0])
 
     def test_no_links_is_the_constant_signal(self):
         t = np.linspace(0.0, 5.0, 11)
@@ -178,7 +180,7 @@ class TestTaylorSignal:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match="order must be >= 0"):
             taylor_signal(BENCH_J, [0.0], order=-1)
 
 
@@ -219,7 +221,7 @@ class TestStateVector:
 
     def test_site_cap(self):
         spec = xx_spec(np.ones(12))  # 13 spins
-        with pytest.raises(CapExceeded):
+        with pytest.raises(SpecError, match="n_spins=13 exceeds the state-vector cap 12"):
             statevector_signal(spec, Probe.PLUS_X, BulkState(), [0.0, 0.1])
 
     def test_hamiltonian_is_hermitian(self):

@@ -421,6 +421,18 @@ class TestFitTrace:
         with pytest.raises(SpecError, match="takes a SignalTrace, got tuple$"):
             fit_trace((trace.times, trace.values), 8)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_noise_sigma_is_checked_as_noise_spec_checks_it(self, sigma, monkeypatch):
+        # an infinite sigma once raised the residual floor to infinity, so
+        # pure noise came back as a fit; a negative one read as 0
+        values = np.random.default_rng(0).uniform(-0.9, 0.9, 200)
+        trace = SignalTrace(np.pi / 25 * np.arange(200), values, Probe.PLUS_X)
+        monkeypatch.setattr(fitting, "estimate_spectrum", None)  # refused before any fit work
+        with pytest.raises(SpecError, match="^noise sigma must be finite and nonnegative$"):
+            fit_trace(trace, 3, noise_sigma=sigma)
+        with pytest.raises(SpecError, match="^noise sigma must be finite and nonnegative$"):
+            NoiseSpec(sigma)
+
     @pytest.mark.parametrize("poles", [2.0, 3.5, 0, 1, -1, True, "3"],
                              ids=["float", "fraction", "zero", "one", "negative", "bool", "str"])
     @pytest.mark.parametrize("fitter", [fit_trace], ids=["fit_trace"])

@@ -1,5 +1,7 @@
 """Flux recurrence, Taylor coefficients, and both inversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from chaintomo import (
     CosineSumModel,
     DegenerateError,
     InversionError,
+    SpecError,
     fit_trace,
     flux_chains,
     spectral_couplings,
     spectral_signal,
 )
-from chaintomo.errors import InsufficientChain, TomographyWarning
 from chaintomo.reference import (
     delta_coefficients,
     eta_coefficients,
@@ -57,7 +59,7 @@ class TestDeltaTable:
                     assert tab[j - 1, l] == 0.0
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError, match="max_order must be >= 0"):
             delta_coefficients(np.array([1.0]), -1)
 
 
@@ -82,7 +84,7 @@ class TestMuCoefficients:
             np.testing.assert_allclose(mu, ref, rtol=1e-13)
 
     def test_orders_beyond_links_rejected(self):
-        with pytest.raises(InsufficientChain):
+        with pytest.raises(SpecError, match="2 orders requested but chain has only 1 links"):
             mu_coefficients(np.array([1.0]), 2)
 
 
@@ -114,13 +116,14 @@ class TestEtaCoefficients:
             eta_coefficients(fit, 3), mu_coefficients(links, 3), atol=1e-12
         )
 
-    def test_rejects_nonfinite(self):
+    def test_takes_only_a_cosine_sum_model(self):
         class Fake:
-            amplitudes = np.array([np.inf])
+            amplitudes = np.array([1.0])
             frequencies = np.array([1.0])
 
-        with pytest.raises(ValueError):
-            eta_coefficients(Fake(), 1)
+        for fit in (Fake(), (np.array([1.0]), np.array([1.0]))):
+            with pytest.raises(SpecError, match="eta_coefficients takes a CosineSumModel"):
+                eta_coefficients(fit, 1)
 
 
 class TestInversion:
@@ -144,8 +147,9 @@ class TestInversion:
         assert exc_info.value.link == 1
         assert exc_info.value.radicand == pytest.approx(-1.0, abs=1e-12)
 
-    def test_small_negative_radicand_clamps_with_warning(self):
-        with pytest.warns(TomographyWarning, match="clamped"):
+    def test_small_negative_radicand_clamps_to_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             recovered = invert_couplings(np.array([1e-9]))
         assert recovered[0] == 0.0
 
@@ -230,6 +234,11 @@ class TestSpectralInversion:
                     rtol=0,
                     atol=1e-10,
                 )
+
+    def test_takes_only_a_cosine_sum_model(self):
+        fit = CosineSumModel(np.array([1.0]), np.array([2.0]))
+        with pytest.raises(SpecError, match="spectral_couplings takes a CosineSumModel, got tuple$"):
+            spectral_couplings((fit.amplitudes, fit.frequencies))
 
     @pytest.mark.parametrize("fit, weight", [
         (CosineSumModel(np.array([0.7, -0.1]), np.array([1.0, 3.0]), dc=0.4), -0.05),

@@ -15,7 +15,7 @@ PUBLIC = {
     "ChainSpec", "FluxChain", "Model", "Observable", "Probe", "flux_chains",
     "NoiseSpec", "SignalTrace", "add_noise", "read_trace", "spectral_signal", "write_trace",
     "ChainTomoError", "DegenerateError", "EigenError", "InversionError", "ResolutionError",
-    "ShapeMismatch", "SpecError",
+    "SpecError",
     "CosineSumModel", "fit_trace",
     "spectral_couplings",
     "ParameterEstimate", "TomographyConfig", "TomographyResult", "TraceBundle",
@@ -28,7 +28,9 @@ MOVED = {
     dynamics: ("taylor_signal", "statevector_signal", "build_hamiltonian", "BulkState",
                "STATEVECTOR_CAP", "_PREP_STATES", "_OBS_MATRIX"),
 }
-REFERENCE_ERRORS = ("CapExceeded", "InsufficientChain", "TomographyWarning")
+# one class per cause: bad input is a SpecError wherever it is refused
+ERRORS = {"ChainTomoError", "SpecError", "EigenError", "ResolutionError", "InversionError",
+          "DegenerateError"}
 
 
 def _imports(path: Path) -> set[str]:
@@ -48,8 +50,21 @@ def _imports(path: Path) -> set[str]:
     return found
 
 
+def _raises(node, where="<module>"):
+    """(enclosing function, class name) of each raise of a named class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name):
+                yield where, exc.id
+        yield from _raises(child, where)
+
+
 def test_all_is_the_pipeline():
-    assert len(chaintomo.__all__) == 30
+    assert len(chaintomo.__all__) == 29
     assert set(chaintomo.__all__) == PUBLIC
     assert all(hasattr(chaintomo, name) for name in chaintomo.__all__)
     # fit_trace is the fit layer's one entry; its two steps stay in fitting
@@ -68,10 +83,17 @@ def test_reference_names_live_only_in_reference(origin, name):
     assert not hasattr(origin, name)
 
 
-@pytest.mark.parametrize("name", REFERENCE_ERRORS)
-def test_reference_errors_stay_in_errors_only(name):
-    assert issubclass(getattr(errors, name), (chaintomo.ChainTomoError, Warning))
-    assert not hasattr(chaintomo, name)
+def test_errors_defines_one_class_per_cause():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == ERRORS
+    assert all(issubclass(getattr(errors, name), chaintomo.ChainTomoError) for name in ERRORS)
+
+
+def test_every_raise_is_a_package_error():
+    foreign = [(path.stem, where, name) for path in sorted(PACKAGE.glob("*.py"))
+               for where, name in _raises(ast.parse(path.read_text())) if name not in ERRORS]
+    # a numeric limit of the truncated series, not a refusal of its input
+    assert foreign == [("reference", "taylor_signal", "OverflowError")] * 2
 
 
 def test_layering():

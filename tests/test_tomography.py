@@ -132,7 +132,7 @@ class TestSimulateMode:
         assert len(calls) == 1
 
     def test_foreign_warnings_reach_the_caller(self, monkeypatch):
-        # only TomographyWarnings are collected into result.warnings
+        # a run's notes are values; a warning raised inside a stage is not one
         original = tomography.fit_trace
 
         def warning_fit(*args, **kwargs):
@@ -145,7 +145,7 @@ class TestSimulateMode:
         assert result.warnings == ()
 
     @pytest.mark.parametrize("n_spins", [3.0, True], ids=["float", "bool"])
-    def test_non_integer_n_spins_is_refused_at_validate(self, n_spins):
+    def test_non_integer_n_spins_is_refused_when_built(self, n_spins):
         # the spec validates itself when built, outside any pipeline stage
         with pytest.raises(SpecError, match="n_spins") as exc_info:
             ChainSpec(Model.XX, n_spins, {"J": [1.0, 0.8]})
