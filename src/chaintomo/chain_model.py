@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, _floats, _integer
 
 
 class Model(str, Enum):
@@ -84,9 +83,7 @@ class Probe(str, Enum):
             probe = cls(preparation)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        # True would read as +1, and 1.9 is no sign
-        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
-            raise SpecError(f"probe sign must be an integer, got {sign!r}")
+        sign = _integer(sign, "probe sign", -1)
         if probe.observable is not observable:
             raise SpecError(
                 f"preparation {probe.value} is not an eigenstate of {observable.value}"
@@ -146,10 +143,7 @@ class ChainSpec:
             )
         conv = {}
         for fam, want in lengths.items():
-            try:
-                arr = np.array(self.couplings[fam], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"{fam} must hold numbers: {exc}") from exc
+            arr = np.array(_floats(self.couplings[fam], fam))
             if arr.ndim != 1 or arr.size != want:
                 raise SpecError(
                     f"{fam} must have length {want} for n_spins={self.n_spins}, "
@@ -200,14 +194,18 @@ class ChainSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ChainSpec":
-        p = Path(path)
-        if not p.is_file():
-            raise SpecError(f"spec file not found: {p}")
-        try:
-            d = json.loads(p.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SpecError(f"spec file {p} is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(_read_json(path, "spec file"))
+
+
+def _read_json(path: str | Path, what: str):
+    """The JSON value in a UTF-8 file; a missing or malformed file is a SpecError."""
+    p = Path(path)
+    if not p.is_file():
+        raise SpecError(f"{what} not found: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{what} {p} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +221,7 @@ class FluxChain:
     probe: Probe = Probe.PLUS_X
 
     def __post_init__(self):
-        arr = np.asarray(self.links, dtype=float)
+        arr = _floats(self.links, "links")
         object.__setattr__(self, "links", arr)
         if arr.ndim != 1 or arr.size < 1:
             raise SpecError("flux chain needs at least one link")
@@ -269,13 +267,7 @@ def chain_layout(model, n_spins: int) -> tuple[tuple[Probe, tuple[tuple[str, int
         model = Model(model)
     except ValueError as exc:
         raise SpecError(f"unknown model {model!r}") from exc
-    # range() would refuse a float untyped, and True would read as 1
-    n = n_spins
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise SpecError(f"n_spins must be an integer, got {n!r}")
-    if n < 2:
-        raise SpecError(f"n_spins must be at least 2, got {n}")
-    return _layout(model, int(n))
+    return _layout(model, _integer(n_spins, "n_spins", 2))
 
 
 @functools.lru_cache(maxsize=64)

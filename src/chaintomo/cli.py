@@ -20,7 +20,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,7 +66,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace,
     flags = {key: value for key, value in vars(args).items() if key != "func"}
     manifest = {
         "version": __version__,
-        "config": {**flags, "resolved": None if config is None else config.to_dict()},
+        "config": {**flags, "resolved": None if config is None else asdict(config)},
         "outputs": [str(path) for path in outputs],
         "started": started,
         "finished": _now(),
@@ -126,9 +126,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         source = TraceBundle.from_metadata([read_trace(p) for p in args.trace])
         # a bundle takes no config: a given sigma replaces the sidecars'
-        noise = _build_config(args).noise
-        if noise is not None:
-            source = replace(source, noise_sigma=noise.sigma)
+        if args.noise_sigma:
+            source = replace(source, noise_sigma=args.noise_sigma)
         config = None
 
     result = run_tomography(source, config)

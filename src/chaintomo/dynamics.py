@@ -12,15 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chain_model import Probe
-from .errors import EigenError, SpecError
+from .chain_model import Probe, _read_json
+from .errors import EigenError, SpecError, _floats, _integer, _is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +39,8 @@ class SignalTrace:
         if not isinstance(self.probe, Probe):
             raise SpecError(f"a trace's probe must be a Probe, got {self.probe!r}")
         # read-only copies, so no write, the caller's included, undoes a check
-        t = np.array(self.times, dtype=float, ndmin=1)
-        v = np.array(self.values, dtype=float, ndmin=1)
+        t = np.array(_floats(self.times, "times"), ndmin=1)
+        v = np.array(_floats(self.values, "values"), ndmin=1)
         t.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -64,10 +62,19 @@ class SignalTrace:
         return self
 
 
-def _check_sigma(sigma: float) -> None:
-    """A noise level is finite and nonnegative, else SpecError."""
-    if not (math.isfinite(sigma) and sigma >= 0):
+def _check_sigma(sigma) -> float:
+    """A noise level, a finite nonnegative number, as a float; else SpecError."""
+    if not (_is_real(sigma) and sigma >= 0):
         raise SpecError("noise sigma must be finite and nonnegative")
+    return float(sigma)
+
+
+def _links(links) -> np.ndarray:
+    """Link strengths as a 1-D float array of finite numbers, else SpecError."""
+    arr = _floats(links, "links")
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise SpecError("links must be a 1-D array of finite numbers")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,14 +86,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        # numpy's generator needs a nonnegative int; True would read as 1
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise SpecError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(seed))
-
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "seed": self.seed}
+        # numpy's generator needs a nonnegative int
+        object.__setattr__(self, "seed", _integer(self.seed, "noise seed", 0))
 
 
 def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
@@ -101,10 +102,8 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     solver failure raises EigenError.  A FluxChain passes its ``links``
     and ``probe``.
     """
-    links = np.asarray(links, dtype=float)
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if links.ndim != 1 or not np.isfinite(links).all():
-        raise SpecError("links must be a 1-D array of finite numbers")
+    links = _links(links)
+    t = np.atleast_1d(_floats(times, "times"))
     try:
         lam, vec = np.linalg.eigh(np.diag(links, 1) + np.diag(links, -1))
     except np.linalg.LinAlgError as exc:
@@ -117,6 +116,8 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
 
 def add_noise(trace: SignalTrace, noise: NoiseSpec) -> SignalTrace:
     """Additive i.i.d. Gaussian noise from a seeded generator."""
+    if not isinstance(noise, NoiseSpec):
+        raise SpecError(f"add_noise takes a NoiseSpec, got {type(noise).__name__}")
     rng = np.random.default_rng(noise.seed)
     values = trace.values + rng.normal(0.0, noise.sigma, size=trace.values.size)
     return SignalTrace(times=trace.times, values=values, probe=trace.probe)
@@ -169,12 +170,7 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
                 raise SpecError(f"{csv_path}: malformed row at line {line}: {row!r}") from exc
         raise SpecError(f"{csv_path}: malformed rows: {exc}") from exc
     sidecar = _sidecar_path(csv_path)
-    if not sidecar.is_file():
-        raise SpecError(f"metadata sidecar not found: {sidecar}")
-    try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SpecError(f"metadata sidecar {sidecar} is not valid JSON: {exc}") from exc
+    meta = _read_json(sidecar, "metadata sidecar")
     if not isinstance(meta, dict) or "probe" not in meta:
         raise SpecError(f"{sidecar}: metadata must identify the probe")
     try:

@@ -9,10 +9,18 @@ and a sidecar probe whose fields disagree when Probe.from_dict reads it;
 both happen outside the pipeline, so its ``stage`` is None.  An error
 raised inside a pipeline stage carries that stage's name in ``stage``
 once the orchestrator has tagged it.  :class:`EigenError` means only that
-a solver failed.
+a solver failed.  Each kind of argument is refused in one place:
+integers, real numbers and float arrays by _integer, _is_real and _floats
+here, noise levels and link arrays by dynamics._check_sigma and _links,
+and JSON input files by chain_model._read_json.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ChainTomoError(Exception):
@@ -30,6 +38,29 @@ class ChainTomoError(Exception):
 
 class SpecError(ChainTomoError):
     """A chain description, input file or argument violates a declared invariant."""
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    """value as an int of at least minimum, else SpecError; a bool is no integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SpecError(f"{what} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a finite real number; a bool or a string is none."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """np.asarray(values, dtype=float); what numpy cannot convert is a SpecError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what} must hold numbers: {exc}") from exc
 
 
 class EigenError(ChainTomoError):

@@ -20,13 +20,12 @@ are not held to sum to 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import SignalTrace, _check_sigma
-from .errors import ResolutionError, SpecError
+from .errors import ResolutionError, SpecError, _floats, _integer, _is_real
 
 # refine_fit stops once a damped step is at most this fraction of
 # |theta|: about 4.5 ulp, so the step only moves rounding noise
@@ -56,8 +55,8 @@ class CosineSumModel:
     iterations: int = 0
 
     def __post_init__(self):
-        A = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        om = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
+        A = np.atleast_1d(_floats(self.amplitudes, "amplitudes"))
+        om = np.atleast_1d(_floats(self.frequencies, "frequencies"))
         object.__setattr__(self, "amplitudes", A)
         object.__setattr__(self, "frequencies", om)
         if A.shape != om.shape or A.ndim != 1:
@@ -65,7 +64,7 @@ class CosineSumModel:
         if A.size < 1:
             raise SpecError("a cosine-sum model needs at least one term")
         if not (np.isfinite(A).all() and np.isfinite(om).all()
-                and math.isfinite(self.dc or 0.0)):
+                and (self.dc is None or _is_real(self.dc))):
             raise SpecError("model parameters must be finite")
         if (om < 0).any():
             raise SpecError("frequencies must be nonnegative")
@@ -80,7 +79,7 @@ class CosineSumModel:
         return float(self.amplitudes.sum() + (self.dc or 0.0))
 
     def evaluate(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
+        t = np.atleast_1d(_floats(times, "times"))
         out = np.cos(np.outer(t, self.frequencies)) @ self.amplitudes
         if self.dc is not None:
             out = out + self.dc
@@ -115,11 +114,10 @@ def _check_sampling(times: np.ndarray, poles: int) -> float:
     """The sample step of a uniform grid of at least 2 * poles + 2
     samples: the pencil's Hankel matrix needs `poles` rows under the
     smallest window.  The pole count must be an integer of at least 2,
-    one cosine line; a bool, which would read as 1, is refused like a
-    float.  Any other grid or count is a SpecError.  A SignalTrace's
-    times are finite and increasing, so the step is positive."""
-    if isinstance(poles, bool) or not isinstance(poles, numbers.Integral) or poles < 2:
-        raise SpecError(f"the pole count must be an integer of at least 2, got {poles!r}")
+    one cosine line.  Any other grid or count is a SpecError.  A
+    SignalTrace's times are finite and increasing, so the step is
+    positive."""
+    poles = _integer(poles, "the pole count", 2)
     need = 2 * poles + 2
     if times.size < need:
         raise SpecError(f"need at least {need} samples to seed {poles} poles, got {times.size}")

@@ -48,8 +48,8 @@ from functools import reduce
 import numpy as np
 
 from .chain_model import ChainSpec, Model, Observable, Probe
-from .dynamics import SignalTrace
-from .errors import DegenerateError, EigenError, InversionError, SpecError
+from .dynamics import SignalTrace, _links
+from .errors import DegenerateError, EigenError, InversionError, SpecError, _floats, _integer
 from .fitting import CosineSumModel
 
 # tolerances of invert_couplings: a squared link down to -RADICAND_TOL is
@@ -57,14 +57,6 @@ from .fitting import CosineSumModel
 # within DEGENERACY_TOL of the coefficient is lost to rounding
 RADICAND_TOL = 1e-8
 DEGENERACY_TOL = 1e-14
-
-
-def _links_of(links) -> np.ndarray:
-    """A 1-D float array of link strengths."""
-    arr = np.asarray(links, dtype=float)
-    if arr.ndim != 1:
-        raise SpecError("links must be one-dimensional")
-    return arr
 
 
 def delta_coefficients(links, max_order: int) -> np.ndarray:
@@ -75,9 +67,8 @@ def delta_coefficients(links, max_order: int) -> np.ndarray:
     (zeros are permitted here; probing the inversion uses partially
     zeroed chains).
     """
-    links = _links_of(links)
-    if max_order < 0:
-        raise SpecError("max_order must be >= 0")
+    links = _links(links)
+    max_order = _integer(max_order, "max_order", 0)
     m = links.size
     cpad = np.zeros(m + 2)
     cpad[1 : m + 1] = links
@@ -107,7 +98,8 @@ def mu_coefficients(links, n_orders: int) -> np.ndarray:
     Requires m >= K: by the light cone, mu_j carries information about
     links 1..j only, so orders beyond the link count determine nothing new.
     """
-    links = _links_of(links)
+    links = _links(links)
+    n_orders = _integer(n_orders, "n_orders", 0)
     if links.size < n_orders:
         raise SpecError(
             f"{n_orders} orders requested but chain has only {links.size} links"
@@ -127,6 +119,7 @@ def eta_coefficients(fit, n_orders: int) -> np.ndarray:
     """
     if not isinstance(fit, CosineSumModel):
         raise SpecError(f"eta_coefficients takes a CosineSumModel, got {type(fit).__name__}")
+    n_orders = _integer(n_orders, "n_orders", 0)
     A, om = fit.amplitudes, fit.frequencies
     return np.array(
         [
@@ -155,7 +148,7 @@ def invert_couplings(eta) -> np.ndarray:
     the single round trip that reaches link j is lost to rounding among
     all the others of order 2j, as happens for long chains.
     """
-    eta = np.asarray(eta, dtype=float)
+    eta = _floats(eta, "eta")
     m = eta.size
     c = np.zeros(m)
     for j in range(1, m + 1):
@@ -187,10 +180,8 @@ def invert_couplings(eta) -> np.ndarray:
 
 def taylor_signal(links, times, order: int, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     """Truncated flux expansion sum_{l<=order} (2t)^l delta_1^(l) / l!."""
-    links = np.asarray(links, dtype=float)
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if order < 0:
-        raise SpecError("order must be >= 0")
+    t = np.atleast_1d(_floats(times, "times"))
+    order = _integer(order, "order", 0)
     d1 = delta_coefficients(links, order)[0]
     fact = 1.0
     coeffs = np.empty(order + 1)
@@ -223,8 +214,8 @@ class BulkState:
     def __post_init__(self):
         if self.kind not in ("product", "pure", "mixed"):
             raise SpecError(f"unknown bulk state kind: {self.kind}")
-        if self.n_samples < 1:
-            raise SpecError("n_samples must be positive")
+        object.__setattr__(self, "seed", _integer(self.seed, "bulk seed", 0))
+        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
 
 
 # most sites statevector_signal evolves: its dense eigensolve holds
@@ -318,7 +309,7 @@ def statevector_signal(
     n = spec.n_spins
     if n > STATEVECTOR_CAP:
         raise SpecError(f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}")
-    t = np.atleast_1d(np.asarray(times, dtype=float))
+    t = np.atleast_1d(_floats(times, "times"))
     H = build_hamiltonian(spec)
     try:
         vals, vecs = np.linalg.eigh(H)

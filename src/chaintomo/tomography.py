@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from .chain_model import (
     ChainSpec, Model, chain_layout, flux_chains, parameter_label,
 )
-from .dynamics import NoiseSpec, SignalTrace, add_noise, spectral_signal
-from .errors import ChainTomoError, SpecError
+from .dynamics import NoiseSpec, SignalTrace, _check_sigma, add_noise, spectral_signal
+from .errors import ChainTomoError, SpecError, _is_real
 from .fitting import CosineSumModel, _check_sampling, fit_trace
 # eta_coefficients and invert_couplings, the paper's Taylor-matching
 # route, are not called here; they stay importable from this module
@@ -50,19 +50,14 @@ class TomographyConfig:
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.sample_step) and self.sample_step > 0):
+        if not (_is_real(self.sample_step) and self.sample_step > 0):
             raise SpecError("sample_step must be finite and positive")
-        if not math.isfinite(self.window):
+        if not _is_real(self.window):
             raise SpecError("window must be finite")
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_step": self.sample_step,
-            "window": self.window,
-            "noise": None if self.noise is None else self.noise.to_dict(),
-        }
+        if not (self.noise is None or isinstance(self.noise, NoiseSpec)):
+            raise SpecError(f"noise must be a NoiseSpec or None, got {type(self.noise).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +73,8 @@ class TraceBundle:
     magnitudes take its signs.  noise_sigma, the data's noise level, sets
     the fit's residual floor and must be finite and nonnegative.
     to_metadata and from_metadata write and read the per-trace sidecar.
-    A bundle checks its chain (chain_layout), noise_sigma and truth when
-    built and raises SpecError if one is wrong.
+    A bundle checks its chain (chain_layout), noise_sigma, traces and
+    truth when built and raises SpecError if one is wrong.
     """
 
     model: Model
@@ -92,9 +87,10 @@ class TraceBundle:
         chain_layout(self.model, self.n_spins)
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "n_spins", int(self.n_spins))
-        # an infinite or NaN sigma would lift the physical bound and the
-        # fit's residual floor, so it is refused as NoiseSpec refuses it
-        NoiseSpec(self.noise_sigma)
+        # a NaN or infinite sigma would lift the physical bound and the fit's floor
+        _check_sigma(self.noise_sigma)
+        if not all(isinstance(trace, SignalTrace) for trace in self.traces):
+            raise SpecError("a bundle's traces must be SignalTraces")
         truth = self.truth
         if truth is not None and (
             truth.model != self.model or truth.n_spins != self.n_spins
@@ -143,7 +139,7 @@ class TraceBundle:
                 noise = meta.get("noise")
                 if noise:
                     # checked per sidecar: max() would drop a NaN or negative sigma
-                    sigma = max(sigma, NoiseSpec(float(noise.get("sigma", 0.0))).sigma)
+                    sigma = max(sigma, _check_sigma(noise.get("sigma", 0.0)))
             # every sidecar that states a truth must state the same one
             truths = [ChainSpec.from_dict({**meta, "couplings": meta["truth_couplings"]})
                       for _, meta in pairs if meta.get("truth_couplings")]
@@ -161,7 +157,10 @@ class ParameterEstimate:
     name: str
     estimate: float
     truth: float | None = None
-    abs_error: float | None = None
+
+    @property
+    def abs_error(self) -> float | None:
+        return None if self.truth is None else abs(self.estimate - self.truth)
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +204,7 @@ class TomographyResult:
             "fits": {obs: fit.to_dict() for obs, fit in self.fits.items()},
             "residual_rms": self.residual_rms,
             "warnings": list(self.warnings),
-            "config": None if self.config is None else self.config.to_dict(),
+            "config": None if self.config is None else asdict(self.config),
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -248,9 +247,10 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
     Both sources checked themselves when built, so the validate stage
-    refuses only an unknown source type and a config given with a
-    TraceBundle.  A ChainSpec is simulated per config into the bundle it
-    describes (simulate_traces); a TraceBundle is taken as it is, and
+    refuses only an unknown source type, a config that is not a
+    TomographyConfig and a config given with a TraceBundle.  A ChainSpec
+    is simulated per config into the bundle it describes
+    (simulate_traces); a TraceBundle is taken as it is, and
     takes no config, since its traces fix the sampling and its
     noise_sigma the noise level.  A bundle trace that no probe of the
     chain reads is refused at ingest.  Then, per flux chain of the bundle:
@@ -265,7 +265,9 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     stage = "validate"
     try:
         if isinstance(source, ChainSpec):
-            config = config or TomographyConfig()
+            config = TomographyConfig() if config is None else config
+            if not isinstance(config, TomographyConfig):
+                raise SpecError(f"config must be a TomographyConfig, got {type(config).__name__}")
         elif not isinstance(source, TraceBundle):
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
@@ -335,14 +337,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 if signed:
                     estimate = math.copysign(estimate, truth_val)
                 parameters.append(
-                    ParameterEstimate(
-                        name=parameter_label(family, k),
-                        estimate=estimate,
-                        truth=truth_val,
-                        abs_error=None
-                        if truth_val is None
-                        else abs(estimate - truth_val),
-                    )
+                    ParameterEstimate(parameter_label(family, k), estimate, truth_val)
                 )
     except ChainTomoError as exc:
         if exc.stage is None:

@@ -351,6 +351,17 @@ class TestRunFromTraces:
                      "--out", str(tmp_path / "b")]) == 0
         assert _read_json(tmp_path / "b" / "result.json")["config"] is None
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.01"])
+    def test_invalid_noise_sigma_flag_with_traces_exits_2(self, tmp_path, bench_spec_path,
+                                                          capsys, sigma):
+        # the bundle refuses the flag's sigma as the sidecars' is refused
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"), "--noise-sigma", sigma,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: noise sigma must be finite and nonnegative\n"
+
     def test_run_requires_an_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["run", "--out", str(tmp_path)])

@@ -180,7 +180,7 @@ class TestTaylorSignal:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(SpecError, match="order must be >= 0"):
+        with pytest.raises(SpecError, match="order must be at least 0"):
             taylor_signal(BENCH_J, [0.0], order=-1)
 
 

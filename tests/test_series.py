@@ -59,7 +59,7 @@ class TestDeltaTable:
                     assert tab[j - 1, l] == 0.0
 
     def test_rejects_negative_order(self):
-        with pytest.raises(SpecError, match="max_order must be >= 0"):
+        with pytest.raises(SpecError, match="max_order must be at least 0"):
             delta_coefficients(np.array([1.0]), -1)
 
 

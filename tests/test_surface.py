@@ -3,10 +3,18 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chaintomo
-from chaintomo import dynamics, errors, fitting, reference, series
+from chaintomo import (
+    ChainSpec, CosineSumModel, FluxChain, Model, NoiseSpec, Probe, SignalTrace, SpecError,
+    TomographyConfig, TraceBundle, add_noise, dynamics, errors, fit_trace, fitting, reference,
+    run_tomography, series, spectral_signal,
+)
+from chaintomo.reference import (
+    BulkState, delta_coefficients, eta_coefficients, mu_coefficients, taylor_signal,
+)
 
 PACKAGE = Path(chaintomo.__file__).resolve().parent
 
@@ -63,6 +71,17 @@ def _raises(node, where="<module>"):
         yield from _raises(child, where)
 
 
+def _calls(node, where="<module>"):
+    """(enclosing function, dotted callee) of each call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield where, ast.unparse(child.func)
+        yield from _calls(child, where)
+
+
 def test_all_is_the_pipeline():
     assert len(chaintomo.__all__) == 29
     assert set(chaintomo.__all__) == PUBLIC
@@ -101,3 +120,64 @@ def test_layering():
     # tomography keeps two reference names for the benchmark's span tracer
     assert {stem for stem, used in importers.items() if "reference" in used} == {"tomography"}
     assert "series" not in importers["dynamics"]
+
+
+def test_each_input_rule_lives_in_one_place():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    # integers and real numbers are judged only by errors._integer and _is_real
+    assert {stem for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and "numbers" in {a.name for a in node.names}
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"} == {"errors"}
+    calls = [(stem, where, callee) for stem, tree in sorted(trees.items())
+             for where, callee in _calls(tree)]
+    # one reader of JSON input files
+    assert [c for c in calls if c[2] in ("json.loads", "json.load")] == [
+        ("chain_model", "_read_json", "json.loads")]
+    # a noise level is checked by _check_sigma; a NoiseSpec only sets up a run's draws
+    assert sorted(c[:2] for c in calls if c[2] == "NoiseSpec") == [
+        ("cli", "_build_config"), ("tomography", "simulate_traces")]
+    assert not hasattr(reference, "_links_of")
+
+
+# long enough to fit 3 poles, so only the bad argument can refuse a call
+TR = spectral_signal([1.0, 0.8], np.pi / 25 * np.arange(40))
+SPEC = ChainSpec(Model.XX, 3, {"J": [1.0, 0.8]})
+FIT = CosineSumModel([1.0], [2.0])
+T = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call", [
+    # integers: a float, a bool or a negative count is refused
+    pytest.param(lambda: delta_coefficients([1.0], 2.5), id="delta_order_float"),
+    pytest.param(lambda: taylor_signal([1.0], [0.0], 2.5), id="taylor_order_float"),
+    pytest.param(lambda: mu_coefficients([1.0] * 3, 2.5), id="mu_orders_float"),
+    pytest.param(lambda: eta_coefficients(FIT, 2.5), id="eta_orders_float"),
+    pytest.param(lambda: BulkState("mixed", 0, 2.5), id="bulk_samples_float"),
+    pytest.param(lambda: BulkState("mixed", -1), id="bulk_seed_negative"),
+    # noise levels: a string or a bool is no number
+    pytest.param(lambda: NoiseSpec("0.1"), id="noise_str"),
+    pytest.param(lambda: NoiseSpec(True), id="noise_bool"),
+    pytest.param(lambda: fit_trace(TR, 3, noise_sigma="0.1"), id="fit_sigma_str"),
+    pytest.param(lambda: fit_trace(TR, 3, noise_sigma=True), id="fit_sigma_bool"),
+    pytest.param(lambda: TraceBundle(Model.XX, 3, (TR,), noise_sigma="0.1"), id="bundle_sigma_str"),
+    # real numbers
+    pytest.param(lambda: TomographyConfig(sample_step="0.1"), id="step_str"),
+    pytest.param(lambda: TomographyConfig(sample_step=True), id="step_bool"),
+    pytest.param(lambda: TomographyConfig(window=None), id="window_none"),
+    pytest.param(lambda: run_tomography(SPEC, TomographyConfig(noise=0.1)), id="config_noise_float"),
+    pytest.param(lambda: run_tomography(SPEC, "config"), id="config_str"),
+    # float arrays
+    pytest.param(lambda: spectral_signal(["a"], T), id="links_str"),
+    pytest.param(lambda: spectral_signal([1.0], ["a"]), id="times_str"),
+    pytest.param(lambda: SignalTrace(["a"], [1.0], Probe.PLUS_X), id="trace_str"),
+    pytest.param(lambda: CosineSumModel(["a"], [1.0]), id="amplitudes_str"),
+    pytest.param(lambda: CosineSumModel([1.0], [1.0], dc="x"), id="dc_str"),
+    pytest.param(lambda: FluxChain(["a"], (("J", 1),)), id="flux_links_str"),
+    # arguments of the wrong type altogether
+    pytest.param(lambda: add_noise(TR, 0.1), id="add_noise_float"),
+    pytest.param(lambda: run_tomography(TraceBundle(Model.XX, 3, ("x",))),
+                 id="bundle_trace_str"),
+])
+def test_every_bad_argument_is_a_spec_error(call):
+    with pytest.raises(SpecError):
+        call()

@@ -1,5 +1,6 @@
 """End-to-end pipeline: simulate or ingest, fit, match, invert, label."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -339,7 +340,7 @@ def _outcome(source, config=None):
     except ChainTomoError as exc:
         return type(exc), exc.stage, str(exc)
     data = result.to_dict()
-    assert data.pop("config") == (None if config is None else config.to_dict())
+    assert data.pop("config") == (None if config is None else dataclasses.asdict(config))
     return data
 
 
@@ -553,6 +554,9 @@ class TestIngestMode:
         pytest.param("noise", {"sigma": math.inf}, id="noise-sigma_inf"),
         pytest.param("noise", {"sigma": math.nan}, id="noise-sigma_nan"),
         pytest.param("noise", {"sigma": -0.01}, id="noise-sigma_negative"),
+        # a sidecar's sigma is a JSON number: float() once read true as 1.0
+        pytest.param("noise", {"sigma": True}, id="noise-sigma_true"),
+        pytest.param("noise", {"sigma": "0.01"}, id="noise-sigma_string"),
         # bool() used to read the string "false" as true
         ("allow_signed", "false"),
         ("allow_signed", 1),
@@ -583,6 +587,12 @@ class TestIngestMode:
         pairs = [(trace, {**meta, "n_spins": n_spins}) for trace, meta in pairs]
         with pytest.raises(SpecError, match="n_spins must be an integer"):
             TraceBundle.from_metadata(pairs)
+
+    def test_sidecar_integer_sigma_is_stored_as_a_float(self, tmp_path):
+        pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
+        pairs = [(trace, {**meta, "noise": {"sigma": 1}}) for trace, meta in pairs]
+        sigma = TraceBundle.from_metadata(pairs).noise_sigma
+        assert sigma == 1.0 and type(sigma) is float
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(SpecError, match="no traces"):
