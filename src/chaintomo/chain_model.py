@@ -213,7 +213,7 @@ class FluxChain:
     """Effective linear chain of link strengths probed by one observable.
 
     links holds c_1..c_m; label_map[k] names the Hamiltonian parameter the
-    k-th link came from, as a (family, 1-based index) pair.
+    k-th link came from, as a (family, 1-based index) pair; probe is a Probe.
     """
 
     links: np.ndarray
@@ -221,6 +221,8 @@ class FluxChain:
     probe: Probe = Probe.PLUS_X
 
     def __post_init__(self):
+        if not isinstance(self.probe, Probe):
+            raise SpecError(f"FluxChain takes a Probe, got {self.probe!r}")
         arr = _floats(self.links, "links")
         object.__setattr__(self, "links", arr)
         if arr.ndim != 1 or arr.size < 1:

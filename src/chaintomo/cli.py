@@ -20,13 +20,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .chain_model import ChainSpec
-from .dynamics import NoiseSpec, write_trace, read_trace
+from .dynamics import NoiseSpec, _check_sigma, write_trace, read_trace
 from .errors import ChainTomoError, SpecError
 from .tomography import (
     TomographyConfig,
@@ -124,10 +124,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         source = ChainSpec.from_json(args.spec)
         config = _build_config(args)
     else:
-        source = TraceBundle.from_metadata([read_trace(p) for p in args.trace])
-        # a bundle takes no config: a given sigma replaces the sidecars'
+        pairs = [read_trace(p) for p in args.trace]
+        # a bundle takes no config: a given sigma replaces the sidecars' before it is built
         if args.noise_sigma:
-            source = replace(source, noise_sigma=args.noise_sigma)
+            noise = {"sigma": _check_sigma(args.noise_sigma)}
+            pairs = [(trace, {**meta, "noise": noise}) for trace, meta in pairs]
+        source = TraceBundle.from_metadata(pairs)
         config = None
 
     result = run_tomography(source, config)

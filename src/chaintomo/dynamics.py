@@ -26,7 +26,7 @@ class SignalTrace:
     """Sampled expectation values of the probed observable.
 
     times are in units of 1/J and must be strictly increasing; values are
-    dimensionless and bounded by 1 up to the declared noise allowance.
+    dimensionless, and a TraceBundle bounds them by 1 + max(0.1, 6 sigma).
     Both are stored as read-only float copies.  probe must be a Probe
     member; text is read by Probe.from_dict.
     """
@@ -52,14 +52,6 @@ class SignalTrace:
             raise SpecError("trace contains non-finite entries")
         if (t[1:] - t[:-1] <= 0).any():
             raise SpecError("times must be strictly increasing")
-
-    def check_physical(self, allowance: float = 0.0) -> "SignalTrace":
-        """Reject values outside [-1, 1] beyond the noise allowance."""
-        if abs(self.values).max() > 1.0 + allowance:
-            raise SpecError(
-                f"trace values exceed the physical bound 1 + {allowance:g}"
-            )
-        return self
 
 
 def _check_sigma(sigma) -> float:
@@ -100,8 +92,10 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     built dense and handed to the symmetric solver ``numpy.linalg.eigh``.
     Links that are not a 1-D array of finite numbers raise SpecError; a
     solver failure raises EigenError.  A FluxChain passes its ``links``
-    and ``probe``.
+    and ``probe``; a probe that is not a Probe is a SpecError.
     """
+    if not isinstance(probe, Probe):
+        raise SpecError(f"spectral_signal takes a Probe, got {probe!r}")
     links = _links(links)
     t = np.atleast_1d(_floats(times, "times"))
     try:

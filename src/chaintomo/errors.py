@@ -4,15 +4,16 @@ Every error raised by this package derives from :class:`ChainTomoError`.
 Every refusal of a bad argument or input (a malformed chain
 description, a bad trace file, a pole count or noise level out of range),
 by the pipeline or by chaintomo.reference, raises :class:`SpecError`.
-A ChainSpec or TraceBundle that breaks an invariant raises it when built,
-and a sidecar probe whose fields disagree when Probe.from_dict reads it;
-both happen outside the pipeline, so its ``stage`` is None.  An error
-raised inside a pipeline stage carries that stage's name in ``stage``
-once the orchestrator has tagged it.  :class:`EigenError` means only that
-a solver failed.  Each kind of argument is refused in one place:
-integers, real numbers and float arrays by _integer, _is_real and _floats
-here, noise levels and link arrays by dynamics._check_sigma and _links,
-and JSON input files by chain_model._read_json.
+A ChainSpec or TraceBundle that breaks an invariant (a bundle's traces
+must match its chain's probes) raises it when built, and a sidecar probe
+whose fields disagree when Probe.from_dict reads it; both happen outside
+the pipeline, so its ``stage`` is None.  Inside, the orchestrator tags
+an error with its stage's name, and a SpecError comes only from
+validate, simulate or fit_trace's grid check ("fit").  :class:`EigenError`
+means only that a solver failed.  Each kind of argument is refused in
+one place: integers, real numbers and float arrays by _integer, _is_real
+and _floats here, noise levels and link arrays by dynamics._check_sigma
+and _links, and JSON input files by chain_model._read_json.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 named coupling estimates.
 
 The pipeline reconstructs a TraceBundle: one boundary-spin trace per
-required probe plus what is known of the chain.  A ChainSpec source is
-first simulated into the bundle it describes (spectral-oracle traces,
-optionally with seeded Gaussian noise); a measured bundle comes from
-elsewhere.  Every bundle is ingested the same way: each trace is matched
-to its probe by observable, fitted to a cosine sum, the fit is inverted
-as the spectral measure of the flux chain for its links, and the links
-are mapped back to Hamiltonian parameter names.
+required probe plus what is known of the chain, checked against it when
+built.  A ChainSpec source is first simulated into the bundle it
+describes (spectral-oracle traces, optionally with seeded Gaussian
+noise); a measured bundle comes from elsewhere.  Each probe's trace is
+fitted to a cosine sum, the fit is inverted as the spectral measure of
+the flux chain for its links, and the links are mapped back to
+Hamiltonian parameter names.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .chain_model import (
 )
 from .dynamics import NoiseSpec, SignalTrace, _check_sigma, add_noise, spectral_signal
 from .errors import ChainTomoError, SpecError, _is_real
-from .fitting import CosineSumModel, _check_sampling, fit_trace
+from .fitting import CosineSumModel, fit_trace
 # eta_coefficients and invert_couplings, the paper's Taylor-matching
 # route, are not called here; they stay importable from this module
 # because the benchmark's span tracer looks them up on it by name
@@ -74,7 +74,10 @@ class TraceBundle:
     the fit's residual floor and must be finite and nonnegative.
     to_metadata and from_metadata write and read the per-trace sidecar.
     A bundle checks its chain (chain_layout), noise_sigma, traces and
-    truth when built and raises SpecError if one is wrong.
+    truth when built and raises SpecError if one is wrong: each probe
+    reads exactly one trace, each trace feeds a probe, and no value
+    exceeds 1 + max(0.1, 6 * noise_sigma).  traces is kept as a tuple in
+    chain_layout order; its grids are fit_trace's to check.
     """
 
     model: Model
@@ -84,14 +87,17 @@ class TraceBundle:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        chain_layout(self.model, self.n_spins)
+        layout = chain_layout(self.model, self.n_spins)
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "n_spins", int(self.n_spins))
         # a NaN or infinite sigma would lift the physical bound and the fit's floor
         _check_sigma(self.noise_sigma)
-        if not all(isinstance(trace, SignalTrace) for trace in self.traces):
-            raise SpecError("a bundle's traces must be SignalTraces")
-        truth = self.truth
+        traces, truth = self.traces, self.truth
+        if not (isinstance(traces, (tuple, list))
+                and all(isinstance(trace, SignalTrace) for trace in traces)):
+            raise SpecError(f"TraceBundle takes a tuple of SignalTraces, got {traces!r:.60}")
+        if not (truth is None or isinstance(truth, ChainSpec)):
+            raise SpecError(f"TraceBundle takes a ChainSpec truth or None, got {type(truth).__name__}")
         if truth is not None and (
             truth.model != self.model or truth.n_spins != self.n_spins
         ):
@@ -99,6 +105,23 @@ class TraceBundle:
                 "truth must describe the bundle's chain; got a "
                 f"{truth.model.value} chain of {truth.n_spins} spins"
             )
+        # every trace must feed a probe; one no probe reads would be dropped
+        by_observable = {probe.observable: [] for probe, _ in layout}
+        for trace in traces:
+            observable = trace.probe.observable
+            if observable not in by_observable:
+                raise SpecError(f"ingest has no probe for the trace probing {observable.value}: "
+                                f"{self.model.value} chains are probed on "
+                                f"{', '.join(o.value for o in by_observable)} only")
+            by_observable[observable].append(trace)
+        allowance = max(0.1, 6.0 * self.noise_sigma)
+        for observable, matching in by_observable.items():  # in chain_layout order
+            if len(matching) != 1:
+                raise SpecError(f"ingest needs exactly one trace probing {observable.value}, "
+                                f"got {len(matching)}")
+            if abs(matching[0].values).max() > 1.0 + allowance:
+                raise SpecError(f"trace values exceed the physical bound 1 + {allowance:g}")
+        object.__setattr__(self, "traces", tuple(trace for (trace,) in by_observable.values()))
 
     def to_metadata(self) -> dict:
         """The sidecar fields its traces share; from_metadata reads them back.
@@ -123,7 +146,8 @@ class TraceBundle:
         Metadata that disagree between traces, or fields of the wrong type
         or value (the sidecar truth included), raise SpecError.  A sidecar
         without truth couplings states no truth; those that state one must
-        agree on its couplings and allow_signed.
+        agree on its couplings and allow_signed.  The bundle's own refusals
+        of its traces are raised as it words them, not as malformed metadata.
         """
         if not pairs:
             raise SpecError("no traces supplied")
@@ -134,6 +158,8 @@ class TraceBundle:
                 raise SpecError("traces must agree on one model")
             if len(counts) != 1 or None in counts:
                 raise SpecError("traces must agree on n_spins")
+            model, n_spins = next(iter(models)), next(iter(counts))
+            chain_layout(model, n_spins)  # the sidecars' chain is metadata too
             sigma = 0.0
             for _, meta in pairs:
                 noise = meta.get("noise")
@@ -146,10 +172,9 @@ class TraceBundle:
             if any(t.to_dict() != truths[0].to_dict() for t in truths[1:]):
                 raise SpecError("traces must agree on the truth couplings and allow_signed")
             truth = truths[0] if truths else None
-            return cls(next(iter(models)), next(iter(counts)),
-                       tuple(trace for trace, _ in pairs), truth, sigma)
         except (KeyError, TypeError, ValueError, AttributeError, SpecError) as exc:
             raise SpecError(f"malformed trace metadata: {exc}") from exc
+        return cls(model, n_spins, tuple(trace for trace, _ in pairs), truth, sigma)
 
 
 @dataclass(frozen=True)
@@ -227,9 +252,13 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     with the spec attached as truth and the config's noise sigma as the
     bundle's.  With noise configured, the trace of chain index i gets its
     own stream seeded at noise.seed + i, so multi-probe models do not
-    share a realization.
+    share a realization.  Any other spec or config type is a SpecError.
     """
-    config = config or TomographyConfig()
+    config = TomographyConfig() if config is None else config
+    if not isinstance(spec, ChainSpec):
+        raise SpecError(f"simulate_traces takes a ChainSpec, got {type(spec).__name__}")
+    if not isinstance(config, TomographyConfig):
+        raise SpecError(f"simulate_traces takes a TomographyConfig, got {type(config).__name__}")
     noise = config.noise
     sigma = 0.0 if noise is None else noise.sigma
     times = sample_times(config)
@@ -247,15 +276,13 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     """Recover all couplings from a ChainSpec or a TraceBundle.
 
     Both sources checked themselves when built, so the validate stage
-    refuses only an unknown source type, a config that is not a
-    TomographyConfig and a config given with a TraceBundle.  A ChainSpec
-    is simulated per config into the bundle it describes
-    (simulate_traces); a TraceBundle is taken as it is, and
-    takes no config, since its traces fix the sampling and its
-    noise_sigma the noise level.  A bundle trace that no probe of the
-    chain reads is refused at ingest.  Then, per flux chain of the bundle:
-    ingest the trace probing it, fit its m + 1 nodes as poles, recover
-    the links from the fit's spectrum by Lanczos, and label them.
+    refuses only an unknown source type and a config given with a
+    TraceBundle, which takes none: its traces fix the sampling and its
+    noise_sigma the noise level.  A ChainSpec is simulated per config
+    into the bundle it describes (simulate_traces).  Then, per flux chain
+    of the bundle: fit the trace probing it with the chain's m + 1 nodes
+    as poles (fit_trace refuses a grid that is not uniform or too short),
+    recover the links from the fit's spectrum by Lanczos, and label them.
     Deterministic for a fixed config and noise seed.  Errors raised
     inside a stage carry that stage's name.  Fitted amplitudes that miss
     alpha(0) = 1 are noted in result.warnings, as values: a run keeps no
@@ -266,8 +293,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     try:
         if isinstance(source, ChainSpec):
             config = TomographyConfig() if config is None else config
-            if not isinstance(config, TomographyConfig):
-                raise SpecError(f"config must be a TomographyConfig, got {type(config).__name__}")
+            stage = "simulate"
+            bundle = simulate_traces(source, config)
         elif not isinstance(source, TraceBundle):
             raise SpecError(
                 f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
@@ -277,11 +304,8 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
                 "a TraceBundle takes no TomographyConfig: its traces fix "
                 "the sampling and its noise_sigma the noise level"
             )
-
-        bundle = source
-        if isinstance(source, ChainSpec):
-            stage = "simulate"
-            bundle = simulate_traces(source, config)
+        else:
+            bundle = source
         truth = bundle.truth
         signed = truth is not None and truth.allow_signed
         noise_sigma = bundle.noise_sigma
@@ -291,35 +315,11 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         notes: list[str] = []
         fits: dict[str, CosineSumModel] = {}
 
-        stage = "ingest"
-        # every trace must feed a probe; one no probe reads would be dropped
-        by_observable = {probe.observable: [] for probe, _ in layout}
-        for tr in bundle.traces:
-            if tr.probe.observable not in by_observable:
-                raise SpecError(
-                    f"ingest has no probe for the trace probing {tr.probe.observable.value}: "
-                    f"{bundle.model.value} chains are probed on "
-                    f"{', '.join(o.value for o in by_observable)} only"
-                )
-            by_observable[tr.probe.observable].append(tr)
-
-        for probe, labels in layout:
+        for (probe, labels), trace in zip(layout, bundle.traces):
             observable = probe.observable.value
-            m = len(labels)
-
-            stage = "ingest"
-            matching = by_observable[probe.observable]
-            if len(matching) != 1:
-                raise SpecError(
-                    f"ingest needs exactly one trace probing {observable}, "
-                    f"got {len(matching)}"
-                )
-            trace = matching[0].check_physical(allowance=max(0.1, 6.0 * noise_sigma))
-            # the m + 1 nodes of the flux chain are the fit's poles
-            _check_sampling(trace.times, m + 1)
-
             stage = "fit"
-            fit = fit_trace(trace, m + 1, noise_sigma=noise_sigma)
+            # the m + 1 nodes of the flux chain are the fit's poles
+            fit = fit_trace(trace, len(labels) + 1, noise_sigma=noise_sigma)
             fits[observable] = fit
 
             stage = "invert"

@@ -276,6 +276,22 @@ class TestRunFromTraces:
         assert "no probe for the trace probing y1" in capsys.readouterr().err
         assert not (run_out / "result.json").exists()
 
+    def test_unnormalized_trace_prints_its_warning(self, tmp_path, capsys):
+        # a halved trace misses alpha(0) = 1: the run succeeds, prints the
+        # note and writes the same note to result.json
+        spec_path = tmp_path / "xx.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "sim")]) == 0
+        path = tmp_path / "sim" / "trace_x1.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{t},{float(v) / 2!r}" for t, v in (row.split(",") for row in rows)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "run")]) == 0
+        note = "x1: fitted amplitudes sum to 0.500000, expected 1"
+        assert f"\nwarning: {note}\n" in capsys.readouterr().out
+        assert _read_json(tmp_path / "run" / "result.json")["warnings"] == [note]
+
     def test_failed_run_leaves_no_result(self, tmp_path, capsys):
         spec_path = tmp_path / "xx.json"
         xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
@@ -350,6 +366,22 @@ class TestRunFromTraces:
         assert main(["run", "--trace", trace, "--noise-sigma", "0.01",
                      "--out", str(tmp_path / "b")]) == 0
         assert _read_json(tmp_path / "b" / "result.json")["config"] is None
+
+    def test_noise_sigma_flag_widens_the_physical_bound(self, tmp_path, bench_spec_path,
+                                                         capsys):
+        # this sigma = 0.05 trace peaks past the noiseless bound 1.1; the
+        # flag's sigma must reach the bundle before it bounds the traces
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out),
+                     "--noise-sigma", "0.05", "--seed", "3"]) == 0
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar), "noise": None}))
+        trace = str(sim_out / "trace_x1.csv")
+        capsys.readouterr()
+        assert main(["run", "--trace", trace, "--out", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err == "error: trace values exceed the physical bound 1 + 0.1\n"
+        assert main(["run", "--trace", trace, "--noise-sigma", "0.05",
+                     "--out", str(tmp_path / "b")]) == 0
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.01"])
     def test_invalid_noise_sigma_flag_with_traces_exits_2(self, tmp_path, bench_spec_path,

@@ -86,12 +86,6 @@ class TestSignalTrace:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = np.nan
 
-    def test_check_physical(self):
-        trace = SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 1.05]), Probe.PLUS_X)
-        assert trace.check_physical(allowance=0.1) is trace
-        with pytest.raises(SpecError, match="bound"):
-            trace.check_physical(allowance=0.01)
-
 
 class TestSpectralSignal:
     def test_normalized_at_time_zero(self):

@@ -10,7 +10,7 @@ import chaintomo
 from chaintomo import (
     ChainSpec, CosineSumModel, FluxChain, Model, NoiseSpec, Probe, SignalTrace, SpecError,
     TomographyConfig, TraceBundle, add_noise, dynamics, errors, fit_trace, fitting, reference,
-    run_tomography, series, spectral_signal,
+    run_tomography, series, simulate_traces, spectral_signal,
 )
 from chaintomo.reference import (
     BulkState, delta_coefficients, eta_coefficients, mu_coefficients, taylor_signal,
@@ -136,6 +136,8 @@ def test_each_input_rule_lives_in_one_place():
     # a noise level is checked by _check_sigma; a NoiseSpec only sets up a run's draws
     assert sorted(c[:2] for c in calls if c[2] == "NoiseSpec") == [
         ("cli", "_build_config"), ("tomography", "simulate_traces")]
+    # a trace's grid and sample count are checked once, by the fit
+    assert [c[:2] for c in calls if c[2] == "_check_sampling"] == [("fitting", "fit_trace")]
     assert not hasattr(reference, "_links_of")
 
 
@@ -177,6 +179,12 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: add_noise(TR, 0.1), id="add_noise_float"),
     pytest.param(lambda: run_tomography(TraceBundle(Model.XX, 3, ("x",))),
                  id="bundle_trace_str"),
+    pytest.param(lambda: TraceBundle(Model.XX, 3, None), id="bundle_traces_none"),
+    pytest.param(lambda: TraceBundle(Model.XX, 3, (), truth="x"), id="bundle_truth_str"),
+    pytest.param(lambda: simulate_traces("x"), id="simulate_spec_str"),
+    pytest.param(lambda: simulate_traces(SPEC, "x"), id="simulate_config_str"),
+    pytest.param(lambda: FluxChain([1.0], (("J", 1),), "x"), id="flux_probe_str"),
+    pytest.param(lambda: spectral_signal([1.0], T, "x"), id="signal_probe_str"),
 ])
 def test_every_bad_argument_is_a_spec_error(call):
     with pytest.raises(SpecError):

@@ -430,14 +430,13 @@ class TestIngestMode:
         assert exc_info.value.stage == "validate"
 
     def test_missing_probe_trace_is_an_ingest_error(self, tmp_path):
+        # a bundle checks its traces against its chain's probes when built
         spec = xy_spec([1.1, 0.7], [0.9, 1.2])
         pairs = _write_bundle(spec, tmp_path)
         only_x1 = [p for p in pairs if p[0].probe.observable is Observable.X1]
-        bundle = TraceBundle(model=Model.XY, n_spins=3,
-                             traces=tuple(t for t, _ in only_x1))
         with pytest.raises(SpecError, match="y1") as exc_info:
-            run_tomography(bundle)
-        assert exc_info.value.stage == "ingest"
+            TraceBundle(model=Model.XY, n_spins=3, traces=tuple(t for t, _ in only_x1))
+        assert exc_info.value.stage is None
 
     def test_unphysical_values_are_rejected_at_ingest(self):
         times = sample_times(TomographyConfig())
@@ -445,12 +444,26 @@ class TestIngestMode:
             times, np.full(times.size, 1.5),
             Probe.PLUS_X,
         )
-        bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
         with pytest.raises(SpecError, match="bound") as exc_info:
-            run_tomography(bundle)
-        assert exc_info.value.stage == "ingest"
+            TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
+        assert exc_info.value.stage is None
 
-    def test_nonuniform_trace_is_an_ingest_error(self):
+    @pytest.mark.parametrize("peak, sigma, accepted", [
+        pytest.param(1.05, 0.0, True, id="within_0.1"),
+        pytest.param(1.15, 0.0, False, id="beyond_0.1"),
+        pytest.param(1.25, 0.05, True, id="within_6_sigma"),
+    ])
+    def test_physical_bound_allows_for_the_noise(self, peak, sigma, accepted):
+        # the bound is 1 + max(0.1, 6 * noise_sigma)
+        trace = SignalTrace([0.0, 1.0], [1.0, peak], Probe.PLUS_X)
+        if accepted:
+            assert TraceBundle(Model.XX, 3, (trace,), noise_sigma=sigma).traces == (trace,)
+        else:
+            with pytest.raises(SpecError, match=r"bound 1 \+ 0.1$"):
+                TraceBundle(Model.XX, 3, (trace,), noise_sigma=sigma)
+
+    def test_nonuniform_trace_is_refused_at_the_fit(self):
+        # the grid is fit_trace's to check, so the bundle builds
         times = sample_times(TomographyConfig())
         times[5:] += 0.01
         trace = SignalTrace(
@@ -459,14 +472,14 @@ class TestIngestMode:
         bundle = TraceBundle(model=Model.XX, n_spins=3, traces=(trace,))
         with pytest.raises(SpecError, match="uniform") as exc_info:
             run_tomography(bundle)
-        assert exc_info.value.stage == "ingest"
+        assert exc_info.value.stage == "fit"
 
-    def test_too_short_trace_is_an_ingest_error(self):
+    def test_too_short_trace_is_refused_at_the_fit(self):
         # a 7-link chain's fit seeds 8 poles, which takes 18 samples
         trace = spectral_signal([1.0] * 7, np.arange(6) * 0.1)
         with pytest.raises(SpecError, match="need at least 18 samples") as exc_info:
             run_tomography(TraceBundle(Model.XX, 8, (trace,)))
-        assert exc_info.value.stage == "ingest"
+        assert exc_info.value.stage == "fit"
 
     def test_unnormalized_trace_is_noted_not_warned(self):
         # alpha(0) = 1 is judged by the pipeline and reported as a value
@@ -497,19 +510,23 @@ class TestIngestMode:
         assert set(scaled_runs) == {(HALF_NOTE,)}
 
     def test_duplicate_probe_traces_are_an_ingest_error(self, tmp_path):
+        # from_metadata raises the bundle's refusal as the bundle words it
         (pair,) = _write_bundle(xx_spec([1.1, 0.7]), tmp_path)
-        bundle = TraceBundle.from_metadata([pair, pair])
         with pytest.raises(SpecError, match="probing x1, got 2") as exc_info:
-            run_tomography(bundle)
-        assert exc_info.value.stage == "ingest"
+            TraceBundle.from_metadata([pair, pair])
+        assert str(exc_info.value).startswith("ingest needs exactly one trace")
+        assert exc_info.value.stage is None
+
+    def test_traces_are_kept_in_layout_order(self):
+        x1, y1 = simulate_traces(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6])).traces
+        assert TraceBundle(Model.XY, 4, [y1, x1]).traces == (x1, y1)
 
     def test_trace_no_probe_reads_is_an_ingest_error(self):
         # an xx chain is probed on x1 only; its y1 trace used to be dropped
         x1, y1 = simulate_traces(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6])).traces
-        bundle = TraceBundle(Model.XX, 4, (x1, y1))
         with pytest.raises(SpecError, match="no probe for the trace probing y1") as exc_info:
-            run_tomography(bundle)
-        assert exc_info.value.stage == "ingest"
+            TraceBundle(Model.XX, 4, (x1, y1))
+        assert exc_info.value.stage is None
 
     def test_garbage_trace_fails_in_the_fit_stage(self):
         rng = np.random.default_rng(1)
