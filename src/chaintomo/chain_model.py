@@ -303,6 +303,8 @@ def flux_chains(spec: ChainSpec) -> list[FluxChain]:
     Each chain's links are the spec's values at the labels chain_layout
     gives, in its traversal order.
     """
+    if not isinstance(spec, ChainSpec):
+        raise SpecError(f"flux_chains takes a ChainSpec, got {type(spec).__name__}")
     return [
         FluxChain([spec.couplings[fam][k - 1] for fam, k in labels], labels, probe)
         for probe, labels in chain_layout(spec.model, spec.n_spins)

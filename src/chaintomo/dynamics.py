@@ -77,7 +77,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         # numpy's generator needs a nonnegative int
         object.__setattr__(self, "seed", _integer(self.seed, "noise seed", 0))
 
@@ -128,6 +128,8 @@ def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None 
     (TraceBundle.to_metadata).  Floats are written with full round-trip
     precision.
     """
+    if not isinstance(trace, SignalTrace):
+        raise SpecError(f"write_trace takes a SignalTrace, got {type(trace).__name__}")
     csv_path = Path(csv_path)
     rows = zip(trace.times.tolist(), trace.values.tolist())
     with open(csv_path, "w", newline="") as fh:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,8 @@ class TomographyConfig:
             raise SpecError("sample_step must be finite and positive")
         if not _is_real(self.window):
             raise SpecError("window must be finite")
+        object.__setattr__(self, "sample_step", float(self.sample_step))
+        object.__setattr__(self, "window", float(self.window))
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
         if not (self.noise is None or isinstance(self.noise, NoiseSpec)):
@@ -91,7 +93,7 @@ class TraceBundle:
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "n_spins", int(self.n_spins))
         # a NaN or infinite sigma would lift the physical bound and the fit's floor
-        _check_sigma(self.noise_sigma)
+        object.__setattr__(self, "noise_sigma", _check_sigma(self.noise_sigma))
         traces, truth = self.traces, self.truth
         if not (isinstance(traces, (tuple, list))
                 and all(isinstance(trace, SignalTrace) for trace in traces)):
@@ -201,16 +203,15 @@ class TomographyResult:
     """Recovered parameters with fit diagnostics.
 
     parameters follow chain-traversal order; fits are keyed by the probed
-    observable.  residual_rms is the worst fit residual across
-    chains.  config is None for an ingested TraceBundle.  Serialization
-    is deterministic: identical config and seed give byte-identical JSON.
+    observable.  residual_rms is the worst fit residual across chains.
+    A result depends on its bundle alone, not on the config a spec was
+    simulated with: identical traces give byte-identical JSON.
     """
 
     model: Model
     n_spins: int
     parameters: tuple[ParameterEstimate, ...]
     fits: dict[str, CosineSumModel]
-    config: TomographyConfig | None
     warnings: tuple[str, ...] = ()
 
     @property
@@ -229,7 +230,6 @@ class TomographyResult:
             "fits": {obs: fit.to_dict() for obs, fit in self.fits.items()},
             "residual_rms": self.residual_rms,
             "warnings": list(self.warnings),
-            "config": None if self.config is None else asdict(self.config),
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -241,6 +241,8 @@ class TomographyResult:
 
 def sample_times(config: TomographyConfig) -> np.ndarray:
     """The uniform grid the config describes: step * (0, 1, ..., n-1)."""
+    if not isinstance(config, TomographyConfig):
+        raise SpecError(f"sample_times takes a TomographyConfig, got {type(config).__name__}")
     n_samples = int(round(config.window / config.sample_step))
     return config.sample_step * np.arange(n_samples)
 
@@ -283,7 +285,7 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     of the bundle: fit the trace probing it with the chain's m + 1 nodes
     as poles (fit_trace refuses a grid that is not uniform or too short),
     recover the links from the fit's spectrum by Lanczos, and label them.
-    Deterministic for a fixed config and noise seed.  Errors raised
+    The result depends on the bundle alone.  Errors raised
     inside a stage carry that stage's name.  Fitted amplitudes that miss
     alpha(0) = 1 are noted in result.warnings, as values: a run keeps no
     process-wide warning state, so it is safe to call from several
@@ -292,7 +294,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     stage = "validate"
     try:
         if isinstance(source, ChainSpec):
-            config = TomographyConfig() if config is None else config
             stage = "simulate"
             bundle = simulate_traces(source, config)
         elif not isinstance(source, TraceBundle):
@@ -325,7 +326,6 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             stage = "invert"
             links = spectral_couplings(fit)
 
-            stage = "assemble"
             # alpha(0) = 1 whatever the bulk state, so the amplitudes must
             # sum to 1 within what the residual and the noise allow
             total = fit.amplitude_sum
@@ -349,6 +349,5 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
         n_spins=bundle.n_spins,
         parameters=tuple(parameters),
         fits=fits,
-        config=config,
         warnings=tuple(notes),
     )

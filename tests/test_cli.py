@@ -343,14 +343,13 @@ class TestRunFromTraces:
 
     def test_ingested_result_records_no_config(self, tmp_path, bench_spec_path):
         # the trace's own sampling is not a TomographyConfig, and the defaults
-        # would misdescribe it
+        # would misdescribe it; result.json records no config for any run
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out),
                      "--step", "0.1", "--window", "30"]) == 0
         run_out = tmp_path / "run"
         assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
                      "--out", str(run_out)]) == 0
-        assert _read_json(run_out / "result.json")["config"] is None
         assert _read_json(run_out / "manifest.json")["config"]["resolved"] is None
 
     def test_noise_sigma_flag_sets_the_bundle_sigma(self, tmp_path, bench_spec_path):
@@ -365,7 +364,6 @@ class TestRunFromTraces:
         assert main(["run", "--trace", trace, "--out", str(tmp_path / "a")]) == 3
         assert main(["run", "--trace", trace, "--noise-sigma", "0.01",
                      "--out", str(tmp_path / "b")]) == 0
-        assert _read_json(tmp_path / "b" / "result.json")["config"] is None
 
     def test_noise_sigma_flag_widens_the_physical_bound(self, tmp_path, bench_spec_path,
                                                          capsys):

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 from chaintomo import ChainSpec, cli
@@ -24,8 +25,12 @@ def test_python_blocks_run_in_order(tmp_path, monkeypatch):
     blocks = _blocks("python")
     assert blocks
     namespace: dict = {}
-    for index, code in enumerate(blocks):
-        exec(compile(code, f"README.md python block {index + 1}", "exec"), namespace)
+    # pytest only reports an unclosed file as a warning, so record it here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for index, code in enumerate(blocks):
+            exec(compile(code, f"README.md python block {index + 1}", "exec"), namespace)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_lines_run_in_order(tmp_path, monkeypatch):

@@ -9,8 +9,9 @@ import pytest
 import chaintomo
 from chaintomo import (
     ChainSpec, CosineSumModel, FluxChain, Model, NoiseSpec, Probe, SignalTrace, SpecError,
-    TomographyConfig, TraceBundle, add_noise, dynamics, errors, fit_trace, fitting, reference,
-    run_tomography, series, simulate_traces, spectral_signal,
+    TomographyConfig, TraceBundle, add_noise, dynamics, errors, fit_trace, fitting, flux_chains,
+    reference, run_tomography, sample_times, series, simulate_traces, spectral_signal,
+    write_trace,
 )
 from chaintomo.reference import (
     BulkState, delta_coefficients, eta_coefficients, mu_coefficients, taylor_signal,
@@ -185,6 +186,10 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: simulate_traces(SPEC, "x"), id="simulate_config_str"),
     pytest.param(lambda: FluxChain([1.0], (("J", 1),), "x"), id="flux_probe_str"),
     pytest.param(lambda: spectral_signal([1.0], T, "x"), id="signal_probe_str"),
+    pytest.param(lambda: flux_chains("x"), id="flux_chains_spec_str"),
+    pytest.param(lambda: sample_times("x"), id="sample_times_config_str"),
+    # refused before the file is opened: opening it would raise FileNotFoundError
+    pytest.param(lambda: write_trace("x", "no_such_dir/t.csv"), id="write_trace_str"),
 ])
 def test_every_bad_argument_is_a_spec_error(call):
     with pytest.raises(SpecError):

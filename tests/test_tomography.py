@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,10 +304,35 @@ class TestResultObject:
         meta = json.loads(json.dumps(simulate_traces(spec).to_metadata()))
         assert meta["n_spins"] == 3
 
-    def test_numpy_noise_seed_serialises(self):
-        config = TomographyConfig(noise=NoiseSpec(0.01, np.int64(3)))
-        data = json.loads(run_tomography(xx_spec([1.0, 0.8]), config).to_json())
-        assert data["config"]["noise"] == {"sigma": 0.01, "seed": 3}
+    # a checked number is stored as a Python number, so a numpy scalar or a
+    # Fraction that passes its check also passes json.dumps, and write_trace
+    # writes the sidecar beside the CSV
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda tmp: simulate_traces(xx_spec([1.0, 0.8]), TomographyConfig(
+            noise=NoiseSpec(np.float32(0.01), 3))).to_metadata(), id="noise_sigma_float32"),
+        pytest.param(lambda tmp: simulate_traces(xx_spec([1.0, 0.8]), TomographyConfig(
+            noise=NoiseSpec(Fraction(1, 100), 3))).to_metadata(), id="noise_sigma_fraction"),
+        pytest.param(lambda tmp: _float32_bundle().to_metadata(), id="bundle_sigma_float32"),
+        pytest.param(lambda tmp: read_trace(write_trace(
+            _float32_bundle().traces[0], tmp / "t.csv", _float32_bundle().to_metadata()))[1],
+            id="write_trace_float32_sigma"),
+        # the manifest writes a config through asdict
+        pytest.param(lambda tmp: dataclasses.asdict(TomographyConfig(
+            sample_step=np.float32(0.125))), id="sample_step_float32"),
+        pytest.param(lambda tmp: dataclasses.asdict(TomographyConfig(
+            window=np.int64(30))), id="window_int64"),
+        pytest.param(lambda tmp: dataclasses.asdict(TomographyConfig(
+            noise=NoiseSpec(0.01, np.int64(3)))), id="noise_seed_int64"),
+    ])
+    def test_checked_numbers_serialise(self, make, tmp_path):
+        data = make(tmp_path)
+        assert json.loads(json.dumps(data)) == data
+
+
+def _float32_bundle():
+    """A noiseless 3-spin XX bundle that declares a float32 noise level."""
+    trace = spectral_signal([1.0, 0.8], sample_times(TomographyConfig()))
+    return TraceBundle(Model.XX, 3, (trace,), noise_sigma=np.float32(0.01))
 
 
 def _write_bundle(spec, tmp_path, config=None):
@@ -333,15 +359,12 @@ HALF_NOTE = "x1: fitted amplitudes sum to 0.500000, expected 1"
 
 
 def _outcome(source, config=None):
-    """A run's result without its config block, or its error's class, stage
-    and message."""
+    """A run's result as a dict, or its error's class, stage and message."""
     try:
         result = run_tomography(source, config)
     except ChainTomoError as exc:
         return type(exc), exc.stage, str(exc)
-    data = result.to_dict()
-    assert data.pop("config") == (None if config is None else dataclasses.asdict(config))
-    return data
+    return result.to_dict()
 
 
 class TestIngestMode:
@@ -361,8 +384,8 @@ class TestIngestMode:
             assert got.name == want.name
             assert got.estimate == pytest.approx(want.estimate, abs=1e-12)
             assert got.truth == want.truth  # carried via the sidecar
-        # the two routes reconstruct the same bundle, so fits, parameters
-        # and errors agree to the bit; only the config differs
+        # the two routes reconstruct the same bundle, so their results
+        # and errors agree to the bit
         assert _outcome(bundle) == _outcome(spec, TomographyConfig())
         noisy = TomographyConfig(noise=NoiseSpec(sigma=1e-2, seed=3))
         bundle = TraceBundle.from_metadata(_write_bundle(spec, tmp_path / "noisy", noisy))
@@ -409,9 +432,6 @@ class TestIngestMode:
             [result.recovered[f"J_{i}"] for i in range(1, 4)], [1.0, 0.8, 1.2],
             atol=1e-6,
         )
-        # the defaults would misdescribe the trace's own sampling
-        assert result.config is None
-        assert json.loads(result.to_json())["config"] is None
 
     @pytest.mark.parametrize("config", [
         pytest.param(TomographyConfig(), id="default"),
