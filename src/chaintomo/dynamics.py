@@ -89,7 +89,9 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     diagonal and off-diagonal entries c_j has eigenpairs (lambda_k, v_k);
     the signal is sum_k (v_k[1])^2 cos(2 lambda_k t), exact up to
     eigensolver precision.  T is at most a few dozen rows, so it is
-    built dense and handed to the symmetric solver ``numpy.linalg.eigh``.
+    built dense and handed to the symmetric solver ``numpy.linalg.eigh``;
+    the cosines form one row per eigenvalue, and the signal is their
+    weighted sum, one matrix-vector product.
     Links that are not a 1-D array of finite numbers raise SpecError; a
     solver failure raises EigenError.  A FluxChain passes its ``links``
     and ``probe``; a probe that is not a Probe is a SpecError.
@@ -103,8 +105,8 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"tridiagonal eigensolve failed: {exc}") from exc
     weight = vec[0, :] ** 2
-    # 2 * lam is exact, so this equals cos(2 * (t * lam)) bit for bit
-    values = (weight[None, :] * np.cos(t[:, None] * (2.0 * lam))).sum(axis=1)
+    # 2 * lam is exact, so each entry equals cos(2 * (lam * t)) bit for bit
+    values = weight @ np.cos((2.0 * lam)[:, None] * t)
     return SignalTrace(times=t, values=probe.sign * values, probe=probe)
 
 

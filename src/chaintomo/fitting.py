@@ -80,7 +80,7 @@ class CosineSumModel:
 
     def evaluate(self, times) -> np.ndarray:
         t = np.atleast_1d(_floats(times, "times"))
-        out = np.cos(np.outer(t, self.frequencies)) @ self.amplitudes
+        out = self.amplitudes @ np.cos(np.outer(self.frequencies, t))
         if self.dc is not None:
             out = out + self.dc
         return out
@@ -155,7 +155,8 @@ def estimate_spectrum(
     Sarkar 1990), on the grid fit_trace checked (uniform with step dt, at
     least 2 * poles + 2 samples).  It returns the seed refine_fit starts
     from: (amplitudes, frequencies, dc, cos), with cos the block
-    np.cos(times[:, None] * frequencies) the amplitudes were solved on.
+    np.cos(frequencies[:, None] * times) the amplitudes were solved on,
+    one C-contiguous row per line.
 
     A sum of p complex exponentials makes the Hankel matrix of
     the samples rank p; its dominant right-singular subspace is shift
@@ -193,9 +194,12 @@ def estimate_spectrum(
             f"{d_omega:.3g} rad; {n_terms} terms requested"
         )
     freqs = omega[:n_terms]
-    cos = np.cos(times[:, None] * freqs)
-    design = np.concatenate([cos, np.ones((n, 1))], axis=1) if poles % 2 else cos
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)  # dc column last
+    # one row per line, and a last row of ones for the dc term; the
+    # cosine rows are a C-contiguous view the refinement reads as they are
+    design = np.ones((n_terms + poles % 2, n))
+    cos = design[:n_terms]
+    np.cos(freqs[:, None] * times, out=cos)
+    coef, *_ = np.linalg.lstsq(design.T, values, rcond=None)  # dc column last
     if poles % 2:
         return coef[:-1], freqs, float(coef[-1]), cos
     return coef, freqs, None, cos
@@ -207,7 +211,9 @@ def refine_fit(
     """fit_trace's refinement step: damped least squares over all
     amplitudes, frequencies, and dc, on the grid fit_trace checked,
     from estimate_spectrum's (amplitudes, frequencies, dc, cos); its
-    first residual reuses that cosine block.
+    first residual reuses that cosine block, one row per line.  Every
+    per-line block (phase, cos, sin and the transposed Jacobian) is laid
+    out lines x samples, so each product runs along a contiguous row.
 
     Levenberg-style: the normal equations are damped by a multiple of
     the diagonal of J^T J, the multiplier grows until a step decreases
@@ -232,26 +238,25 @@ def refine_fit(
     """
     amplitudes, frequencies, dc, cos = seed
     band_edge = np.pi / dt
-    t_col = times[:, None]
     n = frequencies.size
     has_dc = dc is not None
     theta = np.concatenate([amplitudes, frequencies, [dc] if has_dc else []])
     size = theta.size
     diag = size + 1  # the step along a diagonal of the flattened Hessian
-    # the Jacobian is rebuilt in place at each accepted point; its dc
-    # column never changes
-    J = np.empty((times.size, size))
+    # the transposed Jacobian, one C-contiguous row per parameter, is
+    # rebuilt in place at each accepted point; its dc row never changes
+    Jt = np.empty((size, times.size))
     if has_dc:
-        J[:, -1] = 1.0
-    J_omega = J[:, n : 2 * n]
+        Jt[-1] = 1.0
+    Jt_omega = Jt[n : 2 * n]
 
     def residual(th, cos=None):
-        """Model minus data, and the phase and cosine matrices the
-        Jacobian reuses; a given cos is np.cos(phase) already."""
-        phase = t_col * th[n : 2 * n]
+        """Model minus data, and the phase and cosine blocks (one row per
+        line) the Jacobian reuses; a given cos is np.cos(phase) already."""
+        phase = th[n : 2 * n, None] * times
         if cos is None:
             cos = np.cos(phase)
-        out = cos @ th[:n]
+        out = th[:n] @ cos
         return (out + th[-1] if has_dc else out) - values, phase, cos
 
     resid, phase, cos = residual(theta, cos)
@@ -261,22 +266,22 @@ def refine_fit(
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         sin = np.sin(phase)
-        J[:, :n] = cos
-        np.multiply(-theta[:n], t_col, out=J_omega)
-        J_omega *= sin
-        neg_grad = -(J.T @ resid)
-        hess = J.T @ J
+        Jt[:n] = cos
+        np.multiply(-theta[:n, None], times, out=Jt_omega)
+        Jt_omega *= sin
+        neg_grad = -(Jt @ resid)
+        hess = Jt @ Jt.T
         hd = hess.diagonal().copy()
         if newton:
             # the model is linear in A and dc, so sum_i r_i d2m_i/dtheta2
             # is nonzero only at (A_k, omega_k) and (omega_k, omega_k):
             # n entries of three diagonals, written through strided slices
             rt = resid * times
-            cross = -(rt @ sin)
+            cross = -(sin @ rt)
             flat = hess.reshape(-1)
             flat[n : n + n * diag : diag] += cross
             flat[n * size : n * size + n * diag : diag] += cross
-            flat[n * diag : 2 * n * diag : diag] -= theta[:n] * ((rt * times) @ cos)
+            flat[n * diag : 2 * n * diag : diag] -= theta[:n] * (cos @ (rt * times))
         full_diagonal = hess.diagonal()
         step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
         accepted = False

@@ -20,9 +20,13 @@ from .fitting import CosineSumModel
 # tolerances of spectral_couplings, relative to the total weight and to
 # the spectral radius: a negative weight within WEIGHT_TOL is rounding in
 # the fit; an off-diagonal within BREAKDOWN_TOL means the measure has run
-# out of nodes (no link exceeds the radius, and a real one is not 1e-8 of it)
+# out of nodes.  A node of weight w yields a link of about sqrt(w), so a
+# rounding-level weight (eps ~ 2e-16) makes a link near sqrt(eps) ~ 1e-8
+# of the radius: the floor must sit well above that.  Over-declared
+# noiseless xx chains (m = 2-11, windows 1-4x) gave spurious links of at
+# most 1.5e-7 of the largest, and genuine links were at least 0.34 of it
 WEIGHT_TOL = 1e-8
-BREAKDOWN_TOL = 1e-8
+BREAKDOWN_TOL = 1e-6
 
 
 def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
@@ -35,16 +39,20 @@ def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
     Lanczos with full reorthogonalisation on diag(nodes), started from
     the normalised square-root weights, returns the links as its
     off-diagonals; the diagonal vanishes because the measure is
-    symmetric.  Each of the m steps is a few vector operations, where
-    the Taylor route re-runs the recurrence twice per link.
+    symmetric.  The basis holds one row per Lanczos vector, so each of
+    the m steps is a few operations on contiguous rows, where the Taylor
+    route re-runs the recurrence twice per link.
 
     A weight below -WEIGHT_TOL times the total weight raises
     InversionError: no real chain has that spectrum.  Smaller negative
     weights count as zero.  A Lanczos step whose new off-diagonal is at
     most BREAKDOWN_TOL times the spectral radius means the fit has fewer
     distinct nodes of nonzero weight than the chain needs:
-    DegenerateError naming that link.  Anything but a CosineSumModel is
-    a SpecError.
+    DegenerateError naming that link.  A node of weight w yields a link
+    of about sqrt(w), so the floor sits two decades above sqrt(eps): a
+    rounding-level weight, such as the dc of a trace with one node fewer
+    than declared, is declined whatever its sign.  Anything but a
+    CosineSumModel is a SpecError.
     """
     if not isinstance(fit, CosineSumModel):
         raise SpecError(f"spectral_couplings takes a CosineSumModel, got {type(fit).__name__}")
@@ -62,16 +70,16 @@ def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
     q = np.sqrt(np.maximum(weights, 0.0))
     n_links = nodes.size - 1
     basis = np.zeros((nodes.size, nodes.size))
-    basis[:, 0] = q / math.sqrt(q @ q)
+    basis[0] = q / math.sqrt(q @ q)
     threshold = BREAKDOWN_TOL * float(abs(nodes).max())
     links = np.zeros(n_links)
     for j in range(n_links):
-        done = basis[:, : j + 1]
-        v = nodes * basis[:, j]
+        done = basis[: j + 1]
+        v = nodes * basis[j]
         # subtracting the projection twice keeps the basis orthonormal to
         # rounding ("twice is enough"), which plain three-term Lanczos loses
-        v -= done @ (done.T @ v)
-        v -= done @ (done.T @ v)
+        v -= (done @ v) @ done
+        v -= (done @ v) @ done
         beta = math.sqrt(v @ v)
         if not beta > threshold:
             raise DegenerateError(
@@ -80,5 +88,5 @@ def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
                 link=j + 1,
             )
         links[j] = beta
-        basis[:, j + 1] = v / beta
+        basis[j + 1] = v / beta
     return links

@@ -59,7 +59,7 @@ def _refine(times, values, init):
     """fit_trace's refinement step on a grid known to be uniform, from a
     seed tuple or from a model's parameters."""
     if isinstance(init, CosineSumModel):
-        cos = np.cos(times[:, None] * init.frequencies)
+        cos = np.cos(init.frequencies[:, None] * times)
         init = (init.amplitudes, init.frequencies, init.dc, cos)
     return refine_fit(times, values, init, times[1] - times[0])
 
@@ -263,6 +263,15 @@ class TestSeedHandoff:
     """The seed's cosine block goes to the refinement as it is; a fit
     started from it ends where one started from a fresh block does."""
 
+    @pytest.mark.parametrize("poles", [8, 9], ids=["no-dc", "dc"])
+    def test_seed_block_is_one_contiguous_row_per_line(self, poles):
+        t = _grid()
+        values = spectral_signal(np.resize(BENCH_J, poles - 1), t).values
+        _, frequencies, _, cos = _seed(t, values, poles)
+        assert cos.shape == (poles // 2, t.size)
+        assert cos.flags.c_contiguous
+        np.testing.assert_array_equal(cos, np.cos(frequencies[:, None] * t), strict=True)
+
     @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("spec", [
         xx_spec(BENCH_J),
@@ -276,9 +285,9 @@ class TestSeedHandoff:
             poles = chain.m + 1
             times, values = trace.times, trace.probe.sign * trace.values
             amplitudes, frequencies, dc, cos = _seed(times, values, poles)
-            np.testing.assert_array_equal(cos, np.cos(times[:, None] * frequencies),
+            np.testing.assert_array_equal(cos, np.cos(frequencies[:, None] * times),
                                           strict=True)
-            fresh = (amplitudes, frequencies, dc, np.cos(times[:, None] * frequencies))
+            fresh = (amplitudes, frequencies, dc, np.cos(frequencies[:, None] * times))
             want = refine_fit(times, values, fresh, times[1] - times[0])
             got = fit_trace(trace, poles, noise_sigma=sigma)
             np.testing.assert_array_equal(got.amplitudes, want.amplitudes, strict=True)

@@ -261,6 +261,16 @@ class TestSpectralInversion:
             spectral_couplings(fit)
         assert exc_info.value.link == link
 
+    @pytest.mark.parametrize("dc", [-2e-17, 2e-17, 9e-16, 1e-14])
+    def test_a_rounding_level_dc_is_no_node(self, dc):
+        # three links give four nodes; a dc term of weight w would make a
+        # fifth and a fourth link of about sqrt(w), whatever the sign of w
+        exact = _exact_fit([1.0, 0.8, 0.9])
+        fit = CosineSumModel(exact.amplitudes, exact.frequencies, dc=dc)
+        with pytest.raises(DegenerateError) as exc_info:
+            spectral_couplings(fit)
+        assert exc_info.value.link == 4
+
 
 class TestNodeCount:
     @pytest.mark.parametrize("m", range(1, 12))

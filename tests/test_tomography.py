@@ -1,6 +1,7 @@
 """End-to-end pipeline: simulate or ingest, fit, match, invert, label."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -71,6 +72,10 @@ class TestConfig:
     def test_non_finite_sampling_rejected(self, kwargs):
         with pytest.raises(SpecError, match="finite"):
             TomographyConfig(**kwargs)
+
+
+# each link of the 512 three-link chains that the over-declared sweep reads
+SHORT_CHAIN_J = [0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4]
 
 
 class TestSimulateMode:
@@ -260,6 +265,30 @@ class TestSimulateMode:
             run_tomography(bundle)
         assert exc_info.value.stage == "invert"
         assert exc_info.value.link == 4
+
+    @pytest.mark.parametrize("j1", SHORT_CHAIN_J)
+    def test_noiseless_trace_one_node_short_is_degenerate_at_invert(self, j1):
+        # a 3-link xx trace read as 5 spins: its fitted dc is rounding of
+        # either sign, and no rounding may pass for a fourth link
+        times = sample_times(TomographyConfig())
+        for j2, j3 in itertools.product(SHORT_CHAIN_J, repeat=2):
+            trace = spectral_signal([j1, j2, j3], times)
+            bundle = TraceBundle(model=Model.XX, n_spins=5, traces=(trace,))
+            with pytest.raises(DegenerateError) as exc_info:
+                run_tomography(bundle)
+            assert (exc_info.value.stage, exc_info.value.link) == ("invert", 4)
+
+    @pytest.mark.parametrize("m", [5, 7, 9, 11])
+    @pytest.mark.parametrize("windows", [1, 2, 4])
+    def test_longer_noiseless_trace_one_node_short_is_degenerate(self, m, windows):
+        rng = np.random.default_rng(40 + m)
+        config = TomographyConfig(window=windows * (m + 1) * math.pi)
+        for _ in range(3):
+            trace = spectral_signal(rng.uniform(0.5, 1.5, m), sample_times(config))
+            bundle = TraceBundle(model=Model.XX, n_spins=m + 2, traces=(trace,))
+            with pytest.raises(DegenerateError) as exc_info:
+                run_tomography(bundle)
+            assert (exc_info.value.stage, exc_info.value.link) == ("invert", m + 1)
 
     def test_simulation_errors_carry_the_simulate_stage(self, monkeypatch):
         def failing(*args, **kwargs):
