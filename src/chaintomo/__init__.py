@@ -2,12 +2,14 @@
 
 Measure one boundary spin of an XX, XY, or transverse-field Ising chain
 over time, with no control over how the rest of the chain starts out, and
-recover every coupling constant: the signal is a finite cosine sum whose
-Taylor coefficients are triangular in the squared couplings.
+recover every coupling constant: the signal is a finite cosine sum, whose
+fitted lines and weights are the spectral measure of the chain's
+tridiagonal matrix, and the pipeline inverts that spectrum by Lanczos.
 
 The package namespace holds the pipeline.  The paper's own routes, Taylor
-matching and full state-vector evolution, are the reference that tests
-hold the pipeline against; import them from chaintomo.reference.
+matching (its coefficients are triangular in the squared couplings) and
+full state-vector evolution, are the reference that tests hold the
+pipeline against; import them from chaintomo.reference.
 """
 
 __version__ = "0.1.0"

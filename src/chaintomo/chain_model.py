@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError, _floats, _integer
+from .errors import SpecError, _floats, _instance, _integer
 
 
 class Model(str, Enum):
@@ -221,8 +221,7 @@ class FluxChain:
     probe: Probe = Probe.PLUS_X
 
     def __post_init__(self):
-        if not isinstance(self.probe, Probe):
-            raise SpecError(f"FluxChain takes a Probe, got {self.probe!r}")
+        _instance(self.probe, Probe, "FluxChain", "a Probe")
         arr = _floats(self.links, "links")
         object.__setattr__(self, "links", arr)
         if arr.ndim != 1 or arr.size < 1:
@@ -303,8 +302,7 @@ def flux_chains(spec: ChainSpec) -> list[FluxChain]:
     Each chain's links are the spec's values at the labels chain_layout
     gives, in its traversal order.
     """
-    if not isinstance(spec, ChainSpec):
-        raise SpecError(f"flux_chains takes a ChainSpec, got {type(spec).__name__}")
+    _instance(spec, ChainSpec, "flux_chains", "a ChainSpec")
     return [
         FluxChain([spec.couplings[fam][k - 1] for fam, k in labels], labels, probe)
         for probe, labels in chain_layout(spec.model, spec.n_spins)

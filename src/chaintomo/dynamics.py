@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_model import Probe, _read_json
-from .errors import EigenError, SpecError, _floats, _integer, _is_real
+from .errors import EigenError, SpecError, _floats, _instance, _integer, _is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +36,7 @@ class SignalTrace:
     probe: Probe
 
     def __post_init__(self):
-        if not isinstance(self.probe, Probe):
-            raise SpecError(f"a trace's probe must be a Probe, got {self.probe!r}")
+        _instance(self.probe, Probe, "SignalTrace", "a Probe")
         # read-only copies, so no write, the caller's included, undoes a check
         t = np.array(_floats(self.times, "times"), ndmin=1)
         v = np.array(_floats(self.values, "values"), ndmin=1)
@@ -96,8 +95,7 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     solver failure raises EigenError.  A FluxChain passes its ``links``
     and ``probe``; a probe that is not a Probe is a SpecError.
     """
-    if not isinstance(probe, Probe):
-        raise SpecError(f"spectral_signal takes a Probe, got {probe!r}")
+    _instance(probe, Probe, "spectral_signal", "a Probe")
     links = _links(links)
     t = np.atleast_1d(_floats(times, "times"))
     try:
@@ -112,8 +110,7 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
 
 def add_noise(trace: SignalTrace, noise: NoiseSpec) -> SignalTrace:
     """Additive i.i.d. Gaussian noise from a seeded generator."""
-    if not isinstance(noise, NoiseSpec):
-        raise SpecError(f"add_noise takes a NoiseSpec, got {type(noise).__name__}")
+    _instance(noise, NoiseSpec, "add_noise", "a NoiseSpec")
     rng = np.random.default_rng(noise.seed)
     values = trace.values + rng.normal(0.0, noise.sigma, size=trace.values.size)
     return SignalTrace(times=trace.times, values=values, probe=trace.probe)
@@ -130,8 +127,7 @@ def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None 
     (TraceBundle.to_metadata).  Floats are written with full round-trip
     precision.
     """
-    if not isinstance(trace, SignalTrace):
-        raise SpecError(f"write_trace takes a SignalTrace, got {type(trace).__name__}")
+    _instance(trace, SignalTrace, "write_trace", "a SignalTrace")
     csv_path = Path(csv_path)
     rows = zip(trace.times.tolist(), trace.values.tolist())
     with open(csv_path, "w", newline="") as fh:

@@ -11,9 +11,10 @@ the pipeline, so its ``stage`` is None.  Inside, the orchestrator tags
 an error with its stage's name, and a SpecError comes only from
 validate, simulate or fit_trace's grid check ("fit").  :class:`EigenError`
 means only that a solver failed.  Each kind of argument is refused in
-one place: integers, real numbers and float arrays by _integer, _is_real
-and _floats here, noise levels and link arrays by dynamics._check_sigma
-and _links, and JSON input files by chain_model._read_json.
+one place: integers, real numbers, float arrays and values of the wrong
+class altogether by _integer, _is_real, _floats and _instance here, noise
+levels and link arrays by dynamics._check_sigma and _links, and JSON
+input files by chain_model._read_json.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _is_real(value) -> bool:
     """Whether value is a finite real number; a bool or a string is none."""
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
             and math.isfinite(value))
+
+
+def _instance(value, kind, who: str, what: str):
+    """value if isinstance(value, kind), else SpecError("<who> takes <what>, got <type>")."""
+    if not isinstance(value, kind):
+        raise SpecError(f"{who} takes {what}, got {type(value).__name__}")
+    return value
 
 
 def _floats(values, what: str) -> np.ndarray:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SignalTrace, _check_sigma
-from .errors import ResolutionError, SpecError, _floats, _integer, _is_real
+from .errors import ResolutionError, SpecError, _floats, _instance, _integer, _is_real
 
-# refine_fit stops once a damped step is at most this fraction of
-# |theta|: about 4.5 ulp, so the step only moves rounding noise
+# refine_fit stops once a scaled damped step is at most this fraction of
+# the scaled |theta|: about 4.5 ulp, so the step only moves rounding noise
 STEP_FLOOR = 1e-15
 # refine_fit stops once an accepted step lowers the sum of squares by less
 # than this relative amount, and in any case after MAX_ITER steps
@@ -226,10 +226,12 @@ def refine_fit(
     Welsch 1981).  The switch comes late, in the final basin, so it moves
     where a fit ends, not which minimum it finds.  The loop stops when
     an accepted step lowers the sum of squares by a relative amount below
-    FTOL; when a damped step is at most STEP_FLOOR times |theta| (rounding
-    noise; MINPACK's relative step test, More 1978) or no damping finds a
-    decrease; when an accepted step puts a line at or above the band edge
-    pi/dt, where it cannot be told from its alias; or after MAX_ITER steps.
+    FTOL; when a damped step is at most STEP_FLOOR times |theta|, both
+    norms weighing each parameter by its Jacobian column norm (rounding
+    noise; MINPACK's scaled relative step test, More 1978), or no damping
+    finds a decrease; when an accepted step puts a line at or above the
+    band edge pi/dt, where it cannot be told from its alias; or after
+    MAX_ITER steps.
 
     Every stop returns the best model found; fit_trace decides whether it
     is good enough.  The model shows the stop: iterations == MAX_ITER ran
@@ -283,7 +285,10 @@ def refine_fit(
             flat[n * size : n * size + n * diag : diag] += cross
             flat[n * diag : 2 * n * diag : diag] -= theta[:n] * (cos @ (rt * times))
         full_diagonal = hess.diagonal()
-        step_floor = STEP_FLOOR * math.sqrt(theta @ theta)
+        # squared Jacobian column norms (a zero column counts as 1), so a
+        # frequency ulp weighs what an amplitude ulp does
+        scale2 = np.where(hd > 0.0, hd, 1.0)
+        step_floor = STEP_FLOOR * math.sqrt(scale2 * theta @ theta)
         accepted = False
         for _ in range(50):
             damped = hess.copy()
@@ -293,7 +298,7 @@ def refine_fit(
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            if math.sqrt(step @ step) <= step_floor:
+            if math.sqrt(scale2 * step @ step) <= step_floor:
                 break  # the step is rounding noise: nothing left to gain
             candidate = theta + step
             resid_new, phase_new, cos_new = residual(candidate)
@@ -345,8 +350,7 @@ def fit_trace(trace: SignalTrace, poles: int, *, noise_sigma: float = 0.0) -> Co
     silently downstream.  The amplitudes are not held to any sum:
     alpha(0) = 1 is the pipeline's to judge (run_tomography).
     """
-    if not isinstance(trace, SignalTrace):
-        raise SpecError(f"fit_trace takes a SignalTrace, got {type(trace).__name__}")
+    _instance(trace, SignalTrace, "fit_trace", "a SignalTrace")
     _check_sigma(noise_sigma)
     times, values = trace.times, trace.probe.sign * trace.values
     dt = _check_sampling(times, poles)

@@ -49,7 +49,8 @@ import numpy as np
 
 from .chain_model import ChainSpec, Model, Observable, Probe
 from .dynamics import SignalTrace, _links
-from .errors import DegenerateError, EigenError, InversionError, SpecError, _floats, _integer
+from .errors import DegenerateError, EigenError, InversionError, SpecError
+from .errors import _floats, _instance, _integer
 from .fitting import CosineSumModel
 
 # tolerances of invert_couplings: a squared link down to -RADICAND_TOL is
@@ -117,8 +118,7 @@ def eta_coefficients(fit, n_orders: int) -> np.ndarray:
     linear in each amplitude.  A dc term contributes only at order zero,
     so it never enters.  Anything but a CosineSumModel is a SpecError.
     """
-    if not isinstance(fit, CosineSumModel):
-        raise SpecError(f"eta_coefficients takes a CosineSumModel, got {type(fit).__name__}")
+    _instance(fit, CosineSumModel, "eta_coefficients", "a CosineSumModel")
     n_orders = _integer(n_orders, "n_orders", 0)
     A, om = fit.amplitudes, fit.frequencies
     return np.array(

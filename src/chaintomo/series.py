@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateError, InversionError, SpecError
+from .errors import DegenerateError, InversionError, _instance
 from .fitting import CosineSumModel
 
 # tolerances of spectral_couplings, relative to the total weight and to
@@ -54,8 +54,7 @@ def spectral_couplings(fit: CosineSumModel) -> np.ndarray:
     than declared, is declined whatever its sign.  Anything but a
     CosineSumModel is a SpecError.
     """
-    if not isinstance(fit, CosineSumModel):
-        raise SpecError(f"spectral_couplings takes a CosineSumModel, got {type(fit).__name__}")
+    _instance(fit, CosineSumModel, "spectral_couplings", "a CosineSumModel")
     A, half, dc = fit.amplitudes, 0.5 * fit.frequencies, fit.dc
     nodes = np.concatenate([-half, half, [] if dc is None else [0.0]])
     weights = np.concatenate([0.5 * A, 0.5 * A, [] if dc is None else [dc]])

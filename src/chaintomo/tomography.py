@@ -24,7 +24,7 @@ from .chain_model import (
     ChainSpec, Model, chain_layout, flux_chains, parameter_label,
 )
 from .dynamics import NoiseSpec, SignalTrace, _check_sigma, add_noise, spectral_signal
-from .errors import ChainTomoError, SpecError, _is_real
+from .errors import ChainTomoError, SpecError, _instance, _is_real
 from .fitting import CosineSumModel, fit_trace
 # eta_coefficients and invert_couplings, the paper's Taylor-matching
 # route, are not called here; they stay importable from this module
@@ -58,8 +58,8 @@ class TomographyConfig:
         object.__setattr__(self, "window", float(self.window))
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
-        if not (self.noise is None or isinstance(self.noise, NoiseSpec)):
-            raise SpecError(f"noise must be a NoiseSpec or None, got {type(self.noise).__name__}")
+        _instance(self.noise, (NoiseSpec, type(None)), "TomographyConfig",
+                  "a NoiseSpec or None as noise")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +95,9 @@ class TraceBundle:
         # a NaN or infinite sigma would lift the physical bound and the fit's floor
         object.__setattr__(self, "noise_sigma", _check_sigma(self.noise_sigma))
         traces, truth = self.traces, self.truth
-        if not (isinstance(traces, (tuple, list))
-                and all(isinstance(trace, SignalTrace) for trace in traces)):
-            raise SpecError(f"TraceBundle takes a tuple of SignalTraces, got {traces!r:.60}")
-        if not (truth is None or isinstance(truth, ChainSpec)):
-            raise SpecError(f"TraceBundle takes a ChainSpec truth or None, got {type(truth).__name__}")
+        for trace in _instance(traces, (tuple, list), "TraceBundle", "a tuple of SignalTraces"):
+            _instance(trace, SignalTrace, "TraceBundle", "a tuple of SignalTraces")
+        _instance(truth, (ChainSpec, type(None)), "TraceBundle", "a ChainSpec truth or None")
         if truth is not None and (
             truth.model != self.model or truth.n_spins != self.n_spins
         ):
@@ -241,8 +239,7 @@ class TomographyResult:
 
 def sample_times(config: TomographyConfig) -> np.ndarray:
     """The uniform grid the config describes: step * (0, 1, ..., n-1)."""
-    if not isinstance(config, TomographyConfig):
-        raise SpecError(f"sample_times takes a TomographyConfig, got {type(config).__name__}")
+    _instance(config, TomographyConfig, "sample_times", "a TomographyConfig")
     n_samples = int(round(config.window / config.sample_step))
     return config.sample_step * np.arange(n_samples)
 
@@ -257,10 +254,8 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     share a realization.  Any other spec or config type is a SpecError.
     """
     config = TomographyConfig() if config is None else config
-    if not isinstance(spec, ChainSpec):
-        raise SpecError(f"simulate_traces takes a ChainSpec, got {type(spec).__name__}")
-    if not isinstance(config, TomographyConfig):
-        raise SpecError(f"simulate_traces takes a TomographyConfig, got {type(config).__name__}")
+    _instance(spec, ChainSpec, "simulate_traces", "a ChainSpec")
+    _instance(config, TomographyConfig, "simulate_traces", "a TomographyConfig")
     noise = config.noise
     sigma = 0.0 if noise is None else noise.sigma
     times = sample_times(config)
@@ -293,13 +288,10 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
     """
     stage = "validate"
     try:
+        _instance(source, (ChainSpec, TraceBundle), "run_tomography", "a ChainSpec or TraceBundle")
         if isinstance(source, ChainSpec):
             stage = "simulate"
             bundle = simulate_traces(source, config)
-        elif not isinstance(source, TraceBundle):
-            raise SpecError(
-                f"expected ChainSpec or TraceBundle, got {type(source).__name__}"
-            )
         elif config is not None:
             raise SpecError(
                 "a TraceBundle takes no TomographyConfig: its traces fix "

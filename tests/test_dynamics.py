@@ -69,7 +69,8 @@ class TestSignalTrace:
                              ids=["member_value", "unknown_str", "none", "int"])
     def test_rejects_a_probe_that_is_not_a_member(self, probe):
         # the pipeline would end in an untyped AttributeError on .observable
-        with pytest.raises(SpecError, match=f"must be a Probe, got {re.escape(repr(probe))}$"):
+        message = f"^SignalTrace takes a Probe, got {type(probe).__name__}$"
+        with pytest.raises(SpecError, match=message):
             SignalTrace(np.array([0.0, 1.0]), np.array([1.0, 0.5]), probe)
 
     def test_stores_read_only_copies(self):

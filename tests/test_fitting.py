@@ -320,6 +320,14 @@ class TestFitTrace:
         assert fit.iterations <= 2
         assert fit.residual_rms <= 1e-14
 
+    def test_step_floor_weighs_each_parameter_by_its_jacobian_column(self):
+        # a frequency ulp moves the model about t_max times as much as an
+        # amplitude ulp, so an unscaled step floor takes this chain's first
+        # step for rounding noise and stops the fit at its seed
+        (trace,) = simulate_traces(xx_spec([1.1, 0.8, 1.3, 0.9, 1.2])).traces
+        fit = fit_trace(trace, 6)
+        assert fit.residual_rms <= 2e-15
+
     def test_amplitudes_sum_to_one_for_physical_traces(self):
         fit = fit_trace(spectral_signal(BENCH_J, _grid()), 8)
         assert fit.amplitude_sum == pytest.approx(1.0, abs=1e-6)

@@ -140,6 +140,18 @@ def test_each_input_rule_lives_in_one_place():
     # a trace's grid and sample count are checked once, by the fit
     assert [c[:2] for c in calls if c[2] == "_check_sampling"] == [("fitting", "fit_trace")]
     assert not hasattr(reference, "_links_of")
+    # a value of the wrong class altogether is refused by errors._instance:
+    # no `if` that raises tests isinstance against a package class itself
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    guards = [(stem, node.lineno) for stem, tree in sorted(trees.items())
+              for node in ast.walk(tree)
+              if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)
+              and any(isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+                      and classes & {n.id for n in ast.walk(call.args[1])
+                                     if isinstance(n, ast.Name)}
+                      for call in ast.walk(node.test))]
+    assert guards == []
 
 
 # long enough to fit 3 poles, so only the bad argument can refuse a call
