@@ -10,8 +10,8 @@ per line, given as `@run.args` (blank lines are skipped).  A success adds
 manifest.json, which states each parsed setting once; a failed `run`
 leaves no result.json or manifest.json.
 
-Exit codes: 0 success, 2 input or spec error (argparse exits with 2 on a
-setting it refuses, and on a missing or doubled input), 3 pipeline error.
+Exit codes: 0 success, 3 pipeline error, 2 input or spec error: a setting
+argparse refuses, a missing or doubled input, or a path the OS refuses.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def _build_config(args: argparse.Namespace) -> TomographyConfig:
     return TomographyConfig(**kwargs)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """--out as a directory path; a file at it or at a parent is a SpecError."""
-    out_dir = Path(args.out)
-    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
-        raise SpecError(f"--out must name a directory, but a file is in the way: {out_dir}")
-    return out_dir
-
-
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
                     config: TomographyConfig | None, outputs: list[Path],
                     started: str) -> None:
@@ -96,7 +88,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     spec = ChainSpec.from_json(args.spec)
     config = _build_config(args)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = simulate_traces(spec, config)
     metadata = bundle.to_metadata()
@@ -111,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
     for stale in ("result.json", "manifest.json"):  # a failed run leaves neither
         (out_dir / stale).unlink(missing_ok=True)
     if args.trace and any(v is not None for v in (args.step, args.window, args.seed)):
@@ -192,7 +184,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChainTomoError as exc:

@@ -251,7 +251,10 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     with the spec attached as truth and the config's noise sigma as the
     bundle's.  With noise configured, the trace of chain index i gets its
     own stream seeded at noise.seed + i, so multi-probe models do not
-    share a realization.  Any other spec or config type is a SpecError.
+    share a realization.  Any other spec or config type is a SpecError,
+    and so is a step that cannot resolve a chain: its top line 2 max|lambda|
+    at or above the Nyquist frequency pi / sample_step would fold below
+    it, and the fit would return the folded chain's couplings.
     """
     config = TomographyConfig() if config is None else config
     _instance(spec, ChainSpec, "simulate_traces", "a ChainSpec")
@@ -259,8 +262,18 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
     noise = config.noise
     sigma = 0.0 if noise is None else noise.sigma
     times = sample_times(config)
+    nyquist = math.pi / config.sample_step
     traces = []
     for index, fc in enumerate(flux_chains(spec)):
+        # 4 max|c| bounds 2 max|lambda| (Gershgorin), so most steps need no solve
+        if 4.0 * np.abs(fc.links).max() >= nyquist:
+            top = 2.0 * np.linalg.eigvalsh(np.diag(fc.links, 1) + np.diag(fc.links, -1))[-1]
+            if top >= nyquist:
+                raise SpecError(
+                    f"sample_step {config.sample_step:.4g} cannot resolve the chain "
+                    f"probed by {fc.probe.observable.value}: its top line at {top:.4g} "
+                    f"rad is at or above the Nyquist frequency {nyquist:.4g} rad"
+                )
         trace = spectral_signal(fc.links, times, fc.probe)
         if sigma > 0:
             trace = add_noise(trace, NoiseSpec(sigma=sigma, seed=noise.seed + index))

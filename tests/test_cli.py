@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, settings files, outputs, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -499,14 +500,49 @@ class TestErrors:
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_out_in_place_of_a_file_exits_2(self, tmp_path, bench_spec_path, capsys,
                                             command, out):
+        # the system refuses the path in its own words: run at clearing an
+        # earlier result.json, simulate at creating --out
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         code = main([command, "--spec", str(bench_spec_path), "--out", str(tmp_path / out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --out must name a directory")
-        assert str(tmp_path / out) in err
+        if command == "run":
+            words, path = "Not a directory", tmp_path / out / "result.json"
+        else:
+            words = "File exists" if out == "afile" else "Not a directory"
+            path = tmp_path / out
+        assert err.startswith("error: ")
+        assert f"{words}: '{path}'" in err
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("method", ["read_text", "write_text"])
+    def test_a_path_the_system_refuses_exits_2(self, tmp_path, bench_spec_path, capsys,
+                                               monkeypatch, method):
+        # reading the spec or writing result.json is denied: no traceback
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, method, refuse)
+        out = tmp_path / "out"
+        code = main(["run", "--spec", str(bench_spec_path), "--out", str(out)])
+        assert code == 2
+        path = bench_spec_path if method == "read_text" else out / "result.json"
+        assert capsys.readouterr().err == f"error: [Errno {errno.EACCES}] Permission denied: '{path}'\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_a_step_that_aliases_the_chain_exits_2(self, tmp_path, capsys, command):
+        spec_path = tmp_path / "xx.json"
+        xx_spec([1.1, 0.8, 1.3]).to_json(spec_path)
+        code = main([command, "--spec", str(spec_path), "--step", "1.0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sample_step 1 cannot resolve the chain probed by x1: its top line "
+            "at 3.354 rad is at or above the Nyquist frequency 3.142 rad\n"
+        )
+        assert not (tmp_path / "out" / "result.json").exists()
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

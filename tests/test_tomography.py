@@ -299,6 +299,29 @@ class TestSimulateMode:
             run_tomography(xx_spec(BENCH_J))
         assert exc_info.value.stage == "simulate"
 
+    def test_a_step_that_aliases_the_chain_is_refused(self):
+        # the top line 2 max|lambda| = 3.354 rad is above pi / 1.0, so its
+        # alias at 2.929 rad would be fitted as a chain with other couplings
+        spec = xx_spec([1.1, 0.8, 1.3])
+        with pytest.raises(SpecError) as exc_info:
+            run_tomography(spec, TomographyConfig(sample_step=1.0))
+        assert exc_info.value.stage == "simulate"
+        assert str(exc_info.value) == (
+            "sample_step 1 cannot resolve the chain probed by x1: its top line "
+            "at 3.354 rad is at or above the Nyquist frequency 3.142 rad"
+        )
+        # just inside Nyquist (pi / 3.354 = 0.937) the chain is recovered
+        result = run_tomography(spec, TomographyConfig(sample_step=0.93))
+        assert max(p.abs_error for p in result.parameters) < 1e-9
+
+    def test_each_probe_is_judged_against_its_own_chain(self):
+        # y1 probes the chain JX_1, JY_2, JX_3, with its top line at 3.54
+        # rad; x1's chain JY_1, JX_2, JY_3 tops out at 1.34 rad
+        spec = xy_spec([1.5, 0.3, 1.6], [0.5, 0.4, 0.5])
+        with pytest.raises(SpecError, match="chain probed by y1") as exc_info:
+            simulate_traces(spec, TomographyConfig(sample_step=1.0))
+        assert exc_info.value.stage is None
+
     def test_an_error_keeps_the_stage_it_carries(self, monkeypatch):
         def failing(*args, **kwargs):
             raise ResolutionError("declined", stage="seed")
