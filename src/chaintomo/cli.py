@@ -8,7 +8,8 @@ fit.  `run --spec` writes no traces: `simulate` with the same flags writes
 the ones it fits.  Settings can also come from a file, one `--flag=value`
 per line, given as `@run.args` (blank lines are skipped).  A success adds
 manifest.json, which states each parsed setting once; a failed `run`
-leaves no result.json or manifest.json.
+leaves no result.json or manifest.json, and `simulate` leaves no
+directory for a spec or step it refuses.
 
 Exit codes: 0 success, 3 pipeline error, 2 input or spec error: a setting
 argparse refuses, a missing or doubled input, or a path the OS refuses.
@@ -88,9 +89,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     spec = ChainSpec.from_json(args.spec)
     config = _build_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = simulate_traces(spec, config)
+    out_dir = Path(args.out)  # made now: a refused spec or step leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     metadata = bundle.to_metadata()
     outputs = []
     for trace in bundle.traces:

@@ -123,11 +123,14 @@ def _sidecar_path(csv_path: str | Path) -> Path:
 def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None = None) -> Path:
     """Write a trace as `t,value` CSV plus a JSON metadata sidecar.
 
-    The sidecar always records the probe; callers add the chain's fields
-    (TraceBundle.to_metadata).  Floats are written with full round-trip
-    precision.
+    The sidecar always records the trace's own probe; callers add the
+    chain's fields (TraceBundle.to_metadata), and metadata naming a probe
+    is refused.  Floats are written with full round-trip precision.
     """
     _instance(trace, SignalTrace, "write_trace", "a SignalTrace")
+    if metadata and "probe" in metadata:
+        raise SpecError("write_trace: metadata must not name a probe; "
+                        "the sidecar records the trace's own")
     csv_path = Path(csv_path)
     rows = zip(trace.times.tolist(), trace.values.tolist())
     with open(csv_path, "w", newline="") as fh:

@@ -228,22 +228,65 @@ class TestRunFromTraces:
             assert a["parameter"] == b["parameter"]
             assert a["estimate"] == pytest.approx(b["estimate"], abs=1e-12)
 
-    def test_noisy_xy_traces_match_the_spec_run(self, tmp_path):
-        spec_path = tmp_path / "xy.json"
-        xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
+    @pytest.mark.parametrize("spec", [
+        pytest.param(xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]), id="xy"),
+        # an odd-node chain carries a dc term through the CSV round trip
+        pytest.param(xx_spec([1.1, 0.7, 1.3, 0.9]), id="odd_node_xx"),
+    ])
+    def test_noisy_xy_traces_match_the_spec_run(self, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec.to_json(spec_path)
         noise = ["--noise-sigma", "0.01", "--seed", "7"]
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--spec", str(spec_path), "--out", str(sim_out),
                      *noise]) == 0
-        assert main(["run", "--trace", str(sim_out / "trace_x1.csv"),
-                     "--trace", str(sim_out / "trace_y1.csv"),
-                     "--out", str(tmp_path / "run")]) == 0
+        traces = [arg for path in sorted(sim_out.glob("trace_*.csv"))
+                  for arg in ("--trace", str(path))]
+        assert main(["run", *traces, "--out", str(tmp_path / "run")]) == 0
         assert main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "direct"),
                      *noise]) == 0
-        ingest = _read_json(tmp_path / "run" / "result.json")
-        direct = _read_json(tmp_path / "direct" / "result.json")
-        assert ingest["parameters"] == direct["parameters"]
-        assert ingest["fits"] == direct["fits"]
+        assert (tmp_path / "run" / "result.json").read_bytes() == (
+            tmp_path / "direct" / "result.json"
+        ).read_bytes()
+
+    def test_a_minus_prepared_trace_gives_the_plus_parameters(self, tmp_path,
+                                                             bench_spec_path):
+        # negated values with a minus_x sidecar are read as that probe measured them
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out)]) == 0
+        path = sim_out / "trace_x1.csv"
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "plus")]) == 0
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{t},{-float(v)!r}" for t, v in (row.split(",") for row in rows)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        sidecar = sim_out / "trace_x1.meta.json"
+        sidecar.write_text(json.dumps({**_read_json(sidecar),
+                                       "probe": Probe.MINUS_X.to_dict()}))
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "minus")]) == 0
+        plus, minus = (_read_json(tmp_path / name / "result.json")["parameters"]
+                       for name in ("plus", "minus"))
+        assert plus == minus
+
+    def test_a_doubled_trace_exits_2(self, tmp_path, bench_spec_path, capsys):
+        # refused when the bundle is built, in its own words
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out)]) == 0
+        trace = str(sim_out / "trace_x1.csv")
+        capsys.readouterr()
+        assert main(["run", "--trace", trace, "--trace", trace,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: ingest needs exactly one trace probing x1, got 2\n"
+        )
+
+    def test_a_trace_that_is_not_utf8_exits_2(self, tmp_path, bench_spec_path, capsys):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--spec", str(bench_spec_path), "--out", str(sim_out)]) == 0
+        path = sim_out / "trace_x1.csv"
+        path.write_bytes(b"t,value\n0,\xff1\n")
+        capsys.readouterr()
+        assert main(["run", "--trace", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: trace is not UTF-8 text")
 
     def test_repeated_calls_do_not_share_trace_lists(self, tmp_path, bench_spec_path):
         # the parser is built once per process; --trace appends must not leak
@@ -516,6 +559,15 @@ class TestErrors:
         assert f"{words}: '{path}'" in err
         assert afile.read_text() == "kept\n"
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
+    def test_out_under_a_read_only_directory_exits_2(self, tmp_path, bench_spec_path,
+                                                     capsys):
+        ro = tmp_path / "ro"
+        ro.mkdir(mode=0o555)
+        out = ro / "sub"
+        assert main(["run", "--spec", str(bench_spec_path), "--out", str(out)]) == 2
+        assert f"Permission denied: '{out}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["read_text", "write_text"])
     def test_a_path_the_system_refuses_exits_2(self, tmp_path, bench_spec_path, capsys,
                                                monkeypatch, method):
@@ -542,15 +594,19 @@ class TestErrors:
             "error: sample_step 1 cannot resolve the chain probed by x1: its top line "
             "at 3.354 rad is at or above the Nyquist frequency 3.142 rad\n"
         )
-        assert not (tmp_path / "out" / "result.json").exists()
+        assert not (tmp_path / "out").exists()
 
-    def test_invalid_spec_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("spec", [
+        {"model": "xx", "n_spins": 8, "couplings": {"J": [1.0, 2.0]}},
+        {"model": "xx", "n_spins": 3, "couplings": {"J": [1.0, -0.8]}},
+    ], ids=["short", "negative"])
+    def test_invalid_spec_exits_2(self, tmp_path, spec, command):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "model": "xx", "n_spins": 8, "couplings": {"J": [1.0, 2.0]},
-        }))
-        code = main(["run", "--spec", str(path), "--out", str(tmp_path)])
+        path.write_text(json.dumps(spec))
+        code = main([command, "--spec", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_sidecar_exits_2(self, tmp_path, bench_spec_path, capsys):
         sim_out = tmp_path / "sim"
@@ -568,6 +624,7 @@ class TestErrors:
         ("n_spins", "three"),
         ("noise", {"sigma": "x"}),
         ("noise", 0.1),
+        ("noise", {"sigma": True}),  # true is no sigma of 1
     ])
     def test_malformed_sidecar_field_exits_2(self, tmp_path, bench_spec_path,
                                              capsys, field, value):
@@ -758,14 +815,20 @@ class TestErrors:
         assert capsys.readouterr().out.strip()
 
 
-def test_cold_import_leaves_scipy_unloaded():
-    # scipy.linalg alone used to be most of the package's import time
+def test_import_and_noisy_run_leave_scipy_unloaded(tmp_path):
+    # the runtime is numpy only: scipy.linalg alone used to be most of the
+    # package's import time, and a route could import it only when it runs
+    spec_path = tmp_path / "xy.json"
+    xy_spec([1.1, 0.7, 1.3], [0.9, 1.2, 0.6]).to_json(spec_path)
     code = (
         "import sys, chaintomo, chaintomo.cli; "
+        "assert chaintomo.cli.main(['run', '--spec', sys.argv[1], "
+        "'--noise-sigma', '0.01', '--out', sys.argv[2]]) == 0; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = Path(chaintomo.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code, str(spec_path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, check=True)
+    # the run prints its table first
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -295,6 +295,13 @@ class TestTraceFiles:
             b'    "sign": 1\n  },\n  "model": "xx"\n}\n'
         )
 
+    def test_metadata_cannot_replace_the_probe(self, tmp_path):
+        # a plus_x trace whose sidecar said minus_x would be read back negated
+        trace = spectral_signal(BENCH_J, [0.0, 1.0])
+        with pytest.raises(SpecError, match="metadata must not name a probe"):
+            write_trace(trace, tmp_path / "trace.csv", {"probe": Probe.MINUS_X.to_dict()})
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("body", DIALECT_CSVS.values(), ids=list(DIALECT_CSVS))
     def test_csv_dialect(self, tmp_path, body):
         path = tmp_path / "trace.csv"
