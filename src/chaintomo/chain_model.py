@@ -143,22 +143,19 @@ class ChainSpec:
             )
         conv = {}
         for fam, want in lengths.items():
-            arr = np.array(_floats(self.couplings[fam], fam))
-            if arr.ndim != 1 or arr.size != want:
+            arr = _floats(self.couplings[fam], fam)
+            if arr.size != want:
                 raise SpecError(
                     f"{fam} must have length {want} for n_spins={self.n_spins}, "
                     f"got {arr.size}"
                 )
-            if not np.isfinite(arr).all():
-                raise SpecError(f"{fam} contains non-finite values")
             if self.allow_signed:
-                if (arr == 0.0).any():
+                if 0.0 in arr:
                     raise SpecError(f"{fam} contains a zero coupling (chain disconnects)")
             elif (arr <= 0.0).any():
                 raise SpecError(
                     f"{fam} must be strictly positive (set allow_signed to permit signs)"
                 )
-            arr.flags.writeable = False
             conv[fam] = arr
         # the caller's family order is kept, so to_dict writes it back
         object.__setattr__(self, "couplings", {fam: conv[fam] for fam in self.couplings})
@@ -212,8 +209,9 @@ def _read_json(path: str | Path, what: str):
 class FluxChain:
     """Effective linear chain of link strengths probed by one observable.
 
-    links holds c_1..c_m; label_map[k] names the Hamiltonian parameter the
-    k-th link came from, as a (family, 1-based index) pair; probe is a Probe.
+    links holds c_1..c_m, nonzero and finite, stored as a read-only float
+    copy; label_map[k] names the Hamiltonian parameter the k-th link came
+    from, as a (family, 1-based index) pair; probe is a Probe.
     """
 
     links: np.ndarray
@@ -224,14 +222,14 @@ class FluxChain:
         _instance(self.probe, Probe, "FluxChain", "a Probe")
         arr = _floats(self.links, "links")
         object.__setattr__(self, "links", arr)
-        if arr.ndim != 1 or arr.size < 1:
+        if arr.size < 1:
             raise SpecError("flux chain needs at least one link")
         if len(self.label_map) != arr.size:
             raise SpecError(
                 f"label_map has {len(self.label_map)} entries for {arr.size} links"
             )
-        if (arr == 0.0).any() or not np.isfinite(arr).all():
-            raise SpecError("flux chain links must be nonzero and finite")
+        if 0.0 in arr:
+            raise SpecError("flux chain links must be nonzero")
 
     @property
     def m(self) -> int:

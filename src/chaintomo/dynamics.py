@@ -27,8 +27,8 @@ class SignalTrace:
 
     times are in units of 1/J and must be strictly increasing; values are
     dimensionless, and a TraceBundle bounds them by 1 + max(0.1, 6 sigma).
-    Both are stored as read-only float copies.  probe must be a Probe
-    member; text is read by Probe.from_dict.
+    Both must be finite and are stored as read-only float copies.  probe
+    must be a Probe member; text is read by Probe.from_dict.
     """
 
     times: np.ndarray
@@ -37,18 +37,14 @@ class SignalTrace:
 
     def __post_init__(self):
         _instance(self.probe, Probe, "SignalTrace", "a Probe")
-        # read-only copies, so no write, the caller's included, undoes a check
-        t = np.array(_floats(self.times, "times"), ndmin=1)
-        v = np.array(_floats(self.values, "values"), ndmin=1)
-        t.flags.writeable = v.flags.writeable = False
+        t = _floats(self.times, "times")
+        v = _floats(self.values, "values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
+        if t.size != v.size:
             raise SpecError("times and values must be 1-D arrays of equal length")
         if t.size == 0:
             raise SpecError("trace is empty")
-        if not np.isfinite(t).all() or not np.isfinite(v).all():
-            raise SpecError("trace contains non-finite entries")
         if (t[1:] - t[:-1] <= 0).any():
             raise SpecError("times must be strictly increasing")
 
@@ -58,14 +54,6 @@ def _check_sigma(sigma) -> float:
     if not (_is_real(sigma) and sigma >= 0):
         raise SpecError("noise sigma must be finite and nonnegative")
     return float(sigma)
-
-
-def _links(links) -> np.ndarray:
-    """Link strengths as a 1-D float array of finite numbers, else SpecError."""
-    arr = _floats(links, "links")
-    if arr.ndim != 1 or not np.isfinite(arr).all():
-        raise SpecError("links must be a 1-D array of finite numbers")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -96,8 +84,8 @@ def spectral_signal(links, times, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     and ``probe``; a probe that is not a Probe is a SpecError.
     """
     _instance(probe, Probe, "spectral_signal", "a Probe")
-    links = _links(links)
-    t = np.atleast_1d(_floats(times, "times"))
+    links = _floats(links, "links")
+    t = _floats(times, "times")
     try:
         lam, vec = np.linalg.eigh(np.diag(links, 1) + np.diag(links, -1))
     except np.linalg.LinAlgError as exc:

@@ -13,8 +13,8 @@ validate, simulate or fit_trace's grid check ("fit").  :class:`EigenError`
 means only that a solver failed.  Each kind of argument is refused in
 one place: integers, real numbers, float arrays and values of the wrong
 class altogether by _integer, _is_real, _floats and _instance here, noise
-levels and link arrays by dynamics._check_sigma and _links, and JSON
-input files by chain_model._read_json.
+levels by dynamics._check_sigma, and JSON input files by
+chain_model._read_json.
 """
 
 from __future__ import annotations
@@ -65,11 +65,17 @@ def _instance(value, kind, who: str, what: str):
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """np.asarray(values, dtype=float); what numpy cannot convert is a SpecError."""
+    """values as a read-only 1-D float copy, so no write, the caller's included,
+    undoes the check; one number is one value.  What numpy cannot convert,
+    and anything 2-D or not finite, is a SpecError."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float, ndmin=1)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{what} must hold numbers: {exc}") from exc
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise SpecError(f"{what} must be a 1-D array of finite numbers")
+    arr.flags.writeable = False
+    return arr
 
 
 class EigenError(ChainTomoError):

@@ -41,11 +41,12 @@ SHIFT_GAP_FLOOR = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class CosineSumModel:
-    """Fitted amplitudes and angular frequencies, canonically ascending.
+    """Fitted amplitudes and angular frequencies, canonically ascending,
+    finite and kept as read-only float copies.
 
     dc is None when no constant term is modeled.  residual_rms is the
-    root-mean-square misfit of the model that produced the parameters;
-    iterations counts refinement steps.
+    root-mean-square misfit of the model that produced the parameters,
+    NaN when unknown; iterations counts refinement steps.
     """
 
     amplitudes: np.ndarray
@@ -55,19 +56,23 @@ class CosineSumModel:
     iterations: int = 0
 
     def __post_init__(self):
-        A = np.atleast_1d(_floats(self.amplitudes, "amplitudes"))
-        om = np.atleast_1d(_floats(self.frequencies, "frequencies"))
+        A = _floats(self.amplitudes, "amplitudes")
+        om = _floats(self.frequencies, "frequencies")
         object.__setattr__(self, "amplitudes", A)
         object.__setattr__(self, "frequencies", om)
-        if A.shape != om.shape or A.ndim != 1:
+        if A.size != om.size:
             raise SpecError("amplitudes and frequencies must match in length")
         if A.size < 1:
             raise SpecError("a cosine-sum model needs at least one term")
-        if not (np.isfinite(A).all() and np.isfinite(om).all()
-                and (self.dc is None or _is_real(self.dc))):
+        if not (self.dc is None or _is_real(self.dc)):
             raise SpecError("model parameters must be finite")
         if (om < 0).any():
             raise SpecError("frequencies must be nonnegative")
+        rms = self.residual_rms
+        if not (_is_real(rms) and rms >= 0 or isinstance(rms, float) and math.isnan(rms)):
+            raise SpecError(f"residual_rms must be a nonnegative number or NaN, got {rms!r}")
+        object.__setattr__(self, "residual_rms", float(rms))
+        object.__setattr__(self, "iterations", _integer(self.iterations, "iterations", 0))
 
     @property
     def n_terms(self) -> int:
@@ -79,7 +84,7 @@ class CosineSumModel:
         return float(self.amplitudes.sum() + (self.dc or 0.0))
 
     def evaluate(self, times) -> np.ndarray:
-        t = np.atleast_1d(_floats(times, "times"))
+        t = _floats(times, "times")
         out = self.amplitudes @ np.cos(np.outer(self.frequencies, t))
         if self.dc is not None:
             out = out + self.dc
@@ -93,21 +98,19 @@ class CosineSumModel:
             ],
             "dc": None if self.dc is None else float(self.dc),
             # strict JSON has no NaN: a hand-built model's unknown residual is null
-            "residual_rms": float(self.residual_rms)
-            if math.isfinite(self.residual_rms) else None,
-            "iterations": int(self.iterations),
+            "residual_rms": None if math.isnan(self.residual_rms) else self.residual_rms,
+            "iterations": self.iterations,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CosineSumModel":
-        return cls(
-            amplitudes=np.array([term["A"] for term in d["terms"]], dtype=float),
-            frequencies=np.array([term["omega"] for term in d["terms"]], dtype=float),
-            dc=None if d.get("dc") is None else float(d["dc"]),
-            residual_rms=float("nan") if d.get("residual_rms") is None
-            else float(d["residual_rms"]),
-            iterations=int(d.get("iterations", 0)),
-        )
+        try:
+            rms = d.get("residual_rms")
+            return cls([term["A"] for term in d["terms"]],
+                       [term["omega"] for term in d["terms"]], d.get("dc"),
+                       float("nan") if rms is None else rms, d.get("iterations", 0))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SpecError(f"malformed fit block: {exc}") from exc
 
 
 def _check_sampling(times: np.ndarray, poles: int) -> float:

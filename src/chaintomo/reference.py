@@ -48,7 +48,7 @@ from functools import reduce
 import numpy as np
 
 from .chain_model import ChainSpec, Model, Observable, Probe
-from .dynamics import SignalTrace, _links
+from .dynamics import SignalTrace
 from .errors import DegenerateError, EigenError, InversionError, SpecError
 from .errors import _floats, _instance, _integer
 from .fitting import CosineSumModel
@@ -68,7 +68,7 @@ def delta_coefficients(links, max_order: int) -> np.ndarray:
     (zeros are permitted here; probing the inversion uses partially
     zeroed chains).
     """
-    links = _links(links)
+    links = _floats(links, "links")
     max_order = _integer(max_order, "max_order", 0)
     m = links.size
     cpad = np.zeros(m + 2)
@@ -99,7 +99,7 @@ def mu_coefficients(links, n_orders: int) -> np.ndarray:
     Requires m >= K: by the light cone, mu_j carries information about
     links 1..j only, so orders beyond the link count determine nothing new.
     """
-    links = _links(links)
+    links = _floats(links, "links")
     n_orders = _integer(n_orders, "n_orders", 0)
     if links.size < n_orders:
         raise SpecError(
@@ -180,7 +180,7 @@ def invert_couplings(eta) -> np.ndarray:
 
 def taylor_signal(links, times, order: int, probe: Probe = Probe.PLUS_X) -> SignalTrace:
     """Truncated flux expansion sum_{l<=order} (2t)^l delta_1^(l) / l!."""
-    t = np.atleast_1d(_floats(times, "times"))
+    t = _floats(times, "times")
     order = _integer(order, "order", 0)
     d1 = delta_coefficients(links, order)[0]
     fact = 1.0
@@ -309,7 +309,7 @@ def statevector_signal(
     n = spec.n_spins
     if n > STATEVECTOR_CAP:
         raise SpecError(f"n_spins={n} exceeds the state-vector cap {STATEVECTOR_CAP}")
-    t = np.atleast_1d(_floats(times, "times"))
+    t = _floats(times, "times")
     H = build_hamiltonian(spec)
     try:
         vals, vecs = np.linalg.eigh(H)

@@ -142,6 +142,11 @@ class TestValidateSpec:
         with pytest.raises(ValueError):
             spec.couplings["J"][0] = 0.0
 
+    def test_one_number_is_one_value(self):
+        # a 2-spin chain has one link; its bare number once read as "length 1, got 1"
+        spec = ChainSpec(Model.XX, 2, {"J": 1.0})
+        assert spec.to_dict() == ChainSpec(Model.XX, 2, {"J": [1.0]}).to_dict()
+
     def test_the_callers_array_is_copied_not_frozen(self):
         spec = xx_spec(BENCH_J)
         assert BENCH_J.flags.writeable

@@ -10,7 +10,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from chaintomo import (
+    CosineSumModel,
     EigenError,
+    FluxChain,
     NoiseSpec,
     Probe,
     Observable,
@@ -51,11 +53,11 @@ class TestSignalTrace:
             SignalTrace(np.array([]), np.array([]), Probe.PLUS_X)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(SpecError, match="non-finite"):
+        with pytest.raises(SpecError, match="values must be a 1-D array of finite numbers"):
             SignalTrace(np.array([0.0, 1.0]), np.array([1.0, np.nan]), Probe.PLUS_X)
         # a NaN time would make a NaN sample step, which no grid check can use
         t_nan = np.array([0.0, 0.1, 0.2, np.nan, 0.4, 0.5, 0.6, 0.7])
-        with pytest.raises(SpecError, match="non-finite"):
+        with pytest.raises(SpecError, match="times must be a 1-D array of finite numbers"):
             SignalTrace(t_nan, np.cos(t_nan), Probe.PLUS_X)
 
     def test_rejects_nonincreasing_times(self):
@@ -86,6 +88,23 @@ class TestSignalTrace:
             for array in (trace.times, trace.values):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = np.nan
+
+    @pytest.mark.parametrize("build, stored", [
+        pytest.param(lambda a: CosineSumModel(a, a), lambda f: (f.amplitudes, f.frequencies),
+                     id="cosine_sum_model"),
+        pytest.param(lambda a: FluxChain(a, (("J", 1), ("J", 2), ("J", 3))), lambda c: (c.links,),
+                     id="flux_chain"),
+    ])
+    def test_every_checked_array_is_a_read_only_copy(self, build, stored):
+        # a NaN amplitude written after construction once made spectral_couplings
+        # raise a false DegenerateError, and a zero link outlived FluxChain's check
+        a = np.array([0.5, 1.0, 1.5])
+        arrays = stored(build(a))
+        a[:] = [np.nan, 0.0, -1.0]
+        for array in arrays:
+            np.testing.assert_array_equal(array, [0.5, 1.0, 1.5])
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
 
 
 class TestSpectralSignal:
@@ -341,7 +360,7 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
         path.write_text("t,value\n0,nan\n0.5,-0.25\n")
-        with pytest.raises(SpecError, match="non-finite"):
+        with pytest.raises(SpecError, match="values must be a 1-D array of finite numbers"):
             read_trace(path)
 
     def test_missing_file(self, tmp_path):

@@ -14,7 +14,8 @@ from chaintomo import (
     write_trace,
 )
 from chaintomo.reference import (
-    BulkState, delta_coefficients, eta_coefficients, mu_coefficients, taylor_signal,
+    BulkState, delta_coefficients, eta_coefficients, invert_couplings, mu_coefficients,
+    taylor_signal,
 )
 
 PACKAGE = Path(chaintomo.__file__).resolve().parent
@@ -139,7 +140,16 @@ def test_each_input_rule_lives_in_one_place():
         ("cli", "_build_config"), ("tomography", "simulate_traces")]
     # a trace's grid and sample count are checked once, by the fit
     assert [c[:2] for c in calls if c[2] == "_check_sampling"] == [("fitting", "fit_trace")]
-    assert not hasattr(reference, "_links_of")
+    assert not hasattr(dynamics, "_links")
+    # a float array is judged 1-D and finite, and made read-only, by errors._floats
+    # alone; taylor_signal's two np.isfinite calls guard its own series against overflow
+    assert sorted(c[:2] for c in calls if c[2] == "np.isfinite") == [
+        ("errors", "_floats"), ("reference", "taylor_signal"), ("reference", "taylor_signal")]
+    frozen = [(stem, func.name) for stem, tree in sorted(trees.items())
+              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func) if isinstance(node, ast.Assign)
+              and any(ast.unparse(t).endswith(".flags.writeable") for t in node.targets)]
+    assert frozen == [("errors", "_floats")]
     # a value of the wrong class altogether is refused by errors._instance:
     # no `if` that raises tests isinstance against a package class itself
     classes = {node.name for tree in trees.values() for node in ast.walk(tree)
@@ -188,6 +198,21 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: CosineSumModel(["a"], [1.0]), id="amplitudes_str"),
     pytest.param(lambda: CosineSumModel([1.0], [1.0], dc="x"), id="dc_str"),
     pytest.param(lambda: FluxChain(["a"], (("J", 1),)), id="flux_links_str"),
+    # a NaN argument is refused up front, not overflowed or passed on as a NaN result
+    pytest.param(lambda: FIT.evaluate([np.nan]), id="evaluate_times_nan"),
+    pytest.param(lambda: invert_couplings([np.nan]), id="invert_eta_nan"),
+    pytest.param(lambda: taylor_signal([1.0], [np.nan], 2), id="taylor_times_nan"),
+    # a fit's bookkeeping, and a malformed fit block
+    pytest.param(lambda: CosineSumModel([1.0], [1.0], residual_rms="x"), id="rms_str"),
+    pytest.param(lambda: CosineSumModel([1.0], [1.0], residual_rms=-1.0), id="rms_negative"),
+    pytest.param(lambda: CosineSumModel([1.0], [1.0], iterations=True), id="iterations_bool"),
+    pytest.param(lambda: CosineSumModel.from_dict({"dc": None}), id="fit_block_no_terms"),
+    pytest.param(lambda: CosineSumModel.from_dict({**FIT.to_dict(), "residual_rms": "x"}),
+                 id="fit_block_rms_str"),
+    pytest.param(lambda: CosineSumModel.from_dict({"terms": [[1.0, 2.0]]}),
+                 id="fit_block_terms_lists"),
+    pytest.param(lambda: CosineSumModel.from_dict({**FIT.to_dict(), "iterations": 2.5}),
+                 id="fit_block_iterations_float"),
     # arguments of the wrong type altogether
     pytest.param(lambda: add_noise(TR, 0.1), id="add_noise_float"),
     pytest.param(lambda: run_tomography(TraceBundle(Model.XX, 3, ("x",))),
