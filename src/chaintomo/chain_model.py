@@ -27,6 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,13 +118,15 @@ class ChainSpec:
 
     A spec checks itself when built (model and site count via
     chain_layout, families, lengths, finiteness, signs) and raises
-    SpecError naming the broken invariant.  Each family is kept as a
-    read-only float copy; the caller's array stays writable.
+    SpecError naming the broken invariant.  couplings is kept as a
+    read-only mapping of read-only float copies, so no write undoes the
+    checks; the caller's arrays stay writable.  A copy or pickle is rebuilt
+    through from_dict.
     """
 
     model: Model
     n_spins: int
-    couplings: dict[str, np.ndarray]
+    couplings: Mapping[str, np.ndarray]
     allow_signed: bool = False
 
     def __post_init__(self):
@@ -158,7 +161,12 @@ class ChainSpec:
                 )
             conv[fam] = arr
         # the caller's family order is kept, so to_dict writes it back
-        object.__setattr__(self, "couplings", {fam: conv[fam] for fam in self.couplings})
+        object.__setattr__(self, "couplings",
+                           MappingProxyType({fam: conv[fam] for fam in self.couplings}))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be copied or pickled; the spec's dict can
+        return ChainSpec.from_dict, (self.to_dict(),)
 
     def coupling(self, family: str, index: int) -> float:
         """Value of e.g. ("J", 3) -> J_3.  index is 1-based; an unknown

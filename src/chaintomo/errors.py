@@ -66,10 +66,16 @@ def _instance(value, kind, who: str, what: str):
 
 def _floats(values, what: str) -> np.ndarray:
     """values as a read-only 1-D float copy, so no write, the caller's included,
-    undoes the check; one number is one value.  What numpy cannot convert,
-    and anything 2-D or not finite, is a SpecError."""
+    undoes the check; one number is one value.  Strings, booleans and complex
+    numbers (a float cast would read "1.0" and True as numbers and drop an
+    imaginary part), what float() cannot take, and anything 2-D or not
+    finite, are a SpecError."""
     try:
-        arr = np.array(values, dtype=float, ndmin=1)
+        arr = np.array(values, ndmin=1)
+        if arr.dtype.kind in "USbc":
+            raise SpecError(f"{what} must hold numbers, got {arr.flat[0].item()!r}")
+        if arr.dtype != np.float64:  # float input, the common case, is copied once
+            arr = arr.astype(float)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{what} must hold numbers: {exc}") from exc
     if arr.ndim != 1 or not np.isfinite(arr).all():

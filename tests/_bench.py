@@ -4,8 +4,8 @@ BENCH_J is the eight-spin reference coupling set used for end-to-end
 checks; EVAL_J the reference estimates for the same chain used as a
 cross-check target; FIT_TABLE the reference cosine-sum fit (sorted here
 by ascending frequency, the package's canonical order).  The tables at
-the end are the bad trace files that read_trace refuses, shared by its
-own tests and the CLI's, and the CSV dialect it reads.
+the end are the sidecar probe blocks and trace files that read_trace
+refuses, shared by its own tests and the CLI's.
 """
 
 import numpy as np
@@ -141,27 +141,3 @@ TRUNCATED_CSVS = {
     "header_only": (lambda text: "t,value\n", "trace is empty"),
 }
 
-
-# trace CSV bodies, each written after the `t,value` header, in the dialect
-# read_trace reads; every one gives times [0, 0.5] and values [1, -0.25]
-DIALECT_CSVS = {
-    "blank_lines": "\n0,1\n\n0.5,-0.25\n\n",
-    "crlf_line_ends": "0,1\r\n0.5,-0.25\r\n",
-    "cr_line_ends": "0,1\r0.5,-0.25\r",
-    "extra_columns": "0,1,x\n0.5,-0.25,2\n",
-    "quoted_numbers": '"0","1"\n0.5,"-0.25"\n',
-    "spaces_around_numbers": " 0 , 1\n0.5 ,\t-0.25 \n",
-    "no_final_newline": "0,1\n0.5,-0.25",
-}
-
-# trace CSV bodies, each after the header, with a row that read_trace
-# refuses and the 1-based line of the file its refusal names
-REFUSED_CSV_ROWS = {
-    "one_column": ("0,1\n0.5\n", 3),
-    "empty_field": ("0,1\n0.5,\n", 3),
-    "comment_line": ("# measured\n0,1\n", 2),
-    "spaces_only_line": ("0,1\n   \n0.5,-0.25\n", 3),
-    # Python's float reads 1_0 as 10; numpy's reader takes no digit separators
-    "digit_separator": ("0,1\n1_0,0.5\n", 3),
-    "after_blank_lines": ("\n\n0,1\n\noops\n", 6),
-}

@@ -1,6 +1,8 @@
 """Model validation and flux-chain reduction."""
 
+import copy
 import json
+import pickle
 import re
 
 import numpy as np
@@ -83,7 +85,7 @@ class TestProbe:
             Probe.from_dict(_probe_dict("x1", "plus_x", sign))
 
     def test_unknown_observable_is_a_spec_error(self):
-        with pytest.raises(SpecError, match="Observable"):
+        with pytest.raises(SpecError, match="^'q' is not a valid Observable$"):
             Probe.from_dict(_probe_dict("q", "plus_x", 1))
 
     def test_dict_round_trip(self):
@@ -122,7 +124,8 @@ class TestValidateSpec:
             xx_spec([1.0, np.nan])
 
     def test_rejects_nonpositive_by_default(self):
-        with pytest.raises(SpecError, match="positive"):
+        with pytest.raises(SpecError, match=re.escape(
+                "J must be strictly positive (set allow_signed to permit signs)")):
             xx_spec([1.0, -0.5])
         with pytest.raises(SpecError, match="positive"):
             xx_spec([1.0, 0.0])
@@ -138,9 +141,26 @@ class TestValidateSpec:
             ising_spec(JZ=[1.0, 1.0, 1.0], B=[1.0, 1.0, 1.0])
 
     def test_couplings_are_read_only(self):
+        # a write after construction would undo the checks: a negative J_2 on
+        # an unsigned spec once ran with no note, and a popped family ended
+        # the run in an untyped KeyError
         spec = xx_spec([1.0, 0.8])
         with pytest.raises(ValueError):
             spec.couplings["J"][0] = 0.0
+        with pytest.raises(TypeError):
+            spec.couplings["J"] = np.array([1.0, -0.8])
+        with pytest.raises(AttributeError):
+            spec.couplings.pop("J")
+        np.testing.assert_array_equal(spec.couplings["J"], [1.0, 0.8])
+
+    def test_a_copy_or_pickle_is_the_same_spec(self):
+        # a read-only mapping cannot be copied field by field; the family
+        # order and allow_signed survive the rebuild
+        spec = ChainSpec(Model.XY, 3, {"JY": [0.9, 1.2], "JX": [1.0, -0.8]}, allow_signed=True)
+        for again in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert again is not spec
+            assert again.to_dict() == spec.to_dict()
+            assert not again.couplings["JX"].flags.writeable
 
     def test_one_number_is_one_value(self):
         # a 2-spin chain has one link; its bare number once read as "length 1, got 1"
@@ -305,8 +325,9 @@ class TestSerialization:
         assert again.allow_signed is True
 
     def test_from_json_missing_file(self, tmp_path):
-        with pytest.raises(SpecError, match="not found"):
-            ChainSpec.from_json(tmp_path / "nope.json")
+        path = tmp_path / "nope.json"
+        with pytest.raises(SpecError, match=re.escape(f"spec file not found: {path}")):
+            ChainSpec.from_json(path)
 
     def test_from_json_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -33,14 +33,53 @@ from chaintomo.reference import (
 from _bench import (
     BENCH_J,
     CONTRADICTORY_PROBES,
-    DIALECT_CSVS,
     NON_INTEGER_SIGNS,
-    REFUSED_CSV_ROWS,
     TRUNCATED_CSVS,
     ising_spec,
     xx_spec,
     xy_spec,
 )
+
+# trace CSV bodies, each written after the `t,value` header, in the dialect
+# read_trace reads; every one gives times [0, 0.5] and values [1, -0.25]
+DIALECT_CSVS = {
+    "blank_lines": "\n0,1\n\n0.5,-0.25\n\n",
+    "crlf_line_ends": "0,1\r\n0.5,-0.25\r\n",
+    "cr_line_ends": "0,1\r0.5,-0.25\r",
+    "extra_columns": "0,1,x\n0.5,-0.25,2\n",
+    "quoted_numbers": '"0","1"\n0.5,"-0.25"\n',
+    "spaces_around_numbers": " 0 , 1\n0.5 ,\t-0.25 \n",
+    "no_final_newline": "0,1\n0.5,-0.25",
+}
+
+# trace CSV bodies, each after the header, with a row that read_trace
+# refuses and the 1-based line of the file its refusal names
+REFUSED_CSV_ROWS = {
+    "one_column": ("0,1\n0.5\n", 3),
+    "empty_field": ("0,1\n0.5,\n", 3),
+    "comment_line": ("# measured\n0,1\n", 2),
+    "spaces_only_line": ("0,1\n   \n0.5,-0.25\n", 3),
+    # Python's float reads 1_0 as 10; numpy's reader takes no digit separators
+    "digit_separator": ("0,1\n1_0,0.5\n", 3),
+    "after_blank_lines": ("\n\n0,1\n\noops\n", 6),
+}
+
+
+@pytest.fixture
+def trace_path(tmp_path):
+    """A two-sample trace CSV with its sidecar, for a test to edit."""
+    return write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), tmp_path / "trace.csv")
+
+
+def _probe_refusal(trace_path, probe):
+    """The words read_trace refuses a sidecar probe block in, after the sidecar's path."""
+    sidecar = trace_path.with_suffix(".meta.json")
+    sidecar.write_text(json.dumps({"probe": probe}))
+    with pytest.raises(SpecError) as exc_info:
+        read_trace(trace_path)
+    prefix = f"{sidecar}: "
+    assert str(exc_info.value).startswith(prefix)
+    return str(exc_info.value).removeprefix(prefix)
 
 
 class TestSignalTrace:
@@ -259,12 +298,12 @@ class TestNoise:
         assert np.max(np.abs(a.values - c.values)) > 1e-4
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="^noise sigma must be finite and nonnegative$"):
             NoiseSpec(sigma=-0.1)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(SpecError, match="finite"):
+        with pytest.raises(SpecError, match="^noise sigma must be finite and nonnegative$"):
             NoiseSpec(sigma=sigma)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "7", None],
@@ -322,75 +361,60 @@ class TestTraceFiles:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("body", DIALECT_CSVS.values(), ids=list(DIALECT_CSVS))
-    def test_csv_dialect(self, tmp_path, body):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_bytes(f"t,value\n{body}".encode())
-        trace, _ = read_trace(path)
+    def test_csv_dialect(self, trace_path, body):
+        trace_path.write_bytes(f"t,value\n{body}".encode())
+        trace, _ = read_trace(trace_path)
         assert trace.times.tolist() == [0.0, 0.5]
         assert trace.values.tolist() == [1.0, -0.25]
 
     @pytest.mark.parametrize("body, line", REFUSED_CSV_ROWS.values(), ids=list(REFUSED_CSV_ROWS))
-    def test_refused_row_names_the_file_and_line(self, tmp_path, body, line):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_bytes(f"t,value\n{body}".encode())
-        with pytest.raises(SpecError, match=re.escape(f"{path}: malformed row at line {line}:")):
-            read_trace(path)
+    def test_refused_row_names_the_file_and_line(self, trace_path, body, line):
+        trace_path.write_bytes(f"t,value\n{body}".encode())
+        with pytest.raises(SpecError,
+                           match=re.escape(f"{trace_path}: malformed row at line {line}:")):
+            read_trace(trace_path)
 
-    def test_quoted_field_across_lines_is_refused(self, tmp_path):
+    def test_quoted_field_across_lines_is_refused(self, trace_path):
         # each line reads alone, so no one line is named
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_text('t,value\n0,"1\n2,3\n')
-        with pytest.raises(SpecError, match=re.escape(f"{path}: malformed rows:")):
-            read_trace(path)
+        trace_path.write_text('t,value\n0,"1\n2,3\n')
+        with pytest.raises(SpecError, match=re.escape(f"{trace_path}: malformed rows:")):
+            read_trace(trace_path)
 
-    def test_header_only_is_empty_without_a_warning(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_text("t,value\n\n")
+    def test_header_only_is_empty_without_a_warning(self, trace_path):
+        trace_path.write_text("t,value\n\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(SpecError, match=re.escape(f"{path}: trace is empty")):
-                read_trace(path)
+            with pytest.raises(SpecError, match=re.escape(f"{trace_path}: trace is empty")):
+                read_trace(trace_path)
         assert caught == []
 
-    def test_nan_is_refused_by_the_trace(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_text("t,value\n0,nan\n0.5,-0.25\n")
+    def test_nan_is_refused_by_the_trace(self, trace_path):
+        trace_path.write_text("t,value\n0,nan\n0.5,-0.25\n")
         with pytest.raises(SpecError, match="values must be a 1-D array of finite numbers"):
-            read_trace(path)
+            read_trace(trace_path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="not found"):
             read_trace(tmp_path / "nope.csv")
 
-    def test_trace_that_is_not_utf8_is_a_spec_error_naming_the_file(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        path.write_bytes(b"t,value\n0,\xff1\n")
-        with pytest.raises(SpecError, match=re.escape(f"{path}: trace is not UTF-8 text")):
-            read_trace(path)
+    def test_trace_that_is_not_utf8_is_a_spec_error_naming_the_file(self, trace_path):
+        trace_path.write_bytes(b"t,value\n0,\xff1\n")
+        with pytest.raises(SpecError, match=re.escape(f"{trace_path}: trace is not UTF-8 text")):
+            read_trace(trace_path)
 
-    def test_byte_order_mark_is_read(self, tmp_path):
+    def test_byte_order_mark_is_read(self, trace_path):
         # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
-        path = tmp_path / "trace.csv"
         written = spectral_signal(BENCH_J, [0.0, 1.0])
-        write_trace(written, path)
-        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        trace, _ = read_trace(path)
+        trace_path.write_bytes(b"\xef\xbb\xbf" + trace_path.read_bytes())
+        trace, _ = read_trace(trace_path)
         assert trace.times.tolist() == written.times.tolist()
         assert trace.values.tolist() == written.values.tolist()
 
-    def test_sidecar_that_is_not_utf8_is_a_spec_error_naming_the_file(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        sidecar = tmp_path / "trace.meta.json"
+    def test_sidecar_that_is_not_utf8_is_a_spec_error_naming_the_file(self, trace_path):
+        sidecar = trace_path.with_suffix(".meta.json")
         sidecar.write_bytes(b"\xff")
         with pytest.raises(SpecError, match=re.escape(f"metadata sidecar {sidecar} is not")):
-            read_trace(path)
+            read_trace(trace_path)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -404,30 +428,27 @@ class TestTraceFiles:
         with pytest.raises(SpecError, match="header"):
             read_trace(path)
 
-    def test_malformed_row(self, tmp_path):
-        trace = spectral_signal(BENCH_J, [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        path.write_text(path.read_text() + "oops\n")
-        with pytest.raises(SpecError, match="malformed"):
-            read_trace(path)
+    def test_malformed_row(self, trace_path):
+        trace_path.write_text(trace_path.read_text() + "oops\n")
+        with pytest.raises(SpecError, match=re.escape(f"{trace_path}: malformed row at line 4:")):
+            read_trace(trace_path)
 
-    def test_sidecar_must_identify_probe(self, tmp_path):
-        trace = spectral_signal(BENCH_J, [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        (tmp_path / "trace.meta.json").write_text("{}")
-        with pytest.raises(SpecError, match="probe"):
-            read_trace(path)
+    def test_sidecar_must_identify_probe(self, trace_path):
+        sidecar = trace_path.with_suffix(".meta.json")
+        sidecar.write_text("{}")
+        # the words that name no probe block: a fallback "malformed probe" has "probe" too
+        with pytest.raises(SpecError, match=re.escape(f"{sidecar}: metadata must identify the probe")):
+            read_trace(trace_path)
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "3"])
-    def test_unreadable_sidecar_is_a_spec_error(self, tmp_path, sidecar):
-        trace = spectral_signal(BENCH_J, [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        (tmp_path / "trace.meta.json").write_text(sidecar)
-        with pytest.raises(SpecError, match="trace.meta.json"):
-            read_trace(path)
+    @pytest.mark.parametrize("sidecar, words", [
+        pytest.param("{not json", "metadata sidecar {} is not valid JSON", id="{not json"),
+        pytest.param("3", "{}: metadata must identify the probe", id="3"),
+    ])
+    def test_unreadable_sidecar_is_a_spec_error(self, trace_path, sidecar, words):
+        path = trace_path.with_suffix(".meta.json")
+        path.write_text(sidecar)
+        with pytest.raises(SpecError, match=re.escape(words.format(path))):
+            read_trace(trace_path)
 
     @pytest.mark.parametrize("probe", [
         {"observable": "q", "preparation": "plus_x", "sign": 1},
@@ -435,31 +456,20 @@ class TestTraceFiles:
         {"observable": "x1", "preparation": "plus_x", "sign": [1]},
         "x1",
     ])
-    def test_malformed_probe_is_a_spec_error(self, tmp_path, probe):
-        trace = spectral_signal(BENCH_J, [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
-        with pytest.raises(SpecError, match="probe"):
-            read_trace(path)
+    def test_malformed_probe_is_a_spec_error(self, trace_path, probe):
+        # Probe.from_dict's KeyError and TypeError are wrapped like its SpecError
+        assert _probe_refusal(trace_path, probe).startswith("malformed probe: ")
 
     @pytest.mark.parametrize("probe, message", CONTRADICTORY_PROBES.values(),
                              ids=list(CONTRADICTORY_PROBES))
-    def test_contradictory_probe_is_a_spec_error(self, tmp_path, probe, message):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
-        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
-        with pytest.raises(SpecError, match=re.escape(f"malformed probe: {message}")):
-            read_trace(path)
+    def test_contradictory_probe_is_a_spec_error(self, trace_path, probe, message):
+        assert _probe_refusal(trace_path, probe) == f"malformed probe: {message}"
 
     @pytest.mark.parametrize("sign", NON_INTEGER_SIGNS.values(), ids=list(NON_INTEGER_SIGNS))
-    def test_non_integer_probe_sign_is_a_spec_error(self, tmp_path, sign):
-        path = tmp_path / "trace.csv"
-        write_trace(spectral_signal(BENCH_J, [0.0, 1.0]), path)
+    def test_non_integer_probe_sign_is_a_spec_error(self, trace_path, sign):
         probe = {"observable": "x1", "preparation": "plus_x", "sign": sign}
-        (tmp_path / "trace.meta.json").write_text(json.dumps({"probe": probe}))
-        with pytest.raises(SpecError, match="probe sign must be an integer"):
-            read_trace(path)
+        assert _probe_refusal(trace_path, probe).startswith(
+            "malformed probe: probe sign must be an integer")
 
     @pytest.mark.parametrize("cut, message", TRUNCATED_CSVS.values(), ids=list(TRUNCATED_CSVS))
     def test_truncated_csv_is_a_spec_error_naming_the_file(self, tmp_path, cut, message):

@@ -179,6 +179,7 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: eta_coefficients(FIT, 2.5), id="eta_orders_float"),
     pytest.param(lambda: BulkState("mixed", 0, 2.5), id="bulk_samples_float"),
     pytest.param(lambda: BulkState("mixed", -1), id="bulk_seed_negative"),
+    pytest.param(lambda: BulkState("q"), id="bulk_kind_unknown"),
     # noise levels: a string or a bool is no number
     pytest.param(lambda: NoiseSpec("0.1"), id="noise_str"),
     pytest.param(lambda: NoiseSpec(True), id="noise_bool"),
@@ -198,6 +199,16 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: CosineSumModel(["a"], [1.0]), id="amplitudes_str"),
     pytest.param(lambda: CosineSumModel([1.0], [1.0], dc="x"), id="dc_str"),
     pytest.param(lambda: FluxChain(["a"], (("J", 1),)), id="flux_links_str"),
+    pytest.param(lambda: FluxChain([], ()), id="flux_links_empty"),
+    # a float cast would read "1.0" and True as numbers and drop an imaginary part
+    pytest.param(lambda: ChainSpec.from_dict({"model": "xx", "n_spins": 3,
+                                              "couplings": {"J": ["1.0", "0.8"]}}),
+                 id="couplings_numeric_str"),
+    pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": [True, True]}), id="couplings_bool"),
+    pytest.param(lambda: spectral_signal([b"1"], T), id="links_bytes"),
+    pytest.param(lambda: spectral_signal([1.0 + 0j], T), id="links_complex"),
+    pytest.param(lambda: spectral_signal(np.array([1.0, "a"], dtype=object), T),
+                 id="links_object_str"),
     # a NaN argument is refused up front, not overflowed or passed on as a NaN result
     pytest.param(lambda: FIT.evaluate([np.nan]), id="evaluate_times_nan"),
     pytest.param(lambda: invert_couplings([np.nan]), id="invert_eta_nan"),

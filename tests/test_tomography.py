@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -408,6 +409,8 @@ def _scaled_bundle(factor):
 
 
 HALF_NOTE = "x1: fitted amplitudes sum to 0.500000, expected 1"
+SIGMA_WORDS = "noise sigma must be finite and nonnegative"
+TRUTH_WORDS = "traces must agree on the truth couplings and allow_signed"
 
 
 def _outcome(source, config=None):
@@ -632,34 +635,39 @@ class TestIngestMode:
         with pytest.raises(SpecError, match="model"):
             TraceBundle.from_metadata(pairs_a + pairs_b)
 
-    @pytest.mark.parametrize("field, value", [
-        ("model", "q"),
-        ("n_spins", "three"),
-        ("noise", {"sigma": "x"}),
-        ("noise", 0.1),
-        ("truth_couplings", [1.0]),
+    @pytest.mark.parametrize("field, value, words", [
+        pytest.param("model", "q", "traces must agree on one model", id="model-q"),
+        pytest.param("n_spins", "three", "traces must agree on n_spins", id="n_spins-three"),
+        pytest.param("noise", {"sigma": "x"}, SIGMA_WORDS, id="noise-value2"),
+        pytest.param("noise", 0.1, "", id="noise-0.1"),
+        pytest.param("truth_couplings", [1.0], "couplings must map family names to arrays",
+                     id="truth_couplings-value4"),
         # json reads Infinity and NaN; either would lift the physical bound
         # and the fit's residual floor
-        pytest.param("noise", {"sigma": math.inf}, id="noise-sigma_inf"),
-        pytest.param("noise", {"sigma": math.nan}, id="noise-sigma_nan"),
-        pytest.param("noise", {"sigma": -0.01}, id="noise-sigma_negative"),
+        pytest.param("noise", {"sigma": math.inf}, SIGMA_WORDS, id="noise-sigma_inf"),
+        pytest.param("noise", {"sigma": math.nan}, SIGMA_WORDS, id="noise-sigma_nan"),
+        pytest.param("noise", {"sigma": -0.01}, SIGMA_WORDS, id="noise-sigma_negative"),
         # a sidecar's sigma is a JSON number: float() once read true as 1.0
-        pytest.param("noise", {"sigma": True}, id="noise-sigma_true"),
-        pytest.param("noise", {"sigma": "0.01"}, id="noise-sigma_string"),
+        pytest.param("noise", {"sigma": True}, SIGMA_WORDS, id="noise-sigma_true"),
+        pytest.param("noise", {"sigma": "0.01"}, SIGMA_WORDS, id="noise-sigma_string"),
         # bool() used to read the string "false" as true
-        ("allow_signed", "false"),
-        ("allow_signed", 1),
-        ("allow_signed", None),
-        # valid on its own, but the y1 sidecar states another truth
-        pytest.param("truth_couplings", {"JX": [2.0, 0.8], "JY": [0.9, 1.2]},
+        pytest.param("allow_signed", "false", "allow_signed must be true or false, got 'false'",
+                     id="allow_signed-false"),
+        pytest.param("allow_signed", 1, "allow_signed must be true or false, got 1",
+                     id="allow_signed-1"),
+        pytest.param("allow_signed", None, "allow_signed must be true or false, got None",
+                     id="allow_signed-None"),
+        # valid on its own, but the y1 sidecar states another truth or chain
+        pytest.param("truth_couplings", {"JX": [2.0, 0.8], "JY": [0.9, 1.2]}, TRUTH_WORDS,
                      id="truth_couplings-disagree"),
-        pytest.param("allow_signed", True, id="allow_signed-disagree"),
+        pytest.param("allow_signed", True, TRUTH_WORDS, id="allow_signed-disagree"),
+        pytest.param("n_spins", 4, "traces must agree on n_spins", id="n_spins-disagree"),
     ])
-    def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value):
+    def test_malformed_metadata_is_a_spec_error(self, tmp_path, field, value, words):
         # one bad sidecar spoils the bundle: only the x1 sidecar is edited
         (x1, x1_meta), y1_pair = _write_bundle(xy_spec([1.1, 0.8], [0.9, 1.2]), tmp_path)
         pairs = [(x1, {**x1_meta, field: value}), y1_pair]
-        with pytest.raises(SpecError, match="malformed trace metadata"):
+        with pytest.raises(SpecError, match=re.escape(f"malformed trace metadata: {words}")):
             TraceBundle.from_metadata(pairs)
 
     def test_sidecars_without_truth_defer_to_those_with_one(self, tmp_path):
