@@ -64,12 +64,22 @@ def _instance(value, kind, who: str, what: str):
     return value
 
 
+# element types that are no real number, named here since numpy promotes them
+# beside numbers: [True, 0.8] is [1.0, 0.8], and [2.0, 1j] starts with 2+0j
+_NOT_NUMBERS = frozenset({bool, np.bool_, str, bytes, np.str_, np.bytes_, complex,
+                          np.complex64, np.complex128})
+
+
 def _floats(values, what: str) -> np.ndarray:
     """values as a read-only 1-D float copy, so no write, the caller's included,
     undoes the check; one number is one value.  Strings, booleans and complex
     numbers (a float cast would read "1.0" and True as numbers and drop an
-    imaginary part), what float() cannot take, and anything 2-D or not
-    finite, are a SpecError."""
+    imaginary part), in an array or among the numbers of a list or tuple,
+    what float() cannot take, and anything 2-D or not finite, are a
+    SpecError."""
+    if values.__class__ in (list, tuple) and not _NOT_NUMBERS.isdisjoint(map(type, values)):
+        bad = next(value for value in values if type(value) in _NOT_NUMBERS)
+        raise SpecError(f"{what} must hold numbers, got {bad!r}")
     try:
         arr = np.array(values, ndmin=1)
         if arr.dtype.kind in "USbc":

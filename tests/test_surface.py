@@ -1,6 +1,7 @@
 """The public surface is the pipeline; the reference routes sit apart."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,14 @@ T = np.linspace(0.0, 1.0, 5)
                                               "couplings": {"J": ["1.0", "0.8"]}}),
                  id="couplings_numeric_str"),
     pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": [True, True]}), id="couplings_bool"),
+    # and so would a bool or a string among numbers, which numpy promotes to float
+    pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": [True, 0.8]}), id="couplings_bool_mixed"),
+    pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": [np.True_, 0.8]}),
+                 id="couplings_numpy_bool_mixed"),
+    pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": ["1.0", Fraction(4, 5)]}),
+                 id="couplings_str_mixed"),
     pytest.param(lambda: spectral_signal([b"1"], T), id="links_bytes"),
-    pytest.param(lambda: spectral_signal([1.0 + 0j], T), id="links_complex"),
+    pytest.param(lambda: spectral_signal(np.array([1.0 + 0j]), T), id="links_complex"),
     pytest.param(lambda: spectral_signal(np.array([1.0, "a"], dtype=object), T),
                  id="links_object_str"),
     # a NaN argument is refused up front, not overflowed or passed on as a NaN result
