@@ -168,17 +168,6 @@ class ChainSpec:
         # a mappingproxy cannot be copied or pickled; the spec's dict can
         return ChainSpec.from_dict, (self.to_dict(),)
 
-    def coupling(self, family: str, index: int) -> float:
-        """Value of e.g. ("J", 3) -> J_3.  index is 1-based; an unknown
-        family or an index outside 1..len(family) is a SpecError."""
-        values = self.couplings.get(family)
-        # concrete integer types: an abstract numbers.Integral check costs 4x more
-        if (values is None or isinstance(index, bool)
-                or not isinstance(index, (int, np.integer)) or not 0 < index <= values.size):
-            raise SpecError(f"a {self.model.value} chain of {self.n_spins} spins has no "
-                            f"parameter {family!r} index {index!r}")
-        return float(values[index - 1])
-
     def to_dict(self) -> dict:
         return {
             "model": self.model.value,

@@ -41,17 +41,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _build_config(args: argparse.Namespace) -> TomographyConfig:
-    # built for every sigma, so NaN and negative values are refused too
-    noise = NoiseSpec(sigma=args.noise_sigma, seed=args.seed or 0)
-    kwargs = {"noise": noise if args.noise_sigma > 0 else None}
-    if args.step is not None:
-        kwargs["sample_step"] = args.step
-    if args.window is not None:
-        kwargs["window"] = args.window
-    return TomographyConfig(**kwargs)
-
-
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
                     config: TomographyConfig | None, outputs: list[Path],
                     started: str) -> None:
@@ -85,11 +74,24 @@ def _print_table(result) -> None:
         print(f"warning: {note}")
 
 
+def _simulate(args: argparse.Namespace) -> tuple[TraceBundle, TomographyConfig]:
+    """The bundle --spec describes, sampled and noised per the flags, and its config."""
+    spec = ChainSpec.from_json(args.spec)  # read first: a bad spec is named before a bad flag
+    # a NoiseSpec for every sigma refuses NaN and negative ones; no flag is noiseless
+    sigma = 0.0 if args.noise_sigma is None else args.noise_sigma
+    noise = NoiseSpec(sigma=sigma, seed=args.seed or 0)
+    kwargs = {"noise": noise if sigma > 0 else None}
+    if args.step is not None:
+        kwargs["sample_step"] = args.step
+    if args.window is not None:
+        kwargs["window"] = args.window
+    config = TomographyConfig(**kwargs)
+    return simulate_traces(spec, config), config
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
-    spec = ChainSpec.from_json(args.spec)
-    config = _build_config(args)
-    bundle = simulate_traces(spec, config)
+    bundle, config = _simulate(args)
     out_dir = Path(args.out)  # made now: a refused spec or step leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
     metadata = bundle.to_metadata()
@@ -114,18 +116,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                         "the traces carry their own sampling and noise")
     started = _now()
     if args.spec is not None:
-        source = ChainSpec.from_json(args.spec)
-        config = _build_config(args)
+        bundle, config = _simulate(args)
     else:
         pairs = [read_trace(p) for p in args.trace]
-        # a bundle takes no config: a given sigma replaces the sidecars' before it is built
-        if args.noise_sigma:
+        # a bundle takes no config: a given sigma, 0 included, replaces the
+        # sidecars' before it is built
+        if args.noise_sigma is not None:
             noise = {"sigma": _check_sigma(args.noise_sigma)}
             pairs = [(trace, {**meta, "noise": noise}) for trace, meta in pairs]
-        source = TraceBundle.from_metadata(pairs)
+        bundle = TraceBundle.from_metadata(pairs)
         config = None
 
-    result = run_tomography(source, config)
+    result = run_tomography(bundle)
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "result.json"
     result.to_json(result_path)
@@ -154,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--step", type=float, help="sample step in units of 1/J")
         p.add_argument("--window", type=float, help="total window in units of 1/J")
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
-                       help="additive Gaussian noise level (default 0)")
+        p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
+                       help="noise level: drawn for --spec (default 0), the sidecars' for --trace")
         p.add_argument("--seed", type=int, help="noise seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
 

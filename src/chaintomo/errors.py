@@ -5,11 +5,13 @@ Every refusal of a bad argument or input (a malformed chain
 description, a bad trace file, a pole count or noise level out of range),
 by the pipeline or by chaintomo.reference, raises :class:`SpecError`.
 A ChainSpec or TraceBundle that breaks an invariant (a bundle's traces
-must match its chain's probes) raises it when built, and a sidecar probe
-whose fields disagree when Probe.from_dict reads it; both happen outside
-the pipeline, so its ``stage`` is None.  Inside, the orchestrator tags
-an error with its stage's name, and a SpecError comes only from
-validate, simulate or fit_trace's grid check ("fit").  :class:`EigenError`
+must match its chain's probes) raises it when built, a sidecar probe
+whose fields disagree when Probe.from_dict reads it, and run_tomography
+for a source or config it cannot take, a spec's simulation included;
+all of these build the pipeline's input, so their ``stage`` is None.
+Inside, the orchestrator tags an error with its stage's name, "fit" or
+"invert", and a SpecError comes only from fit_trace's grid check
+("fit").  :class:`EigenError`
 means only that a solver failed.  Each kind of argument is refused in
 one place: integers, real numbers, float arrays and values of the wrong
 class altogether by _integer, _is_real, _floats and _instance here, noise
@@ -65,25 +67,29 @@ def _instance(value, kind, who: str, what: str):
 
 
 # element types that are no real number, named here since numpy promotes them
-# beside numbers: [True, 0.8] is [1.0, 0.8], and [2.0, 1j] starts with 2+0j
+# beside numbers: [True, 0.8] is [1.0, 0.8], [2.0, 1j] starts with 2+0j, and a
+# datetime or timedelta casts to its count of units
 _NOT_NUMBERS = frozenset({bool, np.bool_, str, bytes, np.str_, np.bytes_, complex,
-                          np.complex64, np.complex128})
+                          np.complex64, np.complex128, np.datetime64, np.timedelta64})
 
 
 def _floats(values, what: str) -> np.ndarray:
     """values as a read-only 1-D float copy, so no write, the caller's included,
-    undoes the check; one number is one value.  Strings, booleans and complex
-    numbers (a float cast would read "1.0" and True as numbers and drop an
-    imaginary part), in an array or among the numbers of a list or tuple,
-    what float() cannot take, and anything 2-D or not finite, are a
-    SpecError."""
+    undoes the check; one number is one value.  A typed array must hold
+    floats or integers.  Strings, booleans, complex numbers, datetimes and
+    timedeltas (a float cast would read "1.0" and True as numbers, drop an
+    imaginary part and count a duration's units), in a typed array or among
+    the elements of a list, tuple or object array, what float() cannot
+    take, and anything 2-D or not finite, are a SpecError."""
+    if values.__class__ is np.ndarray and values.dtype.kind == "O":
+        values = values.tolist()  # its elements as given, judged as a list's
     if values.__class__ in (list, tuple) and not _NOT_NUMBERS.isdisjoint(map(type, values)):
         bad = next(value for value in values if type(value) in _NOT_NUMBERS)
         raise SpecError(f"{what} must hold numbers, got {bad!r}")
     try:
         arr = np.array(values, ndmin=1)
-        if arr.dtype.kind in "USbc":
-            raise SpecError(f"{what} must hold numbers, got {arr.flat[0].item()!r}")
+        if arr.dtype.kind not in "fiuO":
+            raise SpecError(f"{what} must hold numbers, got a {arr.dtype} array")
         if arr.dtype != np.float64:  # float input, the common case, is copied once
             arr = arr.astype(float)
     except (TypeError, ValueError) as exc:

@@ -283,44 +283,43 @@ def simulate_traces(spec: ChainSpec, config: TomographyConfig | None = None) -> 
 
 
 def run_tomography(source, config: TomographyConfig | None = None) -> TomographyResult:
-    """Recover all couplings from a ChainSpec or a TraceBundle.
+    """Recover all couplings from a TraceBundle (or a ChainSpec).
 
-    Both sources checked themselves when built, so the validate stage
-    refuses only an unknown source type and a config given with a
-    TraceBundle, which takes none: its traces fix the sampling and its
-    noise_sigma the noise level.  A ChainSpec is simulated per config
-    into the bundle it describes (simulate_traces).  Then, per flux chain
-    of the bundle: fit the trace probing it with the chain's m + 1 nodes
-    as poles (fit_trace refuses a grid that is not uniform or too short),
-    recover the links from the fit's spectrum by Lanczos, and label them.
-    The result depends on the bundle alone.  Errors raised
-    inside a stage carry that stage's name.  Fitted amplitudes that miss
-    alpha(0) = 1 are noted in result.warnings, as values: a run keeps no
-    process-wide warning state, so it is safe to call from several
-    threads.
+    A ChainSpec is first simulated per config into the bundle it
+    describes (simulate_traces); a TraceBundle takes no config, since its
+    traces fix the sampling and its noise_sigma the noise level.  That
+    step, like building either source, is construction: its refusals (a
+    config given with a bundle, a source of any other type, whatever
+    simulate_traces refuses) carry stage None.  Then, per flux chain of
+    the bundle: fit the trace probing it with the chain's m + 1 nodes as
+    poles (fit_trace refuses a grid that is not uniform or too short),
+    recover the links from the fit's spectrum by Lanczos, and label
+    them.  An error raised by the fit or the inversion carries that
+    stage's name, "fit" or "invert".  The result depends on the bundle
+    alone.  Fitted amplitudes that miss alpha(0) = 1 are noted in
+    result.warnings, as values: a run keeps no process-wide warning
+    state, so it is safe to call from several threads.
     """
-    stage = "validate"
+    _instance(source, (ChainSpec, TraceBundle), "run_tomography", "a ChainSpec or TraceBundle")
+    if isinstance(source, ChainSpec):
+        bundle = simulate_traces(source, config)
+    elif config is not None:
+        raise SpecError(
+            "a TraceBundle takes no TomographyConfig: its traces fix "
+            "the sampling and its noise_sigma the noise level"
+        )
+    else:
+        bundle = source
+    truth = bundle.truth
+    signed = truth is not None and truth.allow_signed
+    noise_sigma = bundle.noise_sigma
+    layout = chain_layout(bundle.model, bundle.n_spins)
+
+    parameters: list[ParameterEstimate] = []
+    notes: list[str] = []
+    fits: dict[str, CosineSumModel] = {}
+
     try:
-        _instance(source, (ChainSpec, TraceBundle), "run_tomography", "a ChainSpec or TraceBundle")
-        if isinstance(source, ChainSpec):
-            stage = "simulate"
-            bundle = simulate_traces(source, config)
-        elif config is not None:
-            raise SpecError(
-                "a TraceBundle takes no TomographyConfig: its traces fix "
-                "the sampling and its noise_sigma the noise level"
-            )
-        else:
-            bundle = source
-        truth = bundle.truth
-        signed = truth is not None and truth.allow_signed
-        noise_sigma = bundle.noise_sigma
-        layout = chain_layout(bundle.model, bundle.n_spins)
-
-        parameters: list[ParameterEstimate] = []
-        notes: list[str] = []
-        fits: dict[str, CosineSumModel] = {}
-
         for (probe, labels), trace in zip(layout, bundle.traces):
             observable = probe.observable.value
             stage = "fit"
@@ -336,9 +335,10 @@ def run_tomography(source, config: TomographyConfig | None = None) -> Tomography
             total = fit.amplitude_sum
             if abs(total - 1.0) > max(1e-6, 5.0 * max(fit.residual_rms, noise_sigma)):
                 notes.append(f"{observable}: fitted amplitudes sum to {total:.6f}, expected 1")
+            # the bundle checked its truth against this layout, so every label indexes it
             for (family, k), magnitude in zip(labels, links):
                 estimate = float(magnitude)
-                truth_val = None if truth is None else truth.coupling(family, k)
+                truth_val = None if truth is None else float(truth.couplings[family][k - 1])
                 if signed:
                     estimate = math.copysign(estimate, truth_val)
                 parameters.append(

@@ -194,6 +194,11 @@ class TestValidateSpec:
                      id="bool_among_numbers"),
         pytest.param(Model.XX, {"J": [2.0, 1j]}, "^J must hold numbers, got 1j$",
                      id="complex_among_numbers"),
+        # a typed array is named by its dtype: its first element is already cast
+        pytest.param(Model.XX, {"J": np.array([2.0, 1j])},
+                     "^J must hold numbers, got a complex128 array$", id="complex_array"),
+        # no type among the refused ones, but no number float() takes either
+        pytest.param(Model.XX, {"J": [1.0, {}]}, "^J must hold numbers: ", id="uncastable_value"),
         pytest.param(Model.XX, [1.0, 0.8], "couplings must map", id="list_couplings"),
         pytest.param("q", {"J": [1.0, 0.8]}, "unknown model", id="unknown_model"),
     ])
@@ -365,18 +370,3 @@ class TestSerialization:
     def test_from_dict_rejects_missing_keys(self):
         with pytest.raises(SpecError, match="malformed"):
             ChainSpec.from_dict({"model": "xx"})
-
-    def test_coupling_accessor_is_one_based(self):
-        spec = xx_spec(BENCH_J)
-        assert spec.coupling("J", 1) == 1.40
-        assert spec.coupling("J", 7) == 0.66
-
-    @pytest.mark.parametrize("family, index", [
-        ("J", 0), ("J", -1), ("J", 4), ("K", 1), ("J", 1.0), ("J", True),
-    ], ids=["zero", "negative", "past-the-end", "unknown-family", "float", "bool"])
-    def test_coupling_outside_the_spec_is_a_spec_error(self, family, index):
-        # bare indexing would read 0 and -1 from the end and raise IndexError or KeyError
-        spec = xx_spec([1.0, 0.9, 1.1])
-        with pytest.raises(SpecError, match=re.escape(f"no parameter {family!r} index {index!r}")):
-            spec.coupling(family, index)
-        assert spec.coupling("J", np.int64(3)) == 1.1

@@ -215,6 +215,7 @@ class TestRunFromSpec:
         assert set(manifest) == MANIFEST_KEYS
         assert set(manifest["config"]) == SIMULATE_CONFIG_KEYS | {"trace"}
         assert manifest["config"]["seed"] is None
+        assert manifest["config"]["noise_sigma"] is None
 
 
 class TestRunFromTraces:
@@ -342,6 +343,19 @@ class TestRunFromTraces:
         assert main(["run", "--trace", trace, "--out", str(tmp_path / "a")]) == 3
         assert main(["run", "--trace", trace, "--noise-sigma", "0.01",
                      "--out", str(tmp_path / "b")]) == 0
+
+    def test_noise_sigma_flag_zero_replaces_the_sidecars_sigma(self, tmp_path, simulate,
+                                                               capsys):
+        # 0 is a given sigma too: the noisy trace then fails the noiseless fit floor
+        trace = str(simulate("--noise-sigma", "0.01", "--seed", "3") / "trace_x1.csv")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run", "--trace", trace, "--noise-sigma", "0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=fit]: best fit residual rms ")
+        assert err.endswith(" exceeds the acceptable floor 1.000e-08 = max(1e-8, 2 * "
+                            "noise_sigma), with the declared noise_sigma 0\n")
+        assert not out.exists()
 
     def test_noise_sigma_flag_widens_the_physical_bound(self, tmp_path, simulate, capsys):
         # this sigma = 0.05 trace peaks past the noiseless bound 1.1; the

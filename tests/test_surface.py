@@ -138,7 +138,7 @@ def test_each_input_rule_lives_in_one_place():
         ("chain_model", "_read_json", "json.loads")]
     # a noise level is checked by _check_sigma; a NoiseSpec only sets up a run's draws
     assert sorted(c[:2] for c in calls if c[2] == "NoiseSpec") == [
-        ("cli", "_build_config"), ("tomography", "simulate_traces")]
+        ("cli", "_simulate"), ("tomography", "simulate_traces")]
     # a trace's grid and sample count are checked once, by the fit
     assert [c[:2] for c in calls if c[2] == "_check_sampling"] == [("fitting", "fit_trace")]
     assert not hasattr(dynamics, "_links")
@@ -163,6 +163,18 @@ def test_each_input_rule_lives_in_one_place():
                                      if isinstance(n, ast.Name)}
                       for call in ast.walk(node.test))]
     assert guards == []
+
+
+def test_the_pipeline_tags_only_fit_and_invert():
+    # building a bundle, a spec's simulation included, is construction and
+    # carries stage None; only the fit and the inversion tag their errors
+    tree = ast.parse((PACKAGE / "tomography.py").read_text())
+    values = {ast.unparse(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              for target in node.targets
+              if getattr(target, "id", getattr(target, "attr", None)) == "stage"}
+    values |= {ast.unparse(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.keyword) and node.arg == "stage"}
+    assert values == {"'fit'", "'invert'", "stage"}
 
 
 # long enough to fit 3 poles, so only the bad argument can refuse a call
@@ -216,6 +228,16 @@ T = np.linspace(0.0, 1.0, 5)
     pytest.param(lambda: spectral_signal(np.array([1.0 + 0j]), T), id="links_complex"),
     pytest.param(lambda: spectral_signal(np.array([1.0, "a"], dtype=object), T),
                  id="links_object_str"),
+    # an object array's elements are judged as a list's, and a typed array
+    # must hold floats or integers: a timedelta or datetime casts to its units
+    pytest.param(lambda: ChainSpec(Model.XX, 3, {"J": np.array([True, 0.8], dtype=object)}),
+                 id="couplings_object_bool"),
+    pytest.param(lambda: spectral_signal(np.array([np.timedelta64(1, "s")]), T),
+                 id="links_timedelta"),
+    pytest.param(lambda: spectral_signal(np.array([np.datetime64("2020-01-01")]), T),
+                 id="links_datetime"),
+    # an empty typed array has no first element to name
+    pytest.param(lambda: spectral_signal(np.array([], dtype=bool), T), id="links_empty_bool"),
     # a NaN argument is refused up front, not overflowed or passed on as a NaN result
     pytest.param(lambda: FIT.evaluate([np.nan]), id="evaluate_times_nan"),
     pytest.param(lambda: invert_couplings([np.nan]), id="invert_eta_nan"),

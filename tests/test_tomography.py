@@ -293,14 +293,15 @@ class TestSimulateMode:
                 run_tomography(bundle)
             assert (exc_info.value.stage, exc_info.value.link) == ("invert", m + 1)
 
-    def test_simulation_errors_carry_the_simulate_stage(self, monkeypatch):
+    def test_simulation_errors_carry_no_stage(self, monkeypatch):
+        # simulating a spec builds the bundle, outside the fit and invert stages
         def failing(*args, **kwargs):
             raise EigenError("tridiagonal eigensolve failed")
 
         monkeypatch.setattr(tomography, "spectral_signal", failing)
         with pytest.raises(EigenError) as exc_info:
             run_tomography(xx_spec(BENCH_J))
-        assert exc_info.value.stage == "simulate"
+        assert exc_info.value.stage is None
 
     def test_a_step_that_aliases_the_chain_is_refused(self):
         # the top line 2 max|lambda| = 3.354 rad is above pi / 1.0, so its
@@ -308,7 +309,7 @@ class TestSimulateMode:
         spec = xx_spec([1.1, 0.8, 1.3])
         with pytest.raises(SpecError) as exc_info:
             run_tomography(spec, TomographyConfig(sample_step=1.0))
-        assert exc_info.value.stage == "simulate"
+        assert exc_info.value.stage is None
         assert str(exc_info.value) == (
             "sample_step 1 cannot resolve the chain probed by x1: its top line "
             "at 3.354 rad is at or above the Nyquist frequency 3.142 rad"
@@ -504,7 +505,7 @@ class TestIngestMode:
                              noise_sigma=0.01)
         with pytest.raises(SpecError, match="takes no TomographyConfig") as exc_info:
             run_tomography(bundle, config)
-        assert exc_info.value.stage == "validate"
+        assert exc_info.value.stage is None
 
     def test_missing_probe_trace_is_an_ingest_error(self, tmp_path):
         # a bundle checks its traces against its chain's probes when built
