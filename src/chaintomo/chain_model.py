@@ -20,7 +20,6 @@ storage is 0-based.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from collections.abc import Mapping
@@ -239,6 +238,9 @@ class FluxChain:
         return tuple(parameter_label(fam, idx) for fam, idx in self.label_map)
 
 
+MAX_SPINS = 1000  # at most 1999 links: spectral_signal's dense eigensolve takes a 32 MB matrix
+
+
 def chain_layout(model, n_spins: int) -> tuple[tuple[Probe, tuple[tuple[str, int], ...]], ...]:
     """Each flux chain's probe and, in traversal order, its link labels.
 
@@ -256,34 +258,23 @@ def chain_layout(model, n_spins: int) -> tuple[tuple[Probe, tuple[tuple[str, int
 
     Ising with transverse field: the Z_1 cascade alternates field and
     bond terms, giving (B_1, JZ_1, B_2, JZ_2, ..., B_N) of length 2N-1;
-    probe zero.  Each layout is built once, after the checks, and
-    shared: it is tuples all the way down.
+    probe zero.  A refused model or n_spins (an integer from 2 to MAX_SPINS)
+    builds nothing; each call builds its layout afresh, tuples all the way down.
     """
     try:
         model = Model(model)
     except ValueError as exc:
         raise SpecError(f"unknown model {model!r}") from exc
-    return _layout(model, _integer(n_spins, "n_spins", 2))
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(model: Model, n: int) -> tuple[tuple[Probe, tuple[tuple[str, int], ...]], ...]:
-    """chain_layout's answer for a model and site count it has checked."""
+    n = _integer(n_spins, "n_spins", 2)
+    if n > MAX_SPINS:
+        raise SpecError(f"n_spins must be at most {MAX_SPINS}, got {n}")
     if model is Model.XX:
-        return ((Probe.PLUS_X, tuple(("J", k) for k in range(1, n))),)
-
+        return ((Probe.PLUS_X, tuple([("J", k) for k in range(1, n)])),)
     if model is Model.XY:
-        def alternating(odd: str, even: str):
-            return tuple((odd if k % 2 else even, k) for k in range(1, n))
-
-        return (
-            (Probe.PLUS_X, alternating("JY", "JX")),
-            (Probe.PLUS_Y, alternating("JX", "JY")),
-        )
-
+        return ((Probe.PLUS_X, tuple([("JY" if k % 2 else "JX", k) for k in range(1, n)])),
+                (Probe.PLUS_Y, tuple([("JX" if k % 2 else "JY", k) for k in range(1, n)])))
     # transverse-field Ising: B_1, JZ_1, B_2, ..., B_N
-    return ((Probe.ZERO,
-             tuple(("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1))),)
+    return ((Probe.ZERO, tuple([("JZ" if k % 2 else "B", k // 2 + 1) for k in range(2 * n - 1)])),)
 
 
 def parameter_label(family: str, index: int) -> str:

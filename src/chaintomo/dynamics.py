@@ -130,7 +130,7 @@ def write_trace(trace: SignalTrace, csv_path: str | Path, metadata: dict | None 
 
 
 def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
-    """Read a trace CSV and its metadata sidecar."""
+    """Read a trace CSV and its metadata sidecar; each refusal names its file."""
     csv_path = Path(csv_path)
     if not csv_path.is_file():
         raise SpecError(f"trace file not found: {csv_path}")
@@ -162,4 +162,7 @@ def read_trace(csv_path: str | Path) -> tuple[SignalTrace, dict]:
         probe = Probe.from_dict(meta["probe"])
     except (KeyError, TypeError, SpecError) as exc:
         raise SpecError(f"{sidecar}: malformed probe: {exc}") from exc
-    return SignalTrace(data[:, 0], data[:, 1], probe), meta
+    try:
+        return SignalTrace(data[:, 0], data[:, 1], probe), meta
+    except SpecError as exc:  # a value that is not finite, a time out of order
+        raise SpecError(f"{csv_path}: {exc}") from exc

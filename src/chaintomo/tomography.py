@@ -33,14 +33,17 @@ from .reference import eta_coefficients, invert_couplings  # noqa: F401
 from .series import spectral_couplings
 
 
+MAX_SAMPLES = 100_000  # 100x the largest grid in use; a 31-link run at it peaks near 340 MB
+
+
 @dataclass(frozen=True)
 class TomographyConfig:
     """Pipeline knobs.
 
     sample_step and window are in units of 1/J; the defaults (pi/25 and
     8*pi, i.e. 200 samples) resolve the slowest line of the reference
-    chain with two full periods.  The number of cosines is not a knob:
-    the m + 1 nodes of an m-link chain are its fit's poles.
+    chain with two full periods, and a grid past MAX_SAMPLES is refused.
+    The m + 1 nodes of an m-link chain are its fit's poles, not a knob.
     A config describes how a ChainSpec is simulated; a TraceBundle takes
     none, since its traces fix the sampling and its noise_sigma the noise.
     """
@@ -58,6 +61,8 @@ class TomographyConfig:
         object.__setattr__(self, "window", float(self.window))
         if self.window < 10 * self.sample_step:
             raise SpecError("window must cover at least 10 sample steps")
+        if (n := self.window / self.sample_step) > MAX_SAMPLES:
+            raise SpecError(f"window must cover at most {MAX_SAMPLES} sample steps, got {n:.4g}")
         _instance(self.noise, (NoiseSpec, type(None)), "TomographyConfig",
                   "a NoiseSpec or None as noise")
 

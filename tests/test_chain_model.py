@@ -18,7 +18,7 @@ from chaintomo import (
     flux_chains,
 )
 
-from chaintomo.chain_model import chain_layout
+from chaintomo.chain_model import MAX_SPINS, chain_layout
 
 from _bench import BENCH_J, ISING_B, ISING_JZ, ising_spec, xx_spec, xy_spec
 
@@ -305,14 +305,12 @@ class TestChainLayout:
     def test_accepts_a_numpy_integer_count(self):
         assert chain_layout(Model.XX, np.int64(3)) == chain_layout(Model.XX, 3)
 
-    def test_a_built_layout_keeps_every_refusal(self):
-        # the layout of (XX, 3) is built and kept; 3.0 == 3 and hashes
-        # alike, so a cache consulted before the checks would hand it out
-        layout = chain_layout(Model.XX, 3)
-        for n_spins in (3.0, True, "3"):
-            with pytest.raises(SpecError, match="n_spins must be an integer"):
-                chain_layout(Model.XX, n_spins)
-        assert chain_layout(Model.XX, np.int64(3)) is layout
+    @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+    def test_refuses_a_count_past_the_cap(self, model):
+        assert chain_layout(model, MAX_SPINS)  # the cap itself is admitted
+        with pytest.raises(SpecError,
+                           match=f"^n_spins must be at most {MAX_SPINS}, got {MAX_SPINS + 1}$"):
+            chain_layout(model, MAX_SPINS + 1)
 
     @pytest.mark.parametrize("model, n", _MODELS_AND_SIZES)
     def test_layout_is_tuples_all_the_way_down(self, model, n):
@@ -321,9 +319,7 @@ class TestChainLayout:
                 return True
             return isinstance(node, tuple) and all(map(frozen, node))
 
-        layout = chain_layout(model, n)
-        assert frozen(layout)
-        assert chain_layout(model, n) is layout
+        assert frozen(chain_layout(model, n))
 
 
 class TestSerialization:

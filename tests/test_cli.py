@@ -591,6 +591,13 @@ class TestErrors:
             "error: noise sigma must be finite and nonnegative\n"
         )
 
+    def test_a_grid_past_the_cap_exits_2(self, tmp_path, bench_spec_path, capsys):
+        # TomographyConfig refuses it before sample_times builds an array
+        assert _refused(capsys, ["run", "--spec", str(bench_spec_path), "--window", "1e300",
+                                 "--out", str(tmp_path / "out")]) == (
+            "error: window must cover at most 100000 sample steps, got 7.958e+300\n"
+        )
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

@@ -394,7 +394,17 @@ class TestTraceFiles:
 
     def test_nan_is_refused_by_the_trace(self, trace_path):
         trace_path.write_text("t,value\n0,nan\n0.5,-0.25\n")
-        with pytest.raises(SpecError, match="values must be a 1-D array of finite numbers"):
+        words = f"{trace_path}: values must be a 1-D array of finite numbers"
+        with pytest.raises(SpecError, match=f"^{re.escape(words)}$"):
+            read_trace(trace_path)
+
+    @pytest.mark.parametrize("body", ["0,1\n0,0.5\n", "0.5,1\n0,0.5\n"],
+                             ids=["repeated", "decreasing"])
+    def test_a_time_out_of_order_is_refused_naming_the_file(self, trace_path, body):
+        # an xy run reads two traces; the words say which file is bad
+        trace_path.write_text(f"t,value\n{body}")
+        words = f"{trace_path}: times must be strictly increasing"
+        with pytest.raises(SpecError, match=f"^{re.escape(words)}$"):
             read_trace(trace_path)
 
     def test_missing_file(self, tmp_path):

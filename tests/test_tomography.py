@@ -35,7 +35,8 @@ from chaintomo import (
     write_trace,
 )
 from chaintomo import tomography
-from chaintomo.chain_model import Observable, Probe, chain_layout
+from chaintomo.chain_model import MAX_SPINS, Observable, Probe, chain_layout
+from chaintomo.tomography import MAX_SAMPLES
 
 from _bench import (
     BENCH_J,
@@ -75,6 +76,22 @@ class TestConfig:
                  else "window must be finite")
         with pytest.raises(SpecError, match=f"^{words}$"):
             TomographyConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, steps", [
+        ({"sample_step": 1e-300}, "2.513e+301"),
+        ({"window": 1e300}, "7.958e+300"),
+        ({"window": 1e9}, "7.958e+09"),
+        ({"sample_step": 5e-324, "window": 1.0}, "inf"),
+        ({"sample_step": 0.1, "window": 0.1 * MAX_SAMPLES * 1.001}, "1.001e+05"),
+    ], ids=["step_tiny", "window_huge", "window_1e9", "ratio_inf", "just_past"])
+    def test_a_grid_past_the_cap_is_refused_before_it_is_built(self, kwargs, steps):
+        words = f"window must cover at most {MAX_SAMPLES} sample steps, got {steps}"
+        with pytest.raises(SpecError, match=f"^{re.escape(words)}$"):
+            TomographyConfig(**kwargs)
+
+    def test_a_grid_at_the_cap_is_admitted(self):
+        config = TomographyConfig(sample_step=0.5, window=0.5 * MAX_SAMPLES)
+        assert sample_times(config).size == MAX_SAMPLES
 
 
 # each link of the 512 three-link chains that the over-declared sweep reads
@@ -687,6 +704,14 @@ class TestIngestMode:
         pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
         pairs = [(trace, {**meta, "n_spins": n_spins}) for trace, meta in pairs]
         with pytest.raises(SpecError, match="n_spins must be an integer"):
+            TraceBundle.from_metadata(pairs)
+
+    def test_sidecar_n_spins_past_the_cap_is_malformed_metadata(self, tmp_path):
+        # chain_layout refuses it before building a label from it
+        pairs = _write_bundle(xx_spec([1.0, 0.8]), tmp_path)
+        pairs = [(trace, {**meta, "n_spins": MAX_SPINS + 1}) for trace, meta in pairs]
+        words = f"n_spins must be at most {MAX_SPINS}, got {MAX_SPINS + 1}"
+        with pytest.raises(SpecError, match=f"^malformed trace metadata: {words}$"):
             TraceBundle.from_metadata(pairs)
 
     def test_sidecar_integer_sigma_is_stored_as_a_float(self, tmp_path):
